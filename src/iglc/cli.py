@@ -14,7 +14,7 @@ import sys
 from .formula import Formula, ParseError, parse, render
 from .ipc import IpcValid, decide_ipc
 from .iglc_prover import DEFAULT_BUDGET, Invalid, Valid, decide_iglc
-from .ha import (in_ha_fast_sigma1_logic, in_ha_sigma1_logic,
+from .ha import (LOGIC_NAMES, in_ha_fast_sigma1_logic, in_ha_sigma1_logic,
                  in_selfcompletion_fast_logic)
 from .kripke import (Frame, KripkeModel, ModelError, check_frame, forces,
                      model_from_json, model_to_dot, model_to_json)
@@ -28,8 +28,6 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_MODEL = 4
 
-LOGICS = ("ipc", "iglc", "ha-sigma1", "ha-fast-sigma1", "ustar-fast")
-
 
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="iglc",
@@ -38,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     prove = sub.add_parser("prove", help="decide a formula in a logic")
-    prove.add_argument("--logic", choices=LOGICS, required=True)
+    prove.add_argument("--logic", choices=LOGIC_NAMES, required=True)
     prove.add_argument("formula")
     prove.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     prove.add_argument("--countermodel", metavar="PATH",
@@ -222,7 +220,7 @@ def _cmd_corpus_run(args) -> int:
                   file=sys.stderr)
             return EXIT_USAGE
         expected, logic, text = (p.strip() for p in parts)
-        if expected not in ("valid", "invalid") or logic not in LOGICS:
+        if expected not in ("valid", "invalid") or logic not in LOGIC_NAMES:
             print(f"error: line {lineno}: bad verdict or logic", file=sys.stderr)
             return EXIT_USAGE
         f = parse(text)

@@ -19,7 +19,10 @@ Pipeline for decide_iglc, all phases metered by one step budget:
    disagrees with forcing, are eliminated to a fixpoint.  Every X-saturated
    set survives, and the surviving model satisfies membership = forcing, so
    the query is a theorem iff it belongs to every surviving world; otherwise
-   any world omitting it roots a countermodel.
+   the least world omitting it roots a countermodel on its ⊆-cone.  Cones of
+   at most 40 worlds are shrunk greedily on successor bitmasks
+   (``kripke.shrink``: drop worlds while the root still refutes the query),
+   and one validated model is built from the kept worlds at the end.
 
 Every Invalid answer is machine-checked (frame flags and refutation at the
 root) before being returned.
@@ -34,7 +37,8 @@ from functools import lru_cache
 from .formula import (And, Atom, Bottom, Box, Formula, Imp, Or, BOT,
                       atoms, modal_decompose, render, size, subsentences)
 from .ipc import ipc_provable
-from .kripke import KripkeModel, check_frame, forces
+from .kripke import (KripkeModel, check_frame, forces, model_from_masks, shrink,
+                     truth_mask)
 
 __all__ = [
     "Valid", "Invalid", "BudgetExceeded", "Verdict", "BudgetExhausted",
@@ -225,46 +229,14 @@ def _structured_models(names: tuple[str, ...]) -> tuple:
     return tuple(compiled)
 
 
-def _eval_masks(f: Formula, n: int, leq_succ, r_succ, val: dict[str, int],
-                cache: dict[Formula, int]) -> int:
-    m = cache.get(f)
-    if m is not None:
-        return m
-    full = (1 << n) - 1
-    if isinstance(f, Atom):
-        m = val.get(f.name, 0)
-    elif isinstance(f, Bottom):
-        m = 0
-    elif isinstance(f, And):
-        m = (_eval_masks(f.left, n, leq_succ, r_succ, val, cache)
-             & _eval_masks(f.right, n, leq_succ, r_succ, val, cache))
-    elif isinstance(f, Or):
-        m = (_eval_masks(f.left, n, leq_succ, r_succ, val, cache)
-             | _eval_masks(f.right, n, leq_succ, r_succ, val, cache))
-    else:
-        if isinstance(f, Imp):
-            bad = (_eval_masks(f.left, n, leq_succ, r_succ, val, cache)
-                   & ~_eval_masks(f.right, n, leq_succ, r_succ, val, cache) & full)
-            succ = leq_succ
-        else:
-            bad = ~_eval_masks(f.inner, n, leq_succ, r_succ, val, cache) & full
-            succ = r_succ
-        m = 0
-        for i in range(n):
-            if succ[i] & bad == 0:
-                m |= 1 << i
-    cache[f] = m
-    return m
-
-
 def _structured_scan(a: Formula, bud: _Budget) -> Invalid | None:
     names = tuple(sorted(atoms(a)))
     if len(names) > 3:
         return None
     for n, leq_succ, r_succ, masks, constructor in _structured_models(names):
         bud.charge()
-        truth = _eval_masks(a, n, leq_succ, r_succ, masks, {})
-        if truth != (1 << n) - 1:
+        full = (1 << n) - 1
+        if truth_mask(a, leq_succ, r_succ, masks, full, {}) != full:
             worlds, leq, r, val = constructor
             model = KripkeModel.make(worlds, leq, r, val)
             for w in sorted(worlds):
@@ -472,23 +444,6 @@ class _Canonical:
                 return keep
             cands = keep
 
-    def sqsubset(self, w: int, v: int) -> bool:
-        req = 0
-        for i, c in self.boxes:
-            if w >> i & 1:
-                req |= 1 << c
-        return req & ~v == 0 and bool(self.box_mask & v & ~w)
-
-    def to_model(self, worlds: list[int]) -> tuple[KripkeModel, dict[int, int]]:
-        order = sorted(worlds)
-        label = {v: i + 1 for i, v in enumerate(order)}
-        leq = {(label[u], label[v]) for u in order for v in order if u & ~v == 0}
-        r = {(label[u], label[v]) for u in order for v in order if self.sqsubset(u, v)}
-        val = {name: {label[v] for v in order if v >> p & 1}
-               for name, p in self.atom_positions.items()}
-        model = KripkeModel.make(list(label.values()), leq, r, val)
-        return model, label
-
     def decide(self) -> Verdict:
         cands = self._generate()
         survivors = self._eliminate(cands)
@@ -498,30 +453,35 @@ class _Canonical:
             return Valid(("certified by saturation of the adequate set: the query "
                           "belongs to every coherent candidate world",))
         root_vec = min(bad)
-        cone = [v for v in survivors if root_vec & ~v == 0]
-        cone = self._shrink(cone, root_vec)
-        model, label = self.to_model(cone)
-        return Invalid(model, label[root_vec])
+        # the root is the least vector of its cone, so it has index 0
+        cone = sorted(v for v in survivors if root_vec & ~v == 0)
+        leq_succ, r_succ, val = self._masks(cone)
+        keep = (1 << len(cone)) - 1
+        if len(cone) <= 40:
+            query = self.members[qb]
+            keep = shrink(leq_succ, r_succ, val, 0,
+                          lambda truth: not truth(query) & 1, self.bud.charge)
+        return Invalid(model_from_masks(leq_succ, r_succ, val, keep), 1)
 
-    def _shrink(self, cone: list[int], root_vec: int) -> list[int]:
-        """Greedily drop worlds while the root still refutes the query."""
-        if len(cone) > 40:
-            return cone
-        query = self.members[self.query_bit]
-        current = list(cone)
-        changed = True
-        while changed:
-            changed = False
-            for v in sorted(current, reverse=True):
-                if v == root_vec or len(current) == 1:
-                    continue
-                trial = [u for u in current if u != v]
-                self.bud.charge(len(trial))
-                model, label = self.to_model(trial)
-                if not forces(model, label[root_vec], query):
-                    current = trial
-                    changed = True
-        return current
+    def _masks(self, worlds: list[int]):
+        """⊆- and ⊏-successor masks and atom masks over a list of candidates."""
+        leq_succ, r_succ = [], []
+        for w in worlds:
+            req = 0
+            for i, c in self.boxes:
+                if w >> i & 1:
+                    req |= 1 << c
+            leq_m = r_m = 0
+            for j, v in enumerate(worlds):
+                if w & ~v == 0:
+                    leq_m |= 1 << j
+                if req & ~v == 0 and self.box_mask & v & ~w:    # w ⊏ v
+                    r_m |= 1 << j
+            leq_succ.append(leq_m)
+            r_succ.append(r_m)
+        val = {name: sum(1 << j for j, v in enumerate(worlds) if v >> p & 1)
+               for name, p in self.atom_positions.items()}
+        return leq_succ, r_succ, val
 
 
 # ---------------------------------------------------------------------------

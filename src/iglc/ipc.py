@@ -1,12 +1,13 @@
 """Decision procedure for intuitionistic propositional logic with countermodels.
 
 Provability is decided by terminating contraction-free backward sequent search
-(the G4ip rule set), memoized on saturated sequents.  Two sound refutation
-shortcuts run first: a classical truth-table scan (classical refutability
-implies intuitionistic refutability) and a scan over previously discovered
-countermodels.  Countermodels themselves come from a separate saturation
-construction: worlds are deductively saturated subsets of the subformula
-closure, built on demand from the failure points of the query.
+(the G4ip rule set), memoized on saturated sequents.  A sound refutation
+shortcut runs first: a classical truth-table scan (classical refutability
+implies intuitionistic refutability).  Countermodels come from a separate
+saturation construction: worlds are deductively saturated subsets of the
+subformula closure, built on demand from the failure points of the query,
+ordered by inclusion, and shrunk greedily on successor bitmasks
+(``kripke.shrink``) before one validated model is built.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import lru_cache
 
 from .formula import (And, Atom, Bottom, Formula, Imp, Or, BOT, TOP,
                       atoms, is_box_free, render, size, subsentences)
-from .kripke import KripkeModel, forces
+from .kripke import KripkeModel, forces, model_from_masks, shrink
 
 __all__ = ["IpcValid", "IpcInvalid", "IpcVerdict", "decide_ipc", "ipc_provable",
            "ipc_equiv", "clear_caches"]
@@ -29,14 +30,11 @@ _CLASSICAL_ATOM_CAP = 10
 
 _memo: dict[tuple[frozenset[Formula], Formula], bool] = {}
 _equiv_memo: dict[tuple[Formula, Formula], bool] = {}
-_refuters: list[KripkeModel] = []
-_REFUTER_CAP = 128
 
 
 def clear_caches() -> None:
     _memo.clear()
     _equiv_memo.clear()
-    _refuters.clear()
 
 
 @dataclass(frozen=True)
@@ -93,20 +91,6 @@ def _classically_refuted(ctx: frozenset[Formula], goal: Formula) -> bool:
             return False
         bad &= _classical_vector(f, names)
     return bool(bad)
-
-
-def _refuted_by_cache(ctx: frozenset[Formula], goal: Formula) -> bool:
-    from .kripke import _evaluator
-    for m in _refuters:
-        ev = _evaluator(m)
-        bad = ~ev.truth_mask(goal) & ev.full
-        for f in ctx:
-            if not bad:
-                break
-            bad &= ev.truth_mask(f)
-        if bad:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -203,13 +187,7 @@ def ipc_provable(context, goal: Formula) -> bool:
     _require_box_free((goal,))
     if _classically_refuted(ctx, goal):
         return False
-    if _refuted_by_cache(ctx, goal):
-        return False
-    result = _search(ctx, goal)
-    if not result and len(_refuters) < _REFUTER_CAP and size(goal) + sum(map(size, ctx)) <= 26:
-        model, _ = _build_countermodel(ctx, goal)
-        _refuters.append(model)
-    return result
+    return _search(ctx, goal)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +241,7 @@ def _build_countermodel(ctx: frozenset[Formula], goal: Formula) -> tuple[KripkeM
             ids[sat] = wid
         return wid
 
-    root = register(_saturate_set(ctx, goal, enum))
+    register(_saturate_set(ctx, goal, enum))
     queue = [sats[0]]
     while queue:
         w = queue.pop(0)
@@ -275,46 +253,21 @@ def _build_countermodel(ctx: frozenset[Formula], goal: Formula) -> tuple[KripkeM
                 register(child)
                 queue.append(child)
 
-    worlds = range(1, len(sats) + 1)
-    leq = {(i, j) for i in worlds for j in worlds if sats[i - 1] <= sats[j - 1]}
-    val: dict[str, set[int]] = {}
-    for i in worlds:
-        for f in sats[i - 1]:
+    n = len(sats)
+    leq_succ = [sum(1 << j for j in range(n) if sats[i] <= sats[j]) for i in range(n)]
+    val: dict[str, int] = {}
+    for i, sat in enumerate(sats):
+        for f in sat:
             if isinstance(f, Atom):
-                val.setdefault(f.name, set()).add(i)
-    model = KripkeModel.make(worlds, leq, frozenset(), val)
-    return _shrink_model(model, root, ctx, goal)
-
-
-def _shrink_model(model: KripkeModel, root: int, ctx, goal) -> tuple[KripkeModel, int]:
-    """Greedily drop worlds while the root still refutes the sequent."""
-
-    def restricted(keep: set[int]) -> KripkeModel:
-        return KripkeModel.make(
-            keep,
-            {p for p in model.frame.leq if p[0] in keep and p[1] in keep},
-            {p for p in model.frame.r if p[0] in keep and p[1] in keep},
-            {name: ws & keep for name, ws in model.valuation.items()})
-
-    keep = set(model.frame.worlds)
-    changed = len(keep) <= 24
-    while changed:
-        changed = False
-        for w in sorted(keep, reverse=True):
-            if w == root or len(keep) == 1:
-                continue
-            trial = restricted(keep - {w})
-            if not forces(trial, root, goal) and all(forces(trial, root, f) for f in ctx):
-                keep.discard(w)
-                changed = True
-    final = restricted(keep)
-    relabel = {w: i + 1 for i, w in enumerate(sorted(keep))}
-    out = KripkeModel.make(
-        sorted(relabel.values()),
-        {(relabel[a], relabel[b]) for a, b in final.frame.leq},
-        {(relabel[a], relabel[b]) for a, b in final.frame.r},
-        {name: {relabel[w] for w in ws} for name, ws in final.valuation.items()})
-    return out, relabel[root]
+                val[f.name] = val.get(f.name, 0) | 1 << i
+    r_succ = [0] * n
+    keep = (1 << n) - 1
+    if n <= 24:
+        # the root, sats[0], must refute the goal and force every assumption
+        keep = shrink(leq_succ, r_succ, val, 0,
+                      lambda truth: not truth(goal) & 1 and all(truth(f) & 1 for f in ctx),
+                      lambda steps: None)
+    return model_from_masks(leq_succ, r_succ, val, keep), 1
 
 
 def decide_ipc(assumptions, goal: Formula) -> IpcVerdict:

@@ -2,8 +2,14 @@
 
 A frame carries an intuitionistic partial order ``leq`` (⪯) and a modal
 relation ``r`` (⊏) subject to the model property ⪯∘⊏ ⊆ ⊏.  Worlds are small
-integers; relations are explicit pair sets.  Evaluation uses per-world
-successor bitmasks internally.
+integers; relations are explicit pair sets.
+
+Evaluation runs on per-world successor bitmasks through one mask evaluator,
+``truth_mask``, which also evaluates on a submodel given by a mask of kept
+worlds.  ``forces`` calls it on whole models, the deciders' structured scan
+on compiled frames, and ``shrink``, the one greedy countermodel shrinker of
+the iGLC and IPC deciders, on trial submodels; ``model_from_masks`` then
+builds the one validated model of the result.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ __all__ = [
     "Frame", "KripkeModel", "FrameReport", "ModelError",
     "check_frame", "forces", "valid_on_model", "valid_on_frame",
     "model_to_json", "model_from_json", "model_to_dot", "upward_closed_sets",
+    "truth_mask", "shrink", "model_from_masks",
 ]
 
 VALID_ON_FRAME_WORLD_LIMIT = 8
@@ -166,11 +173,87 @@ class KripkeModel:
                            {p: frozenset(v) for p, v in valuation.items()})
 
 
+def truth_mask(f: Formula, leq_succ, r_succ, val: dict[str, int], keep: int,
+               cache: dict[Formula, int]) -> int:
+    """Bitmask of the worlds in ``keep`` forcing f, in the submodel on ``keep``.
+
+    World i has ⪯-successors ``leq_succ[i]`` and ⊏-successors ``r_succ[i]``;
+    atom p holds on ``val[p]``.  Worlds outside ``keep`` are ignored, so a
+    trial removal of world i is ``keep & ~(1 << i)``.  ``cache`` memoises
+    subformula masks and belongs to one ``keep``.
+    """
+    m = cache.get(f)
+    if m is not None:
+        return m
+    if isinstance(f, Atom):
+        m = val.get(f.name, 0) & keep
+    elif isinstance(f, Bottom):
+        m = 0
+    elif isinstance(f, And):
+        m = (truth_mask(f.left, leq_succ, r_succ, val, keep, cache)
+             & truth_mask(f.right, leq_succ, r_succ, val, keep, cache))
+    elif isinstance(f, Or):
+        m = (truth_mask(f.left, leq_succ, r_succ, val, keep, cache)
+             | truth_mask(f.right, leq_succ, r_succ, val, keep, cache))
+    else:
+        if isinstance(f, Imp):
+            bad = (truth_mask(f.left, leq_succ, r_succ, val, keep, cache)
+                   & ~truth_mask(f.right, leq_succ, r_succ, val, keep, cache))
+            succ = leq_succ
+        elif isinstance(f, Box):
+            bad = keep & ~truth_mask(f.inner, leq_succ, r_succ, val, keep, cache)
+            succ = r_succ
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        m = 0
+        for i, s in enumerate(succ):
+            if s & bad == 0:
+                m |= 1 << i
+        m &= keep
+    cache[f] = m
+    return m
+
+
+def shrink(leq_succ, r_succ, val: dict[str, int], root: int, refutes, charge) -> int:
+    """Greedily drop worlds while ``refutes`` still holds; returns the kept mask.
+
+    ``refutes(truth)`` gets ``truth(f)``, the truth mask of f on a trial's
+    kept worlds (see ``truth_mask``).  Each pass visits the kept worlds from
+    the highest index down, skipping the root (so at least one world stays),
+    charges the trial's world count, and drops a world when the trial still
+    refutes.  Passes repeat until one drops nothing, so no single world of
+    the result can be dropped.
+    """
+    keep = (1 << len(leq_succ)) - 1
+    changed = True
+    while changed:
+        changed = False
+        for i in reversed(range(len(leq_succ))):
+            if i == root or not keep >> i & 1:
+                continue
+            trial = keep & ~(1 << i)
+            charge(trial.bit_count())
+            cache: dict[Formula, int] = {}
+            if refutes(lambda f: truth_mask(f, leq_succ, r_succ, val, trial, cache)):
+                keep = trial
+                changed = True
+    return keep
+
+
+def model_from_masks(leq_succ, r_succ, val: dict[str, int], keep: int) -> KripkeModel:
+    """The validated submodel on ``keep``; kept indices become worlds 1, 2, … in order."""
+    kept = [i for i in range(len(leq_succ)) if keep >> i & 1]
+    label = {i: k + 1 for k, i in enumerate(kept)}
+    leq = {(label[i], label[j]) for i in kept for j in kept if leq_succ[i] >> j & 1}
+    r = {(label[i], label[j]) for i in kept for j in kept if r_succ[i] >> j & 1}
+    valuation = {p: {label[i] for i in kept if m >> i & 1} for p, m in val.items()}
+    return KripkeModel.make(list(label.values()), leq, r, valuation)
+
+
 class _Evaluator:
-    """Per-model bitmask evaluation of all subformulas, cached by formula."""
+    """Successor masks of one model for ``truth_mask``, with its cache."""
 
     def __init__(self, model: KripkeModel):
-        self.model = model
         self.order = sorted(model.frame.worlds)
         self.index = {w: i for i, w in enumerate(self.order)}
         n = len(self.order)
@@ -181,40 +264,12 @@ class _Evaluator:
             self.leq_succ[self.index[a]] |= 1 << self.index[b]
         for a, b in model.frame.r:
             self.r_succ[self.index[a]] |= 1 << self.index[b]
+        self.val = {p: sum(1 << self.index[w] for w in ws)
+                    for p, ws in model.valuation.items()}
         self.cache: dict[Formula, int] = {}
 
     def truth_mask(self, f: Formula) -> int:
-        m = self.cache.get(f)
-        if m is None:
-            m = self._compute(f)
-            self.cache[f] = m
-        return m
-
-    def _compute(self, f: Formula) -> int:
-        if isinstance(f, Atom):
-            mask = 0
-            for w in self.model.valuation.get(f.name, ()):
-                mask |= 1 << self.index[w]
-            return mask
-        if isinstance(f, Bottom):
-            return 0
-        if isinstance(f, And):
-            return self.truth_mask(f.left) & self.truth_mask(f.right)
-        if isinstance(f, Or):
-            return self.truth_mask(f.left) | self.truth_mask(f.right)
-        if isinstance(f, Imp):
-            fail = self.truth_mask(f.left) & ~self.truth_mask(f.right)
-            return self._all_succ(self.leq_succ, ~fail & self.full)
-        if isinstance(f, Box):
-            return self._all_succ(self.r_succ, self.truth_mask(f.inner))
-        raise TypeError(f"not a formula: {f!r}")
-
-    def _all_succ(self, succ: list[int], good: int) -> int:
-        mask = 0
-        for i in range(len(self.order)):
-            if succ[i] & ~good == 0:
-                mask |= 1 << i
-        return mask
+        return truth_mask(f, self.leq_succ, self.r_succ, self.val, self.full, self.cache)
 
 
 _EVALUATORS: dict[int, tuple[KripkeModel, _Evaluator]] = {}

@@ -1,0 +1,100 @@
+"""Countermodel shrinking and the shared mask evaluator, checked against the
+slow path: models rebuilt by ``KripkeModel.make`` on restricted world sets
+and evaluated with ``forces``."""
+
+import random
+
+from iglc.iglc_prover import Invalid, decide_iglc
+from iglc.ipc import IpcInvalid, decide_ipc
+from iglc.formula import parse
+from iglc.kripke import KripkeModel, forces, shrink, truth_mask
+from conftest import random_formula, random_realistic_model
+from test_iglc import MOJTAHEDI, PTP
+
+PQR = ("p", "q", "r")
+
+
+def restricted(model: KripkeModel, keep: set[int]) -> KripkeModel:
+    frame = model.frame
+    return KripkeModel.make(
+        keep,
+        {(a, b) for a, b in frame.leq if a in keep and b in keep},
+        {(a, b) for a, b in frame.r if a in keep and b in keep},
+        {name: ws & keep for name, ws in model.valuation.items()})
+
+
+def droppable(model: KripkeModel, root: int, refutes) -> list[int]:
+    """Non-root worlds whose removal leaves a submodel the root still refutes."""
+    worlds = set(model.frame.worlds)
+    return [w for w in sorted(worlds - {root})
+            if refutes(restricted(model, worlds - {w}))]
+
+
+def test_iglc_countermodels_are_one_minimal(modal_corpus):
+    sample = random.Random(1804).sample(modal_corpus, 2000) + [PTP, MOJTAHEDI]
+    checked = 0
+    for f in sample:
+        v = decide_iglc(f)
+        if not isinstance(v, Invalid) or len(v.countermodel.frame.worlds) > 40:
+            continue
+        checked += 1
+        assert not forces(v.countermodel, v.root, f)
+        assert droppable(v.countermodel, v.root,
+                         lambda m: not forces(m, v.root, f)) == []
+    assert checked > 1000
+
+
+def test_ipc_countermodels_are_one_minimal(boxfree_corpus):
+    rng = random.Random(9451)
+    cases = [((), f) for f in boxfree_corpus]
+    # larger countermodels: contexts and goals over three atoms
+    cases += [(tuple(random_formula(rng, PQR, 6, box_prob=0.0) for _ in range(2)),
+               random_formula(rng, PQR, 12, box_prob=0.0)) for _ in range(300)]
+    checked = sizes = 0
+    for ctx, goal in cases:
+        v = decide_ipc(ctx, goal)
+        if not isinstance(v, IpcInvalid) or len(v.countermodel.frame.worlds) > 24:
+            continue
+        checked += 1
+        sizes = max(sizes, len(v.countermodel.frame.worlds))
+
+        def refutes(m, root=v.world, ctx=ctx, goal=goal):
+            return not forces(m, root, goal) and all(forces(m, root, g) for g in ctx)
+
+        assert refutes(v.countermodel)
+        assert droppable(v.countermodel, v.world, refutes) == []
+    assert checked > 5000 and sizes >= 3
+
+
+def test_truth_mask_agrees_with_forces_on_submodels():
+    rng = random.Random(20181804)
+    for _ in range(300):
+        model = random_realistic_model(rng, 6, PQR, rooted=rng.random() < 0.5)
+        order = sorted(model.frame.worlds)
+        index = {w: i for i, w in enumerate(order)}
+        leq_succ = [0] * len(order)
+        r_succ = [0] * len(order)
+        for a, b in model.frame.leq:
+            leq_succ[index[a]] |= 1 << index[b]
+        for a, b in model.frame.r:
+            r_succ[index[a]] |= 1 << index[b]
+        val = {p: sum(1 << index[w] for w in ws) for p, ws in model.valuation.items()}
+        formulas = [random_formula(rng, PQR, rng.randint(1, 12)) for _ in range(5)]
+        for keep in [(1 << len(order)) - 1] + [rng.getrandbits(len(order)) for _ in range(4)]:
+            kept = {w for w in order if keep >> index[w] & 1}
+            sub = restricted(model, kept) if kept else None
+            for f in formulas:
+                mask = truth_mask(f, leq_succ, r_succ, val, keep, {})
+                expected = sum(1 << index[w] for w in kept if forces(sub, w, f))
+                assert mask == expected, (keep, f)
+
+
+def test_shrink_visit_order_and_charges():
+    # root 0 below worlds 1 (p) and 2 (q); the root refutes ¬(p ∨ q) while
+    # either successor stays, so the highest index goes first and 1 stays
+    f = parse("~(p | q)")
+    charges = []
+    keep = shrink([0b111, 0b010, 0b100], [0, 0, 0], {"p": 0b010, "q": 0b100}, 0,
+                  lambda truth: not truth(f) & 1, charges.append)
+    assert keep == 0b011
+    assert charges == [2, 1, 1]     # pass 1 tries 2 then 1; pass 2 drops nothing
