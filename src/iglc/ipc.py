@@ -230,28 +230,16 @@ def _build_countermodel(ctx: frozenset[Formula], goal: Formula) -> tuple[KripkeM
     enum = _enumeration(X)
     imps = [f for f in enum if isinstance(f, Imp)]
 
-    sats: list[frozenset[Formula]] = []
-    ids: dict[frozenset[Formula], int] = {}
-
-    def register(sat: frozenset[Formula]) -> int:
-        wid = ids.get(sat)
-        if wid is None:
-            sats.append(sat)
-            wid = len(sats)
-            ids[sat] = wid
-        return wid
-
-    register(_saturate_set(ctx, goal, enum))
-    queue = [sats[0]]
-    while queue:
-        w = queue.pop(0)
+    sats = [_saturate_set(ctx, goal, enum)]     # the root has index 0
+    seen = set(sats)
+    for w in sats:                              # grows while walked: breadth first
         for f in imps:
             if f in w or f.left in w:
                 continue  # w itself witnesses f.left∈, f.right∉ when f.left ∈ w
             child = _saturate_set(w | {f.left}, f.right, enum)
-            if child not in ids:
-                register(child)
-                queue.append(child)
+            if child not in seen:
+                seen.add(child)
+                sats.append(child)
 
     n = len(sats)
     leq_succ = [sum(1 << j for j in range(n) if sats[i] <= sats[j]) for i in range(n)]
@@ -263,7 +251,7 @@ def _build_countermodel(ctx: frozenset[Formula], goal: Formula) -> tuple[KripkeM
     r_succ = [0] * n
     keep = (1 << n) - 1
     if n <= 24:
-        # the root, sats[0], must refute the goal and force every assumption
+        # the root must refute the goal and force every assumption
         keep = shrink(leq_succ, r_succ, val, 0,
                       lambda truth: not truth(goal) & 1 and all(truth(f) & 1 for f in ctx),
                       lambda steps: None)
