@@ -223,7 +223,11 @@ def _cmd_corpus_run(args) -> int:
         if expected not in ("valid", "invalid") or logic not in LOGIC_NAMES:
             print(f"error: line {lineno}: bad verdict or logic", file=sys.stderr)
             return EXIT_USAGE
-        f = parse(text)
+        try:
+            f = parse(text)
+        except ParseError as e:
+            print(f"error: line {lineno}: formula: {e}", file=sys.stderr)
+            return EXIT_USAGE
         word, _, _, _ = _decide_in_logic(logic, f, args.budget)
         if word == "budget-exceeded":
             outcome = "budget-exceeded"

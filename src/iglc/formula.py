@@ -154,6 +154,12 @@ _TOKEN_RE = re.compile(r"\s*(->|\[\]|[()~&|]|[a-z][a-zA-Z0-9_]*)")
 _IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 
 
+# Most "(", "~", "[]" and "->" open at once.  The parser reads the operand of
+# each by recursion, so deeper text is rejected with a ParseError before it
+# can exhaust the stack.
+_MAX_NESTING = 100
+
+
 def _tokenize(text: str) -> list[tuple[str, int]]:
     tokens = []
     pos = 0
@@ -174,6 +180,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> str | None:
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
@@ -193,12 +200,21 @@ class _Parser:
             raise ParseError(f"expected {tok!r}", self.pos())
         self.i += 1
 
+    def nest(self) -> None:
+        """Take "(", "~", "[]" or "->", whose operand is read by recursion."""
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ParseError(f"nesting deeper than {_MAX_NESTING}", self.pos())
+        self.i += 1
+
     def formula(self) -> Formula:
         left = self.or_expr()
-        if self.peek() == "->":
-            self.take()
-            return Imp(left, self.formula())
-        return left
+        if self.peek() != "->":
+            return left
+        self.nest()
+        f = Imp(left, self.formula())
+        self.depth -= 1
+        return f
 
     def or_expr(self) -> Formula:
         f = self.and_expr()
@@ -216,20 +232,20 @@ class _Parser:
 
     def unary(self) -> Formula:
         tok = self.peek()
-        if tok == "~":
-            self.take()
-            return Neg(self.unary())
-        if tok == "[]":
-            self.take()
-            return Box(self.unary())
-        return self.atom()
+        if tok not in ("~", "[]"):
+            return self.atom()
+        self.nest()
+        f = self.unary()
+        self.depth -= 1
+        return Neg(f) if tok == "~" else Box(f)
 
     def atom(self) -> Formula:
         tok = self.peek()
         if tok == "(":
-            self.take()
+            self.nest()
             f = self.formula()
             self.expect(")")
+            self.depth -= 1
             return f
         if tok == "false":
             self.take()

@@ -7,7 +7,11 @@ implies intuitionistic refutability).  Countermodels come from a separate
 saturation construction: worlds are deductively saturated subsets of the
 subformula closure, built on demand from the failure points of the query,
 ordered by inclusion, and shrunk greedily on successor bitmasks
-(``kripke.shrink``) before one validated model is built.
+(``kripke.shrink``) before one validated model is built.  The saturation
+screens each of its derivability tests with the same truth tables before it
+searches: a test whose premises hold under some assignment that falsifies its
+conclusion is not derivable classically, so not in IPC either (IPC ⊆ classical
+logic), and only the tests that survive the screen reach G4ip.
 """
 
 from __future__ import annotations
@@ -80,17 +84,25 @@ def _classical_vector(f: Formula, names: tuple[str, ...]) -> int:
     return (~_classical_vector(f.left, names) | _classical_vector(f.right, names)) & full
 
 
+def _classical_names(fs) -> tuple[str, ...] | None:
+    """The sorted atoms of fs, or None above the truth-table cap."""
+    names = sorted(set().union(*(atoms(f) for f in fs)))
+    return tuple(names) if len(names) <= _CLASSICAL_ATOM_CAP else None
+
+
+def _refutes(premises: int, goal: int) -> bool:
+    """Some assignment satisfies the premises' vector but not the goal's."""
+    return bool(premises & ~goal)
+
+
 def _classically_refuted(ctx: frozenset[Formula], goal: Formula) -> bool:
-    names = sorted(set().union(atoms(goal), *(atoms(f) for f in ctx)))
-    if len(names) > _CLASSICAL_ATOM_CAP:
+    names = _classical_names((goal, *ctx))
+    if names is None:
         return False
-    names = tuple(names)
-    bad = ~_classical_vector(goal, names) & ((1 << (1 << len(names))) - 1)
+    premises = _classical_vector(TOP, names)
     for f in ctx:
-        if not bad:
-            return False
-        bad &= _classical_vector(f, names)
-    return bool(bad)
+        premises &= _classical_vector(f, names)
+    return _refutes(premises, _classical_vector(goal, names))
 
 
 # ---------------------------------------------------------------------------
@@ -202,23 +214,39 @@ def _enumeration(X) -> list[Formula]:
     return sorted(X, key=lambda f: (size(f), render(f)))
 
 
-def _saturate_set(base: frozenset[Formula], avoid: Formula,
-                  enum: list[Formula]) -> frozenset[Formula]:
+def _saturate_set(base: frozenset[Formula], avoid: Formula, enum: list[Formula],
+                  vec: dict[Formula, int]) -> frozenset[Formula]:
+    # A test whose premises' classical vector refutes its conclusion's is
+    # "not derivable" without a G4ip search.
     s = set(base)
+    sv = vec[TOP]                               # the vector of s, kept as s grows
+    for f in s:
+        sv &= vec[f]
+
+    def add(f: Formula) -> None:
+        nonlocal sv
+        s.add(f)
+        sv &= vec[f]
+
+    def pick(b: Or) -> None:                    # the left disjunct unless it derives avoid
+        if (_refutes(sv & vec[b.left], vec[avoid])
+                or not _search(frozenset(s | {b.left}), avoid)):
+            add(b.left)
+        else:
+            add(b.right)
+
     changed = True
     while changed:
         changed = False
         for b in enum:
             if b in s:
                 if isinstance(b, Or) and b.left not in s and b.right not in s:
-                    pick = b.left if not _search(frozenset(s | {b.left}), avoid) else b.right
-                    s.add(pick)
+                    pick(b)
                     changed = True
-            elif _search(frozenset(s), b):
-                s.add(b)
+            elif not _refutes(sv, vec[b]) and _search(frozenset(s), b):
+                add(b)
                 if isinstance(b, Or) and b.left not in s and b.right not in s:
-                    pick = b.left if not _search(frozenset(s | {b.left}), avoid) else b.right
-                    s.add(pick)
+                    pick(b)
                 changed = True
     return frozenset(s)
 
@@ -229,14 +257,18 @@ def _build_countermodel(ctx: frozenset[Formula], goal: Formula) -> tuple[KripkeM
         X |= subsentences(f)
     enum = _enumeration(X)
     imps = [f for f in enum if isinstance(f, Imp)]
+    names = _classical_names(X)
+    # Above the atom cap every formula gets the vector 1, true under a single
+    # dummy assignment, and the saturation's screen never refutes.
+    vec = {f: 1 if names is None else _classical_vector(f, names) for f in X | {TOP}}
 
-    sats = [_saturate_set(ctx, goal, enum)]     # the root has index 0
+    sats = [_saturate_set(ctx, goal, enum, vec)]  # the root has index 0
     seen = set(sats)
     for w in sats:                              # grows while walked: breadth first
         for f in imps:
             if f in w or f.left in w:
                 continue  # w itself witnesses f.left∈, f.right∉ when f.left ∈ w
-            child = _saturate_set(w | {f.left}, f.right, enum)
+            child = _saturate_set(w | {f.left}, f.right, enum, vec)
             if child not in seen:
                 seen.add(child)
                 sats.append(child)

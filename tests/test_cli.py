@@ -1,4 +1,5 @@
 import json
+import time
 
 from iglc.cli import run
 from iglc.formula import parse
@@ -72,6 +73,16 @@ def test_prove_parse_error_exit_2(capsys):
     code, _, err = run_captured(capsys, ["prove", "--logic", "iglc", "p ->"])
     assert code == 2
     assert "error" in err
+
+
+def test_prove_deep_input_exit_2(capsys):
+    for logic, text in (("iglc", "(" * 8000 + "p" + ")" * 8000),
+                        ("ipc", "~" * 3000 + "p")):
+        start = time.perf_counter()
+        code, out, err = run_captured(capsys, ["prove", "--logic", logic, text])
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and not out
+        assert "formula" in err and "Traceback" not in err
 
 
 def test_prove_usage_error_exit_2(capsys):
@@ -180,6 +191,14 @@ def test_corpus_run_malformed_exit_2(tmp_path, capsys):
     corpus = tmp_path / "corpus.tsv"
     corpus.write_text("valid iglc p\n")
     assert run(["corpus", "run", str(corpus)]) == 2
+
+
+def test_corpus_run_bad_formula_names_line(tmp_path, capsys):
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("valid\tiglc\tp -> []p\n# comment\ninvalid\tipc\tp ->\n")
+    code, _, err = run_captured(capsys, ["corpus", "run", str(corpus)])
+    assert code == 2
+    assert err.startswith("error: line 3: formula: ")
 
 
 def test_corpus_run_comments_only(tmp_path, capsys):

@@ -42,6 +42,19 @@ def test_parse_errors_have_positions():
         parse("p q")
 
 
+def test_nesting_limit():
+    from iglc.formula import _MAX_NESTING as n
+    assert parse("(" * n + "p" + ")" * n) == P
+    assert parse("~" * n + "p") == parse("~" * (n - 2) + "~~p")
+    assert parse("p -> " * n + "p") == Imp(P, parse("p -> " * (n - 1) + "p"))
+    for text, position in (("(" * (n + 1) + "p" + ")" * (n + 1), n),
+                           ("~[]" * n + "p", 3 * n // 2),
+                           ("p -> " * (n + 1) + "p", 5 * n + 2)):
+        with pytest.raises(ParseError, match="nesting") as e:
+            parse(text)
+        assert e.value.position == position
+
+
 def test_render_examples():
     assert render(Imp(P, Box(P))) == "p -> []p"
     assert render(BOT) == "false"

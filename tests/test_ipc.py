@@ -3,9 +3,11 @@ import random
 
 import pytest
 
-from iglc.formula import And, Atom, Bottom, Box, Imp, Or, BOT, TOP, Neg, atoms, parse
+from iglc import ipc
+from iglc.formula import (And, Atom, Bottom, Box, Imp, Or, BOT, TOP, Neg, atoms,
+                          parse, subsentences)
 from iglc.ipc import IpcInvalid, IpcValid, decide_ipc, ipc_equiv, ipc_provable
-from iglc.kripke import check_frame, forces
+from iglc.kripke import check_frame, forces, model_to_json
 from conftest import random_formula
 
 P, Q = Atom("p"), Atom("q")
@@ -106,3 +108,74 @@ def test_deduction_property_sampled():
 def test_memo_idempotent():
     f = parse("(p -> q) -> ((q -> p) -> (p -> q))")
     assert ipc_provable((), f) == ipc_provable((), f)
+
+
+# ---------------------------------------------------------------------------
+# The classical screen in front of the countermodel saturation.
+
+def random_sequent(rng, names, max_size):
+    ctx = frozenset(random_formula(rng, names, rng.randint(1, max_size), box_prob=0.0)
+                    for _ in range(rng.randint(0, 2)))
+    return ctx, random_formula(rng, names, rng.randint(1, max_size), box_prob=0.0)
+
+
+def test_classical_screen_rejects_only_unprovable_sequents():
+    rng = random.Random(20181804)
+    rejected = passed = 0
+    for names in (("p", "q", "r"), ("p", "q", "r", "s", "t")):
+        for _ in range(400):
+            ctx, goal = random_sequent(rng, names, 10)
+            premises = ipc._classical_vector(TOP, names)
+            for f in ctx:
+                premises &= ipc._classical_vector(f, names)
+            if ipc._refutes(premises, ipc._classical_vector(goal, names)):
+                rejected += 1
+                assert not ipc._search(ctx, goal), (ctx, goal)
+            else:
+                passed += 1
+    assert rejected > 200 and passed > 200
+
+
+def reference_saturate_set(base, avoid, enum, vec=None):
+    """The saturation loop without the screen: every test is a G4ip search."""
+    s = set(base)
+    changed = True
+    while changed:
+        changed = False
+        for b in enum:
+            if b in s:
+                if isinstance(b, Or) and b.left not in s and b.right not in s:
+                    pick = b.left if not ipc._search(frozenset(s | {b.left}), avoid) else b.right
+                    s.add(pick)
+                    changed = True
+            elif ipc._search(frozenset(s), b):
+                s.add(b)
+                if isinstance(b, Or) and b.left not in s and b.right not in s:
+                    pick = b.left if not ipc._search(frozenset(s | {b.left}), avoid) else b.right
+                    s.add(pick)
+                changed = True
+    return frozenset(s)
+
+
+def test_screened_countermodels_equal_unscreened(boxfree_corpus, monkeypatch):
+    rng = random.Random(9451)
+    cases = [(frozenset(), f) for f in boxfree_corpus]
+    cases += [random_sequent(rng, ("p", "q", "r"), 9) for _ in range(300)]
+    invalid = [(ctx, goal) for ctx, goal in cases if not ipc_provable(ctx, goal)]
+    screened = [model_to_json(ipc._build_countermodel(ctx, goal)[0])
+                for ctx, goal in invalid]
+    monkeypatch.setattr(ipc, "_saturate_set", reference_saturate_set)
+    unscreened = [model_to_json(ipc._build_countermodel(ctx, goal)[0])
+                  for ctx, goal in invalid]
+    assert screened == unscreened
+    assert len(invalid) > 3000
+
+
+def test_countermodel_above_the_classical_atom_cap():
+    names = [f"p{i}" for i in range(ipc._CLASSICAL_ATOM_CAP + 1)]
+    # excluded middle for p0, or the conjunction of all the others
+    f = Or(Or(Atom("p0"), Neg(Atom("p0"))), parse(" & ".join(names[1:])))
+    assert ipc._classical_names(subsentences(f)) is None
+    v = decide_ipc((), f)
+    assert isinstance(v, IpcInvalid)
+    assert not forces(v.countermodel, v.world, f)
