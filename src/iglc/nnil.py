@@ -6,11 +6,18 @@ and close under ∧ and ∨; deduplicate by IPC equivalence.  Local finiteness o
 NNIL makes the fixpoint terminate (guarded by a class-count budget).
 
 Deduplication would be hopeless with prover calls alone, so every class keeps
-a semantic fingerprint: its truth masks over a family of small intuitionistic
-models.  Distinct fingerprints prove inequivalence outright; colliding ones
-are confirmed by the prover, and a refuted equivalence contributes its
-countermodel to the family, which keeps fingerprints separating as the table
-grows.
+a semantic fingerprint: its truth mask on one model, the disjoint union of a
+family of small intuitionistic models, computed by ``kripke.truth_mask``.
+Distinct fingerprints prove inequivalence outright; colliding ones are
+confirmed by the prover, and a refuted equivalence appends its countermodel
+to the union, which keeps fingerprints separating as the table grows.
+
+A candidate r_i ∧ r_j whose fingerprint is that of class k is confirmed
+through the class order (i ≤ j iff ⊢ r_i → r_j), whose memoised facts all
+candidates share: it is equivalent to r_k iff k ≤ i, k ≤ j and
+⊢ r_i ∧ r_j → r_k, the last trivial when k is i or j (an absorption).
+r_i ∨ r_j is dual.  An implication, or a ∧/∨ the order does not confirm, is
+checked in both directions.
 
 star(a) is the disjunction of the implication-maximal class representatives R
 with ⊢ R→a (equivalent to the disjunction over all such R, but small).
@@ -23,13 +30,13 @@ from dataclasses import dataclass
 from .formula import (And, Atom, Bottom, Formula, Imp, Or, BOT,
                       atoms, is_box_free, render, substitute)
 from .ipc import decide_ipc, ipc_provable, IpcInvalid
-from .kripke import KripkeModel
+from .kripke import KripkeModel, truth_mask
 
 __all__ = ["NnilClassTable", "AlphabetTooLarge", "ClassBudgetExceeded",
            "is_nnil", "enumerate_nnil_classes", "nnil_star",
            "DEFAULT_MAX_ATOMS", "DEFAULT_CLASS_BUDGET"]
 
-DEFAULT_MAX_ATOMS = 3
+DEFAULT_MAX_ATOMS = 2
 DEFAULT_CLASS_BUDGET = 4000
 
 
@@ -64,37 +71,45 @@ def is_nnil(a: Formula) -> bool:
 # Fingerprint model family.
 
 class _Family:
-    """Small intuitionistic models compiled to successor bitmasks.
+    """The fingerprint models as one disjoint-union model.
 
-    A fingerprint is the tuple of per-model truth masks; the concatenation of
-    all masks into one integer supports the pointwise-implication test
-    (R valid→ a on the whole family iff concat(R) & ~concat(a) == 0).
+    Its worlds are, in order: a 1-world model, the 2-chains and the 3-world
+    forks under every monotone valuation, then each separator countermodel as
+    it is added.  World i has ⪯-successors ``succ[i]`` (⊏ is empty) and atom
+    p holds on ``val[p]``.  A formula's fingerprint ``eval(f)`` is its truth
+    mask on the union, so R → a holds on the whole family iff
+    eval(R) & ~eval(a) == 0.  ``cache`` memoises masks until a model is added.
     """
 
     def __init__(self, names: tuple[str, ...]):
         self.names = names
-        # (world_count, leq successor masks per world, atom name -> truth mask)
-        self.models: list[tuple[int, tuple[int, ...], dict[str, int]]] = []
-        self.offsets: list[int] = []
-        self.total_bits = 0
-        for val in self._valuations(1, [0b1]):
-            self._add_model(1, (0b1,), val)
-        for val in self._valuations(2, [0b00, 0b10, 0b11]):
-            self._add_model(2, (0b11, 0b10), val)
-        fork_upsets = [0b000, 0b010, 0b100, 0b110, 0b111]
-        for val in self._valuations(3, fork_upsets):
-            self._add_model(3, (0b111, 0b010, 0b100), val)
+        self.succ: list[int] = []
+        self.r_succ: list[int] = []
+        self.val = dict.fromkeys(names, 0)
+        self.full = 0
+        self.cache: dict[Formula, int] = {}
+        for val in self._valuations([0b1]):
+            self._add((0b1,), val)
+        for val in self._valuations([0b00, 0b10, 0b11]):
+            self._add((0b11, 0b10), val)
+        for val in self._valuations([0b000, 0b010, 0b100, 0b110, 0b111]):
+            self._add((0b111, 0b010, 0b100), val)
 
-    def _valuations(self, n: int, upsets: list[int]):
+    def _valuations(self, upsets: list[int]):
         vals = [{}]
         for name in self.names:
             vals = [{**v, name: up} for v in vals for up in upsets]
         return vals
 
-    def _add_model(self, n: int, leq_succ: tuple[int, ...], val: dict[str, int]) -> None:
-        self.models.append((n, leq_succ, val))
-        self.offsets.append(self.total_bits)
-        self.total_bits += n
+    def _add(self, succ, val: dict[str, int]) -> None:
+        """Append a model given by its own successor and atom masks."""
+        off = len(self.succ)
+        self.succ += [s << off for s in succ]
+        self.r_succ += [0] * len(succ)
+        for name in self.names:
+            self.val[name] |= val[name] << off
+        self.full = (1 << len(self.succ)) - 1
+        self.cache.clear()
 
     def add_kripke(self, model: KripkeModel) -> None:
         order = sorted(model.frame.worlds)
@@ -102,54 +117,11 @@ class _Family:
         succ = [0] * len(order)
         for a, b in model.frame.leq:
             succ[idx[a]] |= 1 << idx[b]
-        val = {}
-        for name in self.names:
-            mask = 0
-            for w in model.valuation.get(name, ()):
-                mask |= 1 << idx[w]
-            val[name] = mask
-        self._add_model(len(order), tuple(succ), val)
+        self._add(succ, {name: sum(1 << idx[w] for w in model.valuation.get(name, ()))
+                         for name in self.names})
 
-    def eval(self, f: Formula) -> tuple[int, ...]:
-        return tuple(self._eval_one(f, m) for m in self.models)
-
-    def _eval_one(self, f: Formula, model) -> int:
-        n, succ, val = model
-        full = (1 << n) - 1
-        if isinstance(f, Atom):
-            return val.get(f.name, 0)
-        if isinstance(f, Bottom):
-            return 0
-        if isinstance(f, And):
-            return self._eval_one(f.left, model) & self._eval_one(f.right, model)
-        if isinstance(f, Or):
-            return self._eval_one(f.left, model) | self._eval_one(f.right, model)
-        fail = self._eval_one(f.left, model) & ~self._eval_one(f.right, model) & full
-        mask = 0
-        for i in range(n):
-            if succ[i] & fail == 0:
-                mask |= 1 << i
-        return mask
-
-    def imp_fp(self, fl: tuple[int, ...], fr: tuple[int, ...]) -> tuple[int, ...]:
-        out = []
-        for (n, succ, _), l, r in zip(self.models, fl, fr):
-            fail = l & ~r & ((1 << n) - 1)
-            mask = 0
-            if fail == 0:
-                mask = (1 << n) - 1
-            else:
-                for i in range(n):
-                    if succ[i] & fail == 0:
-                        mask |= 1 << i
-            out.append(mask)
-        return tuple(out)
-
-    def concat(self, fp: tuple[int, ...]) -> int:
-        total = 0
-        for off, mask in zip(self.offsets, fp):
-            total |= mask << off
-        return total
+    def eval(self, f: Formula) -> int:
+        return truth_mask(f, self.succ, self.r_succ, self.val, self.full, self.cache)
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +133,9 @@ class _CanonicalTable:
         self.budget = budget
         self.family = _Family(self.names)
         self.reps: list[Formula] = []
-        self.fps: list[tuple[int, ...]] = []
-        self.concats: list[int] = []
-        self.by_concat: dict[int, int] = {}
+        self.index: dict[Formula, int] = {}
+        self.fps: list[int] = []
+        self.by_fp: dict[int, int] = {}
         self.impl_free: list[int] = []
         self._leq_memo: dict[tuple[int, int], bool] = {}
         self._star_memo: dict[Formula, Formula] = {}
@@ -173,30 +145,38 @@ class _CanonicalTable:
 
     def _refingerprint(self) -> None:
         self.fps = [self.family.eval(rep) for rep in self.reps]
-        self.concats = [self.family.concat(fp) for fp in self.fps]
-        self.by_concat = {c: i for i, c in enumerate(self.concats)}
-        self._leq_memo.clear()
+        self.by_fp = {fp: i for i, fp in enumerate(self.fps)}
 
-    def _classify(self, cand: Formula, fp: tuple[int, ...]) -> int:
+    def _classify(self, cand: Formula) -> int:
         """Return the class index of cand, inserting a new class if needed."""
         while True:
-            key = self.family.concat(fp)
-            idx = self.by_concat.get(key)
+            fp = self.family.eval(cand)
+            idx = self.by_fp.get(fp)
             if idx is None:
                 if len(self.reps) >= self.budget:
                     raise ClassBudgetExceeded(
                         f"more than {self.budget} NNIL classes over "
                         f"{len(self.names)} names: the alphabet is too large "
                         "for full class enumeration")
+                idx = len(self.reps)
                 self.reps.append(cand)
+                self.index[cand] = idx
                 self.fps.append(fp)
-                self.concats.append(key)
-                self.by_concat[key] = len(self.reps) - 1
-                return len(self.reps) - 1
-            rep = self.reps[idx]
-            if self._confirm_equiv(cand, rep):
+                self.by_fp[fp] = idx
                 return idx
-            fp = self.family.eval(cand)  # family grew inside _confirm_equiv
+            if self._in_order(cand, idx) or self._confirm_equiv(cand, self.reps[idx]):
+                return idx
+
+    def _in_order(self, cand: Formula, k: int) -> bool:
+        """cand = r_i ∧ r_j or r_i ∨ r_j is equivalent to r_k, by the class order."""
+        if not isinstance(cand, (And, Or)):
+            return False
+        i, j = self.index[cand.left], self.index[cand.right]
+        if isinstance(cand, And):
+            return (self.leq(k, i) and self.leq(k, j)
+                    and (k in (i, j) or ipc_provable((), Imp(cand, self.reps[k]))))
+        return (self.leq(i, k) and self.leq(j, k)
+                and (k in (i, j) or ipc_provable((), Imp(self.reps[k], cand))))
 
     def _confirm_equiv(self, a: Formula, b: Formula) -> bool:
         """Prover-confirmed equivalence; on failure the family gains a separator."""
@@ -211,7 +191,7 @@ class _CanonicalTable:
 
     def _build(self) -> None:
         for seed in [BOT, *(Atom(n) for n in self.names)]:
-            self._classify(seed, self.family.eval(seed))
+            self._classify(seed)
         # Implication-free classes: close atoms ∪ {⊥} under ∧,∨ first.
         frontier = 0
         while frontier < len(self.reps):
@@ -219,8 +199,7 @@ class _CanonicalTable:
             for i in range(top):
                 for j in range(max(i, frontier), top):
                     for comb in (And(self.reps[i], self.reps[j]), Or(self.reps[i], self.reps[j])):
-                        fp = self.family.eval(comb)
-                        self._classify(comb, fp)
+                        self._classify(comb)
             frontier = top
         self.impl_free = list(range(len(self.reps)))
         # Main fixpoint: arrows over current classes, then ∧/∨ closure, repeat.
@@ -233,9 +212,7 @@ class _CanonicalTable:
                     if (ai, bi) in arrow_done:
                         continue
                     arrow_done.add((ai, bi))
-                    cand = Imp(self.reps[ai], self.reps[bi])
-                    fp = self.family.imp_fp(self.fps[ai], self.fps[bi])
-                    self._classify(cand, fp)
+                    self._classify(Imp(self.reps[ai], self.reps[bi]))
             top2 = len(self.reps)
             for i in range(top2):
                 for j in range(i, top2):
@@ -243,22 +220,24 @@ class _CanonicalTable:
                         continue
                     pair_done.add((i, j))
                     x, y = self.reps[i], self.reps[j]
-                    self._classify(And(x, y),
-                                   tuple(a & b for a, b in zip(self.fps[i], self.fps[j])))
-                    self._classify(Or(x, y),
-                                   tuple(a | b for a, b in zip(self.fps[i], self.fps[j])))
+                    self._classify(And(x, y))
+                    self._classify(Or(x, y))
             if len(self.reps) == top:
                 break
 
     # -- queries -------------------------------------------------------------
 
     def leq(self, i: int, j: int) -> bool:
-        """⊢ reps[i] → reps[j], fingerprint-screened and prover-confirmed."""
+        """⊢ reps[i] → reps[j], fingerprint-screened and prover-confirmed.
+
+        The memo survives a growing family: a proof stays a proof, and a
+        family model refuting the implication stays in the family.
+        """
         if i == j:
             return True
         hit = self._leq_memo.get((i, j))
         if hit is None:
-            hit = (self.concats[i] & ~self.concats[j] == 0
+            hit = (self.fps[i] & ~self.fps[j] == 0
                    and ipc_provable((), Imp(self.reps[i], self.reps[j])))
             self._leq_memo[(i, j)] = hit
         return hit
@@ -267,9 +246,9 @@ class _CanonicalTable:
         out = self._star_memo.get(f)
         if out is not None:
             return out
-        target = self.family.concat(self.family.eval(f))
+        target = self.family.eval(f)
         selected = [i for i in range(len(self.reps))
-                    if self.concats[i] & ~target == 0
+                    if self.fps[i] & ~target == 0
                     and ipc_provable((), Imp(self.reps[i], f))]
         maximal = [i for i in selected
                    if not any(j != i and self.leq(i, j) for j in selected)]
@@ -309,7 +288,7 @@ def enumerate_nnil_classes(atom_names, budget: int = DEFAULT_CLASS_BUDGET,
     if len(set(names)) != len(names):
         raise ValueError("duplicate atom names")
     if len(names) > max_atoms:
-        raise AlphabetTooLarge(f"{len(names)} atoms exceeds the cap of {max_atoms}")
+        raise AlphabetTooLarge(f"alphabet {list(names)} exceeds the cap of {max_atoms}")
     tbl = _canonical_table(len(names), budget)
     back = {c: Atom(n) for c, n in zip(tbl.names, names)}
     return NnilClassTable(names, tuple(substitute(r, back) for r in tbl.reps))
@@ -326,7 +305,7 @@ def nnil_star(a: Formula, max_atoms: int = DEFAULT_MAX_ATOMS,
         raise ValueError(f"boxed formula not allowed here: {render(a)}")
     names = sorted(atoms(a))
     if len(names) > max_atoms:
-        raise AlphabetTooLarge(f"{len(names)} atoms exceeds the cap of {max_atoms}")
+        raise AlphabetTooLarge(f"alphabet {list(names)} exceeds the cap of {max_atoms}")
     tbl = _canonical_table(len(names), budget)
     fwd = {n: Atom(c) for n, c in zip(names, tbl.names)}
     back = {c: Atom(n) for n, c in zip(names, tbl.names)}

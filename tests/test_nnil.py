@@ -1,12 +1,16 @@
+import hashlib
 import random
 
 import pytest
 
-from iglc.formula import And, Atom, Box, Imp, Or, BOT, TOP, Neg, parse
+from iglc import nnil
+from iglc.formula import And, Atom, Box, Imp, Or, BOT, TOP, Neg, parse, render
 from iglc.ipc import ipc_equiv, ipc_provable
+from iglc.kripke import forces, model_from_masks
 from iglc.nnil import (AlphabetTooLarge, ClassBudgetExceeded, enumerate_nnil_classes,
                        is_nnil, nnil_star)
-from conftest import random_formula
+from iglc.tnnil import tnnil_plus
+from conftest import ModelTable, random_formula
 
 P, Q = Atom("p"), Atom("q")
 
@@ -89,7 +93,51 @@ def test_alphabet_cap():
 
 def test_three_atom_alphabet_blows_the_class_budget():
     with pytest.raises(ClassBudgetExceeded):
-        enumerate_nnil_classes(["p", "q", "r"], budget=1000)
+        enumerate_nnil_classes(["p", "q", "r"], budget=1000, max_atoms=3)
+
+
+def test_three_names_exceed_the_default_cap():
+    with pytest.raises(AlphabetTooLarge):
+        nnil_star(parse("p -> (q | r)"))
+    with pytest.raises(AlphabetTooLarge):
+        tnnil_plus(parse("[]p -> (q | r)"))
+
+
+def test_two_atom_representatives_pinned():
+    reps = enumerate_nnil_classes(["p", "q"]).representatives
+    text = "".join(render(r) + "\n" for r in reps)
+    assert len(reps) == 158
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f58a2027661561118d58e5ab9a24e9949b709f234fafeec077b998c584e9c490")
+
+
+def test_class_order_confirms_exactly_the_equivalent_meets_and_joins():
+    tbl = nnil._canonical_table(2, nnil.DEFAULT_CLASS_BUDGET)
+    reps = tbl.reps
+    rng = random.Random(27)
+    pairs = [(rng.randrange(len(reps)), rng.randrange(len(reps))) for _ in range(40)]
+    confirmed = 0
+    for i, j in pairs:
+        for op in (And, Or):
+            cand = op(reps[i], reps[j])
+            for k in range(len(reps)):
+                verdict = tbl._in_order(cand, k)
+                assert verdict == ipc_equiv(cand, reps[k]), (render(cand), k)
+                confirmed += verdict
+    assert confirmed == 2 * len(pairs)
+
+
+def test_union_fingerprint_is_forcing_on_the_union_model():
+    tbl = nnil._canonical_table(2, nnil.DEFAULT_CLASS_BUDGET)
+    fam = tbl.family
+    model = model_from_masks(fam.succ, fam.r_succ, fam.val, fam.full)
+    oracle = ModelTable([model])
+    assert len(fam.succ) == len(model.frame.worlds) > 1 + 9 * 2 + 25 * 3
+    for rep, fp in zip(tbl.reps, tbl.fps):
+        assert fp == fam.eval(rep)
+        truth = oracle.truth(rep)[0]
+        for i in range(len(fam.succ)):
+            assert bool(fp >> i & 1) == forces(model, i + 1, rep) == truth[i]
 
 
 def test_star_worked_example():
