@@ -10,7 +10,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 __all__ = [
     "Formula", "Atom", "Bottom", "And", "Or", "Imp", "Box",
@@ -154,9 +153,10 @@ _TOKEN_RE = re.compile(r"\s*(->|\[\]|[()~&|]|[a-z][a-zA-Z0-9_]*)")
 _IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 
 
-# Most "(", "~", "[]" and "->" open at once.  The parser reads the operand of
-# each by recursion, so deeper text is rejected with a ParseError before it
-# can exhaust the stack.
+# Most "(", "~", "[]", "->", "&" and "|" open at once.  The parser reads the
+# operand of each of the first four by recursion and builds a chain of "&" or
+# "|" as a tree as deep as the chain is long, so deeper text is rejected with
+# a ParseError before it can exhaust the stack here or downstream.
 _MAX_NESTING = 100
 
 
@@ -201,7 +201,7 @@ class _Parser:
         self.i += 1
 
     def nest(self) -> None:
-        """Take "(", "~", "[]" or "->", whose operand is read by recursion."""
+        """Take "(", "~", "[]", "->", "&" or "|", one level deeper."""
         self.depth += 1
         if self.depth > _MAX_NESTING:
             raise ParseError(f"nesting deeper than {_MAX_NESTING}", self.pos())
@@ -217,17 +217,19 @@ class _Parser:
         return f
 
     def or_expr(self) -> Formula:
-        f = self.and_expr()
-        while self.peek() == "|":
-            self.take()
-            f = Or(f, self.and_expr())
-        return f
+        return self.chain("|", Or, self.and_expr)
 
     def and_expr(self) -> Formula:
-        f = self.unary()
-        while self.peek() == "&":
-            self.take()
-            f = And(f, self.unary())
+        return self.chain("&", And, self.unary)
+
+    def chain(self, op: str, node, operand) -> Formula:
+        """A left-nested chain; each operand past the first is one level deeper."""
+        depth = self.depth
+        f = operand()
+        while self.peek() == op:
+            self.nest()
+            f = node(f, operand())
+        self.depth = depth
         return f
 
     def unary(self) -> Formula:
@@ -309,12 +311,6 @@ def children(f: Formula) -> tuple[Formula, ...]:
     if isinstance(f, Box):
         return (f.inner,)
     return ()
-
-
-def _walk(f: Formula) -> Iterator[Formula]:
-    yield f
-    for c in children(f):
-        yield from _walk(c)
 
 
 @lru_cache(maxsize=None)

@@ -6,13 +6,18 @@ frames, which is what the decision core exploits.
 
 Pipeline for decide_iglc, all phases metered by one step budget:
 
-1. a deterministic scan of small (≤2-world) irreflexive realistic models over
-   the query's atoms, which settles most refutable inputs immediately;
+1. the small tier of the small-model scan (below): every 1–2-world
+   irreflexive realistic model over the query's atoms (at most 4), which
+   settles most refutable inputs immediately;
 2. a sound validity certifier: the query follows in IPC, at the level of its
    modal skeleton, from instances of the iGLC axioms over its boxed
    subformulas (K, Löb, completeness, and □-congruence bridges obtained by
    recursion on strictly smaller box depth);
-3. the complete core: worlds are candidate subsets of the adequate set
+3. the large tier of the scan: eight curated 3–5-world frames over at most 3
+   atoms, tried only when the adequate set X of step 4 has more than 24
+   members, where candidate enumeration is the expensive route to a small
+   countermodel;
+4. the complete core: worlds are candidate subsets of the adequate set
    X = sub(A) ∪ {□B : B ∈ sub(A)} satisfying syntactic closure constraints
    (Hintikka conditions plus derivable box closures), ordered by inclusion
    with the canonical modal relation; incoherent candidates, whose membership
@@ -24,6 +29,13 @@ Pipeline for decide_iglc, all phases metered by one step budget:
    (``kripke.shrink``: drop worlds while the root still refutes the query),
    and one validated model is built from the kept worlds at the end.
 
+The scan is one loop over one frame table.  A tier's frames are compiled
+once per alphabet into successor masks under every monotone valuation (one
+model per frame, ⊏ and valuation), each model is evaluated with
+``kripke.truth_mask`` for one step, and the first model refuting the query,
+rooted at its least refuting world, is the answer.  A model's validated
+``KripkeModel`` is built the first time it refutes and shared after that.
+
 Every Invalid answer is machine-checked (frame flags and refutation at the
 root) before being returned.
 """
@@ -34,11 +46,11 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .formula import (And, Atom, Bottom, Box, Formula, Imp, Or, BOT,
+from .formula import (And, Atom, Bottom, Box, Formula, Imp, Or, BOT, TOP,
                       atoms, modal_decompose, render, size, subsentences)
-from .ipc import ipc_provable
+from .ipc import _saturate_set, ipc_provable
 from .kripke import (KripkeModel, check_frame, forces, model_from_masks, shrink,
-                     truth_mask)
+                     successor_masks, truth_mask, upward_closed_sets)
 
 __all__ = [
     "Valid", "Invalid", "BudgetExceeded", "Verdict", "BudgetExhausted",
@@ -49,7 +61,6 @@ __all__ = [
 DEFAULT_BUDGET = 10_000_000
 
 _CANDIDATE_CAP = 250_000
-_PROBE_ATOM_CAP = 4
 _CONGRUENCE_BOX_CAP = 12
 
 
@@ -73,15 +84,12 @@ Verdict = Valid | Invalid | BudgetExceeded
 
 
 class BudgetExhausted(RuntimeError):
-    """Raised by saturation operations when the step budget runs out."""
+    """Raised when the step budget runs out; decide_iglc answers it with
+    BudgetExceeded, the saturation operations pass it on."""
 
     def __init__(self, steps_used: int):
         super().__init__(f"budget exhausted after {steps_used} steps")
         self.steps_used = steps_used
-
-
-class _BudgetHit(Exception):
-    pass
 
 
 class _Budget:
@@ -94,7 +102,7 @@ class _Budget:
     def charge(self, n: int = 1) -> None:
         self.used += n
         if self.used > self.limit:
-            raise _BudgetHit()
+            raise BudgetExhausted(self.used)
 
 
 # formula -> (definitive verdict, step cost of computing it); replaying the
@@ -104,7 +112,7 @@ _verdict_memo: dict[Formula, tuple[Verdict, int]] = {}
 
 def clear_caches() -> None:
     _verdict_memo.clear()
-    _probe_models.cache_clear()
+    _compiled.cache_clear()
 
 
 def _machine_check(model: KripkeModel, root: int, query: Formula) -> None:
@@ -117,131 +125,80 @@ def _machine_check(model: KripkeModel, root: int, query: Formula) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Phase 1: deterministic small-model scan.
+# Phases 1 and 3: one small-model scan in two tiers.
+#
+# The scan's frames in scan order: (worlds 1..n, the strict ⪯ pairs,
+# transitively closed, and the ⊏ relations tried on the frame, None for
+# ⊏ = strict ⪯).  The first three are the 1–2-world shapes of the small tier
+# (one world, a 2-chain, two incomparable worlds), the rest the curated
+# 3–5-world frames of the large tier.
 
-def _upset_choices(n_worlds: int, shape: str) -> list[frozenset[int]]:
-    if shape == "single":
-        return [frozenset(), frozenset({1})]
-    if shape == "chain":
-        return [frozenset(), frozenset({2}), frozenset({1, 2})]
-    return [frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2})]
+_FRAMES = (
+    (1, (), [()]),
+    (2, ((1, 2),), [(), None]),
+    (2, (), [()]),
+    (3, ((1, 2), (1, 3), (2, 3)), [None, ((1, 2),), ((1, 3),), ((1, 3), (2, 3))]),
+    (3, ((1, 2), (1, 3)), [None, ((1, 2),)]),
+    (4, ((1, 2), (1, 3), (1, 4), (2, 4), (3, 4)),
+     [None, ((1, 4),), ((1, 2), (1, 3), (1, 4))]),
+    (4, ((1, 2), (1, 3), (1, 4)), [None, ((1, 2),)]),
+    (4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4)),
+     [None, ((1, 2),), ((1, 3), (1, 4), (2, 3), (2, 4))]),
+    (4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)), [None, ((1, 2),)]),
+    (5, ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)), [None, ((1, 2),)]),
+    (5, ((1, 2), (1, 3), (1, 4), (1, 5)), [None, ((1, 2),)]),
+)
+
+# (frames, atom cap) of the small tier, which always runs first, and of the
+# large tier, which runs after the certifier and only on large adequate sets,
+# where candidate enumeration would be the expensive route to a small
+# countermodel.
+_TIERS = ((_FRAMES[:3], 4), (_FRAMES[3:], 3))
 
 
-def _probe_model_data(names: tuple[str, ...]):
-    shapes = [
-        ("single", [1], {(1, 1)}, [frozenset()]),
-        ("chain", [1, 2], {(1, 1), (2, 2), (1, 2)}, [frozenset(), frozenset({(1, 2)})]),
-        ("pair", [1, 2], {(1, 1), (2, 2)}, [frozenset()]),
-    ]
-    models = []
-    for shape, worlds, leq, r_options in shapes:
-        ups = _upset_choices(len(worlds), shape)
-        for r in r_options:
-            for val in itertools.product(ups, repeat=len(names)):
-                models.append(KripkeModel.make(
-                    worlds, leq, r, dict(zip(names, val))))
-    return models
+class _ScanModel:
+    """A compiled scan model; ``model`` is its validated ``KripkeModel``,
+    built the first time it refutes a query and shared from then on."""
+
+    __slots__ = ("leq_succ", "r_succ", "val", "model")
+
+    def __init__(self, leq_succ: list[int], r_succ: list[int], val: dict[str, int]):
+        self.leq_succ = leq_succ
+        self.r_succ = r_succ
+        self.val = val
+        self.model: KripkeModel | None = None
 
 
 @lru_cache(maxsize=64)
-def _probe_models(names: tuple[str, ...]) -> tuple[KripkeModel, ...]:
-    return tuple(_probe_model_data(names))
-
-
-def _probe_scan(a: Formula, bud: _Budget) -> Invalid | None:
-    names = tuple(sorted(atoms(a)))
-    if len(names) > _PROBE_ATOM_CAP:
-        return None
-    for model in _probe_models(names):
-        bud.charge()
-        for w in sorted(model.frame.worlds):
-            if not forces(model, w, a):
-                return Invalid(model, w)
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Phase 1b: structured scan over curated 3–5 world frames (runs before the
-# canonical core only when the adequate set is large, where candidate
-# enumeration would be the expensive route to a small countermodel).
-
-def _reflexive_transitive(pairs: set[tuple[int, int]], n: int) -> frozenset[tuple[int, int]]:
-    rel = set(pairs) | {(i, i) for i in range(1, n + 1)}
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(rel):
-            for b2, c in list(rel):
-                if b == b2 and (a, c) not in rel:
-                    rel.add((a, c))
-                    changed = True
-    return frozenset(rel)
-
-
-def _structured_frames() -> list[tuple[int, frozenset, list[frozenset]]]:
-    def strict(leq):
-        return frozenset((a, b) for a, b in leq if a != b)
-
-    raw = [
-        (3, {(1, 2), (2, 3)}, [None, {(1, 2)}, {(1, 3)}, {(1, 3), (2, 3)}]),
-        (3, {(1, 2), (1, 3)}, [None, {(1, 2)}]),
-        (4, {(1, 2), (1, 3), (2, 4), (3, 4)}, [None, {(1, 4)}, {(1, 2), (1, 3), (1, 4)}]),
-        (4, {(1, 2), (1, 3), (1, 4)}, [None, {(1, 2)}]),
-        (4, {(1, 2), (2, 3), (2, 4)}, [None, {(1, 2)}, {(1, 3), (1, 4), (2, 3), (2, 4)}]),
-        (4, {(1, 2), (2, 3), (3, 4)}, [None, {(1, 2)}]),
-        (5, {(1, 2), (2, 3), (2, 4), (2, 5)}, [None, {(1, 2)}]),
-        (5, {(1, 2), (1, 3), (1, 4), (1, 5)}, [None, {(1, 2)}]),
-    ]
-    frames = []
-    for n, leq_raw, r_opts in raw:
-        leq = _reflexive_transitive(leq_raw, n)
-        options = []
-        for r in r_opts:
-            r = strict(leq) if r is None else frozenset(r)
-            ok = all((a, c) in r for (a, b) in leq for (b2, c) in r if b == b2)
-            assert ok and all((w, w) not in r for w in range(1, n + 1)) and r <= leq
-            options.append(r)
-        frames.append((n, leq, options))
-    return frames
-
-
-@lru_cache(maxsize=16)
-def _structured_models(names: tuple[str, ...]) -> tuple:
-    """Compiled (n, leq_succ, r_succ, atom masks, constructor data) entries."""
-    from .kripke import upward_closed_sets
-    compiled = []
-    for n, leq, r_options in _structured_frames():
-        worlds = list(range(1, n + 1))
-        ups = upward_closed_sets(worlds, leq)
-        ups_masks = [sum(1 << (w - 1) for w in up) for up in ups]
+def _compiled(tier: int, names: tuple[str, ...]) -> tuple[_ScanModel, ...]:
+    """Every frame, ⊏ and valuation of the tier, in scan order: each name gets
+    an upset in ``upward_closed_sets`` order, the first name varying slowest."""
+    models = []
+    for n, strict, r_options in _TIERS[tier][0]:
+        worlds = range(1, n + 1)
+        index = {w: w - 1 for w in worlds}
+        leq_succ = successor_masks(index, [*strict, *((w, w) for w in worlds)])
+        ups = [sum(1 << index[w] for w in up) for up in upward_closed_sets(worlds, strict)]
         for r in r_options:
-            leq_succ = [0] * n
-            r_succ = [0] * n
-            for a, b in leq:
-                leq_succ[a - 1] |= 1 << (b - 1)
-            for a, b in r:
-                r_succ[a - 1] |= 1 << (b - 1)
-            for val in itertools.product(range(len(ups)), repeat=len(names)):
-                masks = {nm: ups_masks[i] for nm, i in zip(names, val)}
-                constructor = (worlds, leq, r,
-                               {nm: ups[i] for nm, i in zip(names, val)})
-                compiled.append((n, tuple(leq_succ), tuple(r_succ), masks, constructor))
-    return tuple(compiled)
+            r_succ = successor_masks(index, strict if r is None else r)
+            for val in itertools.product(ups, repeat=len(names)):
+                models.append(_ScanModel(leq_succ, r_succ, dict(zip(names, val))))
+    return tuple(models)
 
 
-def _structured_scan(a: Formula, bud: _Budget) -> Invalid | None:
+def _scan(a: Formula, bud: _Budget, tier: int) -> Invalid | None:
+    """The first model of the tier refuting a, rooted at its least refuting world."""
     names = tuple(sorted(atoms(a)))
-    if len(names) > 3:
+    if len(names) > _TIERS[tier][1]:
         return None
-    for n, leq_succ, r_succ, masks, constructor in _structured_models(names):
+    for m in _compiled(tier, names):
         bud.charge()
-        full = (1 << n) - 1
-        if truth_mask(a, leq_succ, r_succ, masks, full, {}) != full:
-            worlds, leq, r, val = constructor
-            model = KripkeModel.make(worlds, leq, r, val)
-            for w in sorted(worlds):
-                if not forces(model, w, a):
-                    return Invalid(model, w)
+        full = (1 << len(m.leq_succ)) - 1
+        miss = full & ~truth_mask(a, m.leq_succ, m.r_succ, m.val, full, {})
+        if miss:
+            if m.model is None:
+                m.model = model_from_masks(m.leq_succ, m.r_succ, m.val, full)
+            return Invalid(m.model, (miss & -miss).bit_length())
     return None
 
 
@@ -291,7 +248,7 @@ def _quick_valid(a: Formula, bud: _Budget, depth: int) -> Valid | None:
 
 
 # ---------------------------------------------------------------------------
-# Phase 3: canonical saturation fixpoint over the adequate set.
+# Phase 4: canonical saturation fixpoint over the adequate set.
 
 class _Canonical:
     def __init__(self, a: Formula, bud: _Budget):
@@ -382,7 +339,7 @@ class _Canonical:
             if p == self.n:
                 out.append(vec)
                 if len(out) > _CANDIDATE_CAP:
-                    raise _BudgetHit()
+                    raise BudgetExhausted(self.bud.used)
                 return
             f = members[p]
             if isinstance(f, Bottom):
@@ -500,14 +457,13 @@ def _decide(a: Formula, bud: _Budget, depth: int = 0) -> Verdict:
         bud.charge(cost if depth == 0 else 1)
         return verdict
     start = bud.used
-    verdict: Verdict | None = _probe_scan(a, bud)
+    verdict: Verdict | None = _scan(a, bud, 0)
     if verdict is None:
         verdict = _quick_valid(a, bud, depth)
     if verdict is None:
         subs = subsentences(a)
-        adequate_size = len(subs | {Box(b) for b in subs})
-        if adequate_size > _LARGE_ADEQUATE:
-            verdict = _structured_scan(a, bud)
+        if len(subs | {Box(b) for b in subs}) > _LARGE_ADEQUATE:
+            verdict = _scan(a, bud, 1)
     if verdict is None:
         verdict = _Canonical(a, bud).decide()
     if isinstance(verdict, Invalid):
@@ -518,11 +474,10 @@ def _decide(a: Formula, bud: _Budget, depth: int = 0) -> Verdict:
 
 def decide_iglc(a: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Decide ⊢_iGLC a; Invalid carries a finite irreflexive realistic countermodel."""
-    bud = _Budget(budget)
     try:
-        return _decide(a, bud)
-    except _BudgetHit:
-        return BudgetExceeded(bud.used)
+        return _decide(a, _Budget(budget))
+    except BudgetExhausted as e:
+        return BudgetExceeded(e.steps_used)
 
 
 def _conjunction(gamma) -> Formula | None:
@@ -588,52 +543,32 @@ def is_saturated(s, x: AdequateSet, budget: int = DEFAULT_BUDGET) -> bool:
     if not members <= x.members:
         raise ValueError("s must be a subset of the adequate set")
     bud = _Budget(budget)
-    try:
-        if _oracle(members, BOT, bud):
+    if _oracle(members, BOT, bud):
+        return False
+    for f in sorted(x.members, key=lambda g: (size(g), render(g))):
+        if f not in members and _oracle(members, f, bud):
             return False
-        for f in sorted(x.members, key=lambda g: (size(g), render(g))):
-            if f not in members and _oracle(members, f, bud):
-                return False
-        for f in members:
-            if isinstance(f, Or) and f.left not in members and f.right not in members:
-                return False
-        return True
-    except _BudgetHit:
-        raise BudgetExhausted(bud.used) from None
+    for f in members:
+        if isinstance(f, Or) and f.left not in members and f.right not in members:
+            return False
+    return True
 
 
 def saturate(r, a: Formula, x: AdequateSet, budget: int = DEFAULT_BUDGET) -> SaturatedSet:
     """Extension-construction run: grow r to an x-saturated set not deriving a.
 
     The enumeration is members of x by (tree size, rendering), repeated
-    cyclically until a full pass adds nothing.
+    cyclically until a full pass adds nothing.  The loop is IPC's
+    ``_saturate_set`` with the iGLC oracle; its classical vectors are all
+    ones, so its screen never skips an oracle call.
     """
     base = frozenset(r)
     if not base <= x.members:
         raise ValueError("r must be a subset of the adequate set")
     bud = _Budget(budget)
-    try:
-        if _oracle(base, a, bud):
-            raise ValueError("precondition violated: r already derives the goal")
-        enum = sorted(x.members, key=lambda g: (size(g), render(g)))
-        s = set(base)
-
-        def pick_disjunct(d: Or) -> Formula:
-            return d.left if not _oracle(s | {d.left}, a, bud) else d.right
-
-        changed = True
-        while changed:
-            changed = False
-            for b in enum:
-                if b in s:
-                    if isinstance(b, Or) and b.left not in s and b.right not in s:
-                        s.add(pick_disjunct(b))
-                        changed = True
-                elif _oracle(s, b, bud):
-                    s.add(b)
-                    if isinstance(b, Or) and b.left not in s and b.right not in s:
-                        s.add(pick_disjunct(b))
-                    changed = True
-        return SaturatedSet(frozenset(s))
-    except _BudgetHit:
-        raise BudgetExhausted(bud.used) from None
+    if _oracle(base, a, bud):
+        raise ValueError("precondition violated: r already derives the goal")
+    enum = sorted(x.members, key=lambda g: (size(g), render(g)))
+    ones = dict.fromkeys((*enum, a, TOP), 1)
+    return SaturatedSet(_saturate_set(base, a, enum, ones,
+                                      lambda gamma, goal: _oracle(gamma, goal, bud)))

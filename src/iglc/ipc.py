@@ -215,9 +215,15 @@ def _enumeration(X) -> list[Formula]:
 
 
 def _saturate_set(base: frozenset[Formula], avoid: Formula, enum: list[Formula],
-                  vec: dict[Formula, int]) -> frozenset[Formula]:
-    # A test whose premises' classical vector refutes its conclusion's is
-    # "not derivable" without a G4ip search.
+                  vec: dict[Formula, int], derives) -> frozenset[Formula]:
+    """Grow base along enum, cyclically, to a set closed under ``derives``
+    within enum that holds a disjunct of each member disjunction and does not
+    derive avoid.
+
+    ``derives(premises, goal)`` is the derivability oracle.  A test whose
+    premises' classical vector refutes its conclusion's is "not derivable"
+    without a call.
+    """
     s = set(base)
     sv = vec[TOP]                               # the vector of s, kept as s grows
     for f in s:
@@ -230,7 +236,7 @@ def _saturate_set(base: frozenset[Formula], avoid: Formula, enum: list[Formula],
 
     def pick(b: Or) -> None:                    # the left disjunct unless it derives avoid
         if (_refutes(sv & vec[b.left], vec[avoid])
-                or not _search(frozenset(s | {b.left}), avoid)):
+                or not derives(frozenset(s | {b.left}), avoid)):
             add(b.left)
         else:
             add(b.right)
@@ -243,7 +249,7 @@ def _saturate_set(base: frozenset[Formula], avoid: Formula, enum: list[Formula],
                 if isinstance(b, Or) and b.left not in s and b.right not in s:
                     pick(b)
                     changed = True
-            elif not _refutes(sv, vec[b]) and _search(frozenset(s), b):
+            elif not _refutes(sv, vec[b]) and derives(frozenset(s), b):
                 add(b)
                 if isinstance(b, Or) and b.left not in s and b.right not in s:
                     pick(b)
@@ -262,13 +268,13 @@ def _build_countermodel(ctx: frozenset[Formula], goal: Formula) -> tuple[KripkeM
     # dummy assignment, and the saturation's screen never refutes.
     vec = {f: 1 if names is None else _classical_vector(f, names) for f in X | {TOP}}
 
-    sats = [_saturate_set(ctx, goal, enum, vec)]  # the root has index 0
+    sats = [_saturate_set(ctx, goal, enum, vec, _search)]  # the root has index 0
     seen = set(sats)
     for w in sats:                              # grows while walked: breadth first
         for f in imps:
             if f in w or f.left in w:
                 continue  # w itself witnesses f.left∈, f.right∉ when f.left ∈ w
-            child = _saturate_set(w | {f.left}, f.right, enum, vec)
+            child = _saturate_set(w | {f.left}, f.right, enum, vec, _search)
             if child not in seen:
                 seen.add(child)
                 sats.append(child)

@@ -4,12 +4,13 @@ A frame carries an intuitionistic partial order ``leq`` (⪯) and a modal
 relation ``r`` (⊏) subject to the model property ⪯∘⊏ ⊆ ⊏.  Worlds are small
 integers; relations are explicit pair sets.
 
-Evaluation runs on per-world successor bitmasks through one mask evaluator,
-``truth_mask``, which also evaluates on a submodel given by a mask of kept
-worlds.  ``forces`` calls it on whole models, the deciders' structured scan
-on compiled frames, and ``shrink``, the one greedy countermodel shrinker of
-the iGLC and IPC deciders, on trial submodels; ``model_from_masks`` then
-builds the one validated model of the result.
+Evaluation runs on per-world successor bitmasks, compiled from pair sets by
+``successor_masks``, through one mask evaluator, ``truth_mask``, which also
+evaluates on a submodel given by a mask of kept worlds.  ``forces`` calls it
+on whole models, the iGLC decider's small-model scan on compiled frames, and
+``shrink``, the one greedy countermodel shrinker of the iGLC and IPC
+deciders, on trial submodels; ``model_from_masks`` then builds the one
+validated model of the result.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ __all__ = [
     "Frame", "KripkeModel", "FrameReport", "ModelError",
     "check_frame", "forces", "valid_on_model", "valid_on_frame",
     "model_to_json", "model_from_json", "model_to_dot", "upward_closed_sets",
-    "truth_mask", "shrink", "model_from_masks",
+    "successor_masks", "truth_mask", "shrink", "model_from_masks",
 ]
 
 VALID_ON_FRAME_WORLD_LIMIT = 8
@@ -86,6 +87,15 @@ def _has_cycle(worlds, succ) -> bool:
     return False
 
 
+def successor_masks(index: dict[int, int], pairs) -> list[int]:
+    """Per-world successor masks of a relation: bit ``index[b]`` of entry
+    ``index[a]`` is set for each pair (a, b)."""
+    succ = [0] * len(index)
+    for a, b in pairs:
+        succ[index[a]] |= 1 << index[b]
+    return succ
+
+
 def check_frame(frame: Frame) -> FrameReport:
     """Evaluate the seven frame properties by direct definition on finite data.
 
@@ -96,12 +106,8 @@ def check_frame(frame: Frame) -> FrameReport:
     leq, r = frame.leq, frame.r
     order = sorted(ws)
     idx = {w: i for i, w in enumerate(order)}
-    leq_succ = [0] * len(order)
-    r_succ = [0] * len(order)
-    for a, b in leq:
-        leq_succ[idx[a]] |= 1 << idx[b]
-    for a, b in r:
-        r_succ[idx[a]] |= 1 << idx[b]
+    leq_succ = successor_masks(idx, leq)
+    r_succ = successor_masks(idx, r)
     reflexive = all(leq_succ[i] >> i & 1 for i in range(len(order)))
     antisym = all(not (leq_succ[idx[b]] >> idx[a] & 1)
                   for a, b in leq if a != b)
@@ -185,22 +191,23 @@ def truth_mask(f: Formula, leq_succ, r_succ, val: dict[str, int], keep: int,
     m = cache.get(f)
     if m is not None:
         return m
-    if isinstance(f, Atom):
+    t = type(f)             # the node classes have no subclasses
+    if t is Atom:
         m = val.get(f.name, 0) & keep
-    elif isinstance(f, Bottom):
+    elif t is Bottom:
         m = 0
-    elif isinstance(f, And):
+    elif t is And:
         m = (truth_mask(f.left, leq_succ, r_succ, val, keep, cache)
              & truth_mask(f.right, leq_succ, r_succ, val, keep, cache))
-    elif isinstance(f, Or):
+    elif t is Or:
         m = (truth_mask(f.left, leq_succ, r_succ, val, keep, cache)
              | truth_mask(f.right, leq_succ, r_succ, val, keep, cache))
     else:
-        if isinstance(f, Imp):
+        if t is Imp:
             bad = (truth_mask(f.left, leq_succ, r_succ, val, keep, cache)
                    & ~truth_mask(f.right, leq_succ, r_succ, val, keep, cache))
             succ = leq_succ
-        elif isinstance(f, Box):
+        elif t is Box:
             bad = keep & ~truth_mask(f.inner, leq_succ, r_succ, val, keep, cache)
             succ = r_succ
         else:
@@ -256,14 +263,9 @@ class _Evaluator:
     def __init__(self, model: KripkeModel):
         self.order = sorted(model.frame.worlds)
         self.index = {w: i for i, w in enumerate(self.order)}
-        n = len(self.order)
-        self.full = (1 << n) - 1
-        self.leq_succ = [0] * n
-        self.r_succ = [0] * n
-        for a, b in model.frame.leq:
-            self.leq_succ[self.index[a]] |= 1 << self.index[b]
-        for a, b in model.frame.r:
-            self.r_succ[self.index[a]] |= 1 << self.index[b]
+        self.full = (1 << len(self.order)) - 1
+        self.leq_succ = successor_masks(self.index, model.frame.leq)
+        self.r_succ = successor_masks(self.index, model.frame.r)
         self.val = {p: sum(1 << self.index[w] for w in ws)
                     for p, ws in model.valuation.items()}
         self.cache: dict[Formula, int] = {}

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from .formula import (And, Atom, Bottom, Formula, Imp, Or, BOT,
                       atoms, is_box_free, render, substitute)
 from .ipc import decide_ipc, ipc_provable, IpcInvalid
-from .kripke import KripkeModel, truth_mask
+from .kripke import KripkeModel, successor_masks, truth_mask
 
 __all__ = ["NnilClassTable", "AlphabetTooLarge", "ClassBudgetExceeded",
            "is_nnil", "enumerate_nnil_classes", "nnil_star",
@@ -112,13 +112,10 @@ class _Family:
         self.cache.clear()
 
     def add_kripke(self, model: KripkeModel) -> None:
-        order = sorted(model.frame.worlds)
-        idx = {w: i for i, w in enumerate(order)}
-        succ = [0] * len(order)
-        for a, b in model.frame.leq:
-            succ[idx[a]] |= 1 << idx[b]
-        self._add(succ, {name: sum(1 << idx[w] for w in model.valuation.get(name, ()))
-                         for name in self.names})
+        idx = {w: i for i, w in enumerate(sorted(model.frame.worlds))}
+        self._add(successor_masks(idx, model.frame.leq),
+                  {name: sum(1 << idx[w] for w in model.valuation.get(name, ()))
+                   for name in self.names})
 
     def eval(self, f: Formula) -> int:
         return truth_mask(f, self.succ, self.r_succ, self.val, self.full, self.cache)

@@ -76,8 +76,10 @@ def test_prove_parse_error_exit_2(capsys):
 
 
 def test_prove_deep_input_exit_2(capsys):
-    for logic, text in (("iglc", "(" * 8000 + "p" + ")" * 8000),
-                        ("ipc", "~" * 3000 + "p")):
+    chains = [(logic, f" {op} ".join(["p"] * 8000))
+              for logic in ("iglc", "ipc") for op in "&|"]
+    for logic, text in [("iglc", "(" * 8000 + "p" + ")" * 8000),
+                        ("ipc", "~" * 3000 + "p"), *chains]:
         start = time.perf_counter()
         code, out, err = run_captured(capsys, ["prove", "--logic", logic, text])
         assert time.perf_counter() - start < 0.5

@@ -1,0 +1,68 @@
+"""No dead code in src/iglc: every import is used in its module, and every
+top-level private name is referenced outside its own definition."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "iglc"
+
+
+def modules() -> dict[str, ast.Module]:
+    return {p.name: ast.parse(p.read_text(encoding="utf-8"), str(p))
+            for p in sorted(SRC.glob("*.py"))}
+
+
+def names_used(node: ast.AST) -> set[str]:
+    """Names read, looked up as attributes, or imported from a sibling module."""
+    used = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            used.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            used.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            used |= {alias.name for alias in n.names}
+    return used
+
+
+def bound_names(stmt: ast.stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
+def test_no_unused_imports():
+    unused = []
+    for filename, tree in modules().items():
+        if filename == "__init__.py":       # its imports are the package's API
+            continue
+        imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))
+                   and getattr(n, "module", None) != "__future__"]
+        used = set()
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+                used.add(n.id)
+        for imp in imports:
+            for alias in imp.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    unused.append(f"{filename}:{imp.lineno} {bound}")
+    assert not unused, unused
+
+
+def test_no_unreferenced_private_top_level_names():
+    trees = modules()
+    statements = [(filename, stmt) for filename, tree in trees.items() for stmt in tree.body]
+    used_by = [names_used(stmt) for _, stmt in statements]
+    dead = []
+    for i, (filename, stmt) in enumerate(statements):
+        for name in bound_names(stmt):
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            if not any(name in used for j, used in enumerate(used_by) if j != i):
+                dead.append(f"{filename}:{stmt.lineno} {name}")
+    assert not dead, dead

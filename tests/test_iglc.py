@@ -1,13 +1,17 @@
+import functools
+import itertools
 import random
 
 import pytest
 
-from iglc.formula import And, Atom, Box, Imp, Or, BOT, Iff, parse, render
+from iglc.formula import And, Atom, Box, Imp, Or, BOT, Iff, atoms, parse, render
 from iglc.iglc_prover import (AdequateSet, BudgetExceeded, BudgetExhausted,
                               Invalid, Valid, decide_iglc, derives_iglc,
-                              is_saturated, saturate)
-from iglc.kripke import check_frame, forces
-from conftest import random_formula, random_realistic_model
+                              is_saturated, saturate, clear_caches, _Budget,
+                              _FRAMES, _scan)
+from iglc.kripke import (Frame, KripkeModel, check_frame, forces, model_to_json,
+                         upward_closed_sets)
+from conftest import ModelTable, random_formula, random_realistic_model
 
 P, Q = Atom("p"), Atom("q")
 PTP = parse("[]p -> (q | (q -> p))")
@@ -222,3 +226,149 @@ def test_box_congruence_of_equivalents():
     # boxed biconditional must NOT be a theorem
     f = Iff(Box(parse("(p -> q) -> q")), Box(parse("p | q")))
     assert_verified_invalid(decide_iglc(f), f)
+
+
+# ---------------------------------------------------------------------------
+# The small-model scan against the scans it replaced: the same models, built
+# by KripkeModel.make from plain relations in the old order, searched for the
+# first refuting model (by the numpy ModelTable, so that a full search of
+# 15k models stays cheap) and rooted at its least world not forcing the
+# formula (by forces, world by world).
+
+def reference_upsets(shape: str) -> list[frozenset[int]]:
+    if shape == "single":
+        return [frozenset(), frozenset({1})]
+    if shape == "chain":
+        return [frozenset(), frozenset({2}), frozenset({1, 2})]
+    return [frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2})]
+
+
+def reference_small_models(names):
+    shapes = [
+        ("single", [1], {(1, 1)}, [frozenset()]),
+        ("chain", [1, 2], {(1, 1), (2, 2), (1, 2)}, [frozenset(), frozenset({(1, 2)})]),
+        ("pair", [1, 2], {(1, 1), (2, 2)}, [frozenset()]),
+    ]
+    for shape, worlds, leq, r_options in shapes:
+        for r in r_options:
+            for val in itertools.product(reference_upsets(shape), repeat=len(names)):
+                yield KripkeModel.make(worlds, leq, r, dict(zip(names, val)))
+
+
+def reflexive_transitive(pairs, n):
+    rel = set(pairs) | {(i, i) for i in range(1, n + 1)}
+    while True:
+        extra = {(a, c) for a, b in rel for b2, c in rel if b == b2} - rel
+        if not extra:
+            return frozenset(rel)
+        rel |= extra
+
+
+def reference_large_models(names):
+    raw = [
+        (3, {(1, 2), (2, 3)}, [None, {(1, 2)}, {(1, 3)}, {(1, 3), (2, 3)}]),
+        (3, {(1, 2), (1, 3)}, [None, {(1, 2)}]),
+        (4, {(1, 2), (1, 3), (2, 4), (3, 4)}, [None, {(1, 4)}, {(1, 2), (1, 3), (1, 4)}]),
+        (4, {(1, 2), (1, 3), (1, 4)}, [None, {(1, 2)}]),
+        (4, {(1, 2), (2, 3), (2, 4)}, [None, {(1, 2)}, {(1, 3), (1, 4), (2, 3), (2, 4)}]),
+        (4, {(1, 2), (2, 3), (3, 4)}, [None, {(1, 2)}]),
+        (5, {(1, 2), (2, 3), (2, 4), (2, 5)}, [None, {(1, 2)}]),
+        (5, {(1, 2), (1, 3), (1, 4), (1, 5)}, [None, {(1, 2)}]),
+    ]
+    for n, pairs, r_options in raw:
+        worlds = list(range(1, n + 1))
+        leq = reflexive_transitive(pairs, n)
+        ups = upward_closed_sets(worlds, leq)
+        for r in r_options:
+            r = {(a, b) for a, b in leq if a != b} if r is None else r
+            for val in itertools.product(ups, repeat=len(names)):
+                yield KripkeModel.make(worlds, leq, r, dict(zip(names, val)))
+
+
+REFERENCE_TIERS = ((reference_small_models, 4), (reference_large_models, 3))
+
+
+@functools.lru_cache(maxsize=None)
+def reference_tables(tier, names):
+    """One ModelTable per frame and ⊏ of the tier, in scan order."""
+    groups = itertools.groupby(REFERENCE_TIERS[tier][0](names), key=lambda m: m.frame)
+    return tuple(ModelTable(list(models)) for _, models in groups)
+
+
+def reference_scan(a, tier):
+    """((countermodel, root) or None, models tried) as the replaced scans ran."""
+    names = tuple(sorted(atoms(a)))
+    if len(names) > REFERENCE_TIERS[tier][1]:
+        return None, 0
+    tried = 0
+    for table in reference_tables(tier, names):
+        table._cache.clear()
+        hit = table.refuting_model_world(a)
+        if hit is not None:
+            model = hit[0]
+            root = next(w for w in sorted(model.frame.worlds) if not forces(model, w, a))
+            tried += next(k for k, m in enumerate(table.models, 1) if m is model)
+            return (model, root), tried
+        tried += table.count
+    return None, tried
+
+
+def assert_scan_matches(a, tier, ref):
+    hit, tried = ref
+    bud = _Budget(10**9)
+    v = _scan(a, bud, tier)
+    assert bud.used == tried, render(a)
+    if hit is None:
+        assert v is None, render(a)
+    else:
+        assert isinstance(v, Invalid), render(a)
+        assert (v.countermodel, v.root) == hit, render(a)
+        assert model_to_json(v.countermodel) == model_to_json(hit[0])
+
+
+def test_small_tier_matches_reference_scan(modal_corpus):
+    sample = random.Random(5150).sample(modal_corpus, 2000)
+    for f in sample + [MOJTAHEDI]:
+        assert_scan_matches(f, 0, reference_scan(f, 0))
+
+
+def test_large_tier_matches_reference_scan():
+    rng = random.Random(2401)
+    formulas = []
+    while len(formulas) < 300:
+        f = random_formula(rng, ("p", "q", "r"), rng.randint(14, 22), box_prob=0.25)
+        if atoms(f) == {"p", "q", "r"} and len(AdequateSet.standard(f).members) > 24:
+            formulas.append(f)
+    frames = set()
+    unrefuted = 0
+    for f in formulas + [MOJTAHEDI]:
+        assert_scan_matches(f, 0, reference_scan(f, 0))
+        ref = reference_scan(f, 1)
+        if ref[0] is None:
+            unrefuted += 1
+        else:
+            frames.add(ref[0][0].frame.leq)
+        # an unrefuted formula costs a pass over all 15k models; a few suffice
+        if ref[0] is not None or unrefuted <= 3:
+            assert_scan_matches(f, 1, ref)
+    assert len(frames) > 2 and unrefuted > 3
+
+
+def test_scan_builds_one_model_per_compiled_entry():
+    f = parse("[]p -> p")
+    first = _scan(f, _Budget(10**9), 0)
+    assert _scan(parse("~~([]p -> p)"), _Budget(10**9), 0).countermodel is first.countermodel
+    clear_caches()
+    again = _scan(f, _Budget(10**9), 0).countermodel
+    assert again is not first.countermodel and again == first.countermodel
+
+
+def test_scan_frames_are_irreflexive_realistic_posets():
+    assert len(_FRAMES) == 11
+    for n, strict, r_options in _FRAMES:
+        worlds = range(1, n + 1)
+        leq = {*strict, *((w, w) for w in worlds)}
+        for r in r_options:
+            rep = check_frame(Frame.make(worlds, leq, strict if r is None else r))
+            assert rep.is_poset and rep.has_model_property
+            assert rep.irreflexive and rep.realistic

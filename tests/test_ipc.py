@@ -136,7 +136,7 @@ def test_classical_screen_rejects_only_unprovable_sequents():
     assert rejected > 200 and passed > 200
 
 
-def reference_saturate_set(base, avoid, enum, vec=None):
+def reference_saturate_set(base, avoid, enum, vec=None, derives=None):
     """The saturation loop without the screen: every test is a G4ip search."""
     s = set(base)
     changed = True
