@@ -14,8 +14,8 @@ from .kripke import (Frame, KripkeModel, FrameReport, ModelError, check_frame,
                      forces, valid_on_model, valid_on_frame, model_to_json,
                      model_from_json, model_to_dot)
 from .ipc import IpcValid, IpcInvalid, IpcVerdict, decide_ipc, ipc_provable, ipc_equiv
-from .nnil import (NnilClassTable, AlphabetTooLarge, ClassBudgetExceeded,
-                   is_nnil, enumerate_nnil_classes, nnil_star)
+from .nnil import (NnilClassTable, AlphabetTooLarge, is_nnil, enumerate_nnil_classes,
+                   nnil_star)
 from .iglc_prover import (Valid, Invalid, BudgetExceeded, Verdict,
                           BudgetExhausted, AdequateSet, SaturatedSet,
                           DEFAULT_BUDGET, decide_iglc, derives_iglc,

@@ -6,9 +6,9 @@ frames, which is what the decision core exploits.
 
 Pipeline for decide_iglc, all phases metered by one step budget:
 
-1. the small tier of the small-model scan (below): every 1–2-world
-   irreflexive realistic model over the query's atoms (at most 4), which
-   settles most refutable inputs immediately;
+1. the small tier of the small-model scan (below): every irreflexive
+   realistic model on one world or a 2-chain over the query's atoms (at most
+   4), which settles most refutable inputs immediately;
 2. a sound validity certifier: the query follows in IPC, at the level of its
    modal skeleton, from instances of the iGLC axioms over its boxed
    subformulas (K, Löb, completeness, and □-congruence bridges obtained by
@@ -36,8 +36,9 @@ model per frame, ⊏ and valuation), each model is evaluated with
 rooted at its least refuting world, is the answer.  A model's validated
 ``KripkeModel`` is built the first time it refutes and shared after that.
 
-Every Invalid answer is machine-checked (frame flags and refutation at the
-root) before being returned.
+Every Invalid answer is machine-checked (the frame flags of the model's
+report, computed when it was built, and refutation at the root, evaluated
+from scratch) before being returned.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from functools import lru_cache
 from .formula import (And, Atom, Bottom, Box, Formula, Imp, Or, BOT, TOP,
                       atoms, modal_decompose, render, size, subsentences)
 from .ipc import _saturate_set, ipc_provable
-from .kripke import (KripkeModel, check_frame, forces, model_from_masks, shrink,
+from .kripke import (KripkeModel, forces, model_from_masks, shrink,
                      successor_masks, truth_mask, upward_closed_sets)
 
 __all__ = [
@@ -116,7 +117,7 @@ def clear_caches() -> None:
 
 
 def _machine_check(model: KripkeModel, root: int, query: Formula) -> None:
-    rep = check_frame(model.frame)
+    rep = model.report
     ok = (rep.is_poset and rep.has_model_property and rep.irreflexive
           and rep.realistic and not forces(model, root, query))
     if not ok:
@@ -129,14 +130,14 @@ def _machine_check(model: KripkeModel, root: int, query: Formula) -> None:
 #
 # The scan's frames in scan order: (worlds 1..n, the strict ⪯ pairs,
 # transitively closed, and the ⊏ relations tried on the frame, None for
-# ⊏ = strict ⪯).  The first three are the 1–2-world shapes of the small tier
-# (one world, a 2-chain, two incomparable worlds), the rest the curated
-# 3–5-world frames of the large tier.
+# ⊏ = strict ⪯).  The first two are the 1–2-world shapes of the small tier
+# (one world, a 2-chain), the rest the curated 3–5-world frames of the large
+# tier.  Two incomparable worlds are not a shape: each of their worlds is a
+# generated submodel the one-world shape has already tried.
 
 _FRAMES = (
     (1, (), [()]),
     (2, ((1, 2),), [(), None]),
-    (2, (), [()]),
     (3, ((1, 2), (1, 3), (2, 3)), [None, ((1, 2),), ((1, 3),), ((1, 3), (2, 3))]),
     (3, ((1, 2), (1, 3)), [None, ((1, 2),)]),
     (4, ((1, 2), (1, 3), (1, 4), (2, 4), (3, 4)),
@@ -153,7 +154,7 @@ _FRAMES = (
 # large tier, which runs after the certifier and only on large adequate sets,
 # where candidate enumeration would be the expensive route to a small
 # countermodel.
-_TIERS = ((_FRAMES[:3], 4), (_FRAMES[3:], 3))
+_TIERS = ((_FRAMES[:2], 4), (_FRAMES[2:], 3))
 
 
 class _ScanModel:

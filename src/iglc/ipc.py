@@ -3,9 +3,11 @@
 Provability is decided by terminating contraction-free backward sequent search
 (the G4ip rule set), memoized on saturated sequents.  A sound refutation
 shortcut runs first: a classical truth-table scan (classical refutability
-implies intuitionistic refutability).  Countermodels come from a separate
-saturation construction: worlds are deductively saturated subsets of the
-subformula closure, built on demand from the failure points of the query,
+implies intuitionistic refutability).  A search goal ⊥ is answered exactly by
+the same truth tables: by Glivenko's theorem Γ ⊢ ⊥ holds in IPC iff it holds
+classically, that is iff Γ is unsatisfiable.  Countermodels come from a
+separate saturation construction: worlds are deductively saturated subsets of
+the subformula closure, built on demand from the failure points of the query,
 ordered by inclusion, and shrunk greedily on successor bitmasks
 (``kripke.shrink``) before one validated model is built.  The saturation
 screens each of its derivability tests with the same truth tables before it
@@ -95,10 +97,11 @@ def _refutes(premises: int, goal: int) -> bool:
     return bool(premises & ~goal)
 
 
-def _classically_refuted(ctx: frozenset[Formula], goal: Formula) -> bool:
+def _classically_refuted(ctx, goal: Formula) -> bool | None:
+    """Some assignment satisfies ctx but not goal; None above the atom cap."""
     names = _classical_names((goal, *ctx))
     if names is None:
-        return False
+        return None
     premises = _classical_vector(TOP, names)
     for f in ctx:
         premises &= _classical_vector(f, names)
@@ -159,6 +162,10 @@ def _search(ctx: frozenset[Formula], goal: Formula) -> bool:
     work, goal, proved = _saturate_context(set(ctx), goal)
     if proved:
         return True
+    if isinstance(goal, Bottom):    # Glivenko: Γ ⊢_IPC ⊥ iff Γ ⊢_CPC ⊥
+        refuted = _classically_refuted(work, goal)
+        if refuted is not None:
+            return not refuted
     key = (frozenset(work), goal)
     hit = _memo.get(key)
     if hit is not None:

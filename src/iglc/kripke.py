@@ -6,15 +6,21 @@ integers; relations are explicit pair sets.
 
 Evaluation runs on per-world successor bitmasks, compiled from pair sets by
 ``successor_masks``, through one mask evaluator, ``truth_mask``, which also
-evaluates on a submodel given by a mask of kept worlds.  ``forces`` calls it
-on whole models, the iGLC decider's small-model scan on compiled frames, and
-``shrink``, the one greedy countermodel shrinker of the iGLC and IPC
-deciders, on trial submodels; ``model_from_masks`` then builds the one
-validated model of the result.
+evaluates on a submodel given by a mask of kept worlds.  A ``KripkeModel``
+compiles its frame once, when it validates itself, and keeps the masks and
+the ``FrameReport``: ``forces``, ``valid_on_model``, the deciders' machine
+checks, the tail extension and the NNIL fingerprint family all read them, and
+each forcing question is one ``truth_mask`` pass with a fresh cache.
+``valid_on_frame`` checks and compiles its frame once and varies only the
+atom masks.  The iGLC decider's small-model scan calls ``truth_mask`` on
+compiled frames, and ``shrink``, the one greedy countermodel shrinker of the
+iGLC and IPC deciders, on trial submodels; ``model_from_masks`` then builds
+the one validated model of the result.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from .formula import And, Atom, Bottom, Box, Formula, Imp, Or, atoms
@@ -96,29 +102,37 @@ def successor_masks(index: dict[int, int], pairs) -> list[int]:
     return succ
 
 
-def check_frame(frame: Frame) -> FrameReport:
-    """Evaluate the seven frame properties by direct definition on finite data.
+def _compile(frame: Frame) -> tuple[list[int], dict[int, int], list[int], list[int]]:
+    """The worlds in sorted order, their index, and the ⪯ and ⊏ successor masks."""
+    order = sorted(frame.worlds)
+    index = {w: i for i, w in enumerate(order)}
+    for rel, name in ((frame.leq, "leq"), (frame.r, "r")):
+        for a, b in rel:
+            if a not in index or b not in index:
+                raise ModelError(f"{name} pair ({a},{b}) mentions unknown world")
+    return order, index, successor_masks(index, frame.leq), successor_masks(index, frame.r)
+
+
+def _report(frame: Frame, index: dict[int, int], leq_succ: list[int],
+            r_succ: list[int]) -> FrameReport:
+    """The seven frame properties by direct definition, on the compiled masks.
 
     Successor bitmasks keep the relational composites near-linear in the
     number of relation pairs.
     """
-    ws = frame.worlds
     leq, r = frame.leq, frame.r
-    order = sorted(ws)
-    idx = {w: i for i, w in enumerate(order)}
-    leq_succ = successor_masks(idx, leq)
-    r_succ = successor_masks(idx, r)
-    reflexive = all(leq_succ[i] >> i & 1 for i in range(len(order)))
-    antisym = all(not (leq_succ[idx[b]] >> idx[a] & 1)
+    n = len(index)
+    reflexive = all(leq_succ[i] >> i & 1 for i in range(n))
+    antisym = all(not (leq_succ[index[b]] >> index[a] & 1)
                   for a, b in leq if a != b)
-    leq_trans = all(leq_succ[idx[b]] & ~leq_succ[idx[a]] == 0 for a, b in leq)
+    leq_trans = all(leq_succ[index[b]] & ~leq_succ[index[a]] == 0 for a, b in leq)
     is_poset = reflexive and antisym and leq_trans
-    model_property = all(r_succ[idx[b]] & ~r_succ[idx[a]] == 0 for a, b in leq)
-    irreflexive = all(not (r_succ[i] >> i & 1) for i in range(len(order)))
-    transitive = all(r_succ[idx[b]] & ~r_succ[idx[a]] == 0 for a, b in r)
+    model_property = all(r_succ[index[b]] & ~r_succ[index[a]] == 0 for a, b in leq)
+    irreflexive = all(not (r_succ[i] >> i & 1) for i in range(n))
+    transitive = all(r_succ[index[b]] & ~r_succ[index[a]] == 0 for a, b in r)
     # ⊏∘⊏ ⊆ ⊏∘⪯: anything two ⊏-steps away is one ⊏-step then ⪯-up.
     reach_up = []
-    for i in range(len(order)):
+    for i in range(n):
         u = 0
         m = r_succ[i]
         while m:
@@ -126,42 +140,61 @@ def check_frame(frame: Frame) -> FrameReport:
             u |= leq_succ[j]
             m &= m - 1
         reach_up.append(u)
-    semi_transitive = all(r_succ[idx[b]] & ~reach_up[idx[a]] == 0 for a, b in r)
+    semi_transitive = all(r_succ[index[b]] & ~reach_up[index[a]] == 0 for a, b in r)
     realistic = r <= leq
     succ: dict[int, list[int]] = {}
     for a, b in r:
         succ.setdefault(a, []).append(b)
-    cwf = not _has_cycle(ws, succ)
+    cwf = not _has_cycle(frame.worlds, succ)
     return FrameReport(is_poset, model_property, irreflexive, transitive,
                        semi_transitive, realistic, cwf)
 
 
-class KripkeModel:
-    """Frame plus monotone valuation; invariants are checked at construction."""
+def check_frame(frame: Frame) -> FrameReport:
+    """Evaluate the seven frame properties by direct definition on finite data.
 
-    __slots__ = ("frame", "valuation")
+    Raises ModelError when a relation pair mentions an unknown world.
+    """
+    _, index, leq_succ, r_succ = _compile(frame)
+    return _report(frame, index, leq_succ, r_succ)
+
+
+class KripkeModel:
+    """Frame plus monotone valuation; invariants are checked at construction.
+
+    The masks compiled for that check are kept: ``order`` lists the worlds
+    sorted, ``index`` maps a world to its position there, ``leq_succ[i]`` and
+    ``r_succ[i]`` are the ⪯- and ⊏-successor masks of world ``order[i]``,
+    ``val[p]`` is the mask of worlds where p holds, ``full`` the mask of all
+    worlds and ``report`` the frame's ``FrameReport``.
+    """
+
+    __slots__ = ("frame", "valuation", "order", "index", "leq_succ", "r_succ",
+                 "val", "full", "report")
 
     def __init__(self, frame: Frame, valuation: dict[str, frozenset[int]] | None = None):
         self.frame = frame
         self.valuation = {p: frozenset(v) for p, v in (valuation or {}).items()}
-        ws = frame.worlds
-        if not ws:
+        if not frame.worlds:
             raise ModelError("empty world set")
-        for rel, name in ((frame.leq, "leq"), (frame.r, "r")):
-            for a, b in rel:
-                if a not in ws or b not in ws:
-                    raise ModelError(f"{name} pair ({a},{b}) mentions unknown world")
-        rep = check_frame(frame)
+        self.order, self.index, self.leq_succ, self.r_succ = _compile(frame)
+        self.report = rep = _report(frame, self.index, self.leq_succ, self.r_succ)
         if not rep.is_poset:
             raise ModelError("leq is not a partial order")
         if not rep.has_model_property:
             raise ModelError("model property fails (leq∘r ⊄ r)")
+        self.val = {}
         for p, trues in self.valuation.items():
-            if not trues <= ws:
+            if not trues <= frame.worlds:
                 raise ModelError(f"valuation of {p!r} mentions unknown world")
-            for a, b in frame.leq:
-                if a in trues and b not in trues:
+            m = sum(1 << self.index[w] for w in trues)
+            for a in sorted(trues):
+                up = self.leq_succ[self.index[a]] & ~m
+                if up:
+                    b = self.order[(up & -up).bit_length() - 1]
                     raise ModelError(f"valuation of {p!r} not monotone ({a}⪯{b})")
+            self.val[p] = m
+        self.full = (1 << len(self.order)) - 1
 
     def __hash__(self):
         return hash((self.frame, tuple(sorted(self.valuation.items()))))
@@ -177,6 +210,10 @@ class KripkeModel:
     def make(worlds, leq, r, valuation) -> "KripkeModel":
         return KripkeModel(Frame.make(worlds, leq, r),
                            {p: frozenset(v) for p, v in valuation.items()})
+
+    def truth(self, f: Formula) -> int:
+        """Mask of the worlds forcing f (bit i for world ``order[i]``)."""
+        return truth_mask(f, self.leq_succ, self.r_succ, self.val, self.full, {})
 
 
 def truth_mask(f: Formula, leq_succ, r_succ, val: dict[str, int], keep: int,
@@ -257,49 +294,17 @@ def model_from_masks(leq_succ, r_succ, val: dict[str, int], keep: int) -> Kripke
     return KripkeModel.make(list(label.values()), leq, r, valuation)
 
 
-class _Evaluator:
-    """Successor masks of one model for ``truth_mask``, with its cache."""
-
-    def __init__(self, model: KripkeModel):
-        self.order = sorted(model.frame.worlds)
-        self.index = {w: i for i, w in enumerate(self.order)}
-        self.full = (1 << len(self.order)) - 1
-        self.leq_succ = successor_masks(self.index, model.frame.leq)
-        self.r_succ = successor_masks(self.index, model.frame.r)
-        self.val = {p: sum(1 << self.index[w] for w in ws)
-                    for p, ws in model.valuation.items()}
-        self.cache: dict[Formula, int] = {}
-
-    def truth_mask(self, f: Formula) -> int:
-        return truth_mask(f, self.leq_succ, self.r_succ, self.val, self.full, self.cache)
-
-
-_EVALUATORS: dict[int, tuple[KripkeModel, _Evaluator]] = {}
-
-
-def _evaluator(model: KripkeModel) -> _Evaluator:
-    hit = _EVALUATORS.get(id(model))
-    if hit is not None and hit[0] is model:
-        return hit[1]
-    ev = _Evaluator(model)
-    if len(_EVALUATORS) > 256:
-        _EVALUATORS.clear()
-    _EVALUATORS[id(model)] = (model, ev)
-    return ev
-
-
 def forces(model: KripkeModel, world: int, f: Formula) -> bool:
     """The forcing relation M,w ⊩ A."""
-    ev = _evaluator(model)
-    if world not in ev.index:
+    i = model.index.get(world)
+    if i is None:
         raise ModelError(f"unknown world id {world}")
-    return bool(ev.truth_mask(f) >> ev.index[world] & 1)
+    return bool(model.truth(f) >> i & 1)
 
 
 def valid_on_model(model: KripkeModel, f: Formula) -> bool:
     """True iff f is forced at every world."""
-    ev = _evaluator(model)
-    return ev.truth_mask(f) == ev.full
+    return model.truth(f) == model.full
 
 
 def upward_closed_sets(worlds, leq) -> list[frozenset[int]]:
@@ -317,26 +322,19 @@ def valid_on_frame(frame: Frame, f: Formula, world_limit: int = VALID_ON_FRAME_W
     """True iff f holds under every monotone valuation of its atoms.
 
     Only the atoms occurring in f need a valuation; refuses frames larger than
-    the world limit (the valuation space is exponential in |W|).
+    the world limit (the valuation space is exponential in |W|).  The frame
+    is checked and compiled once, and each valuation is a map of atom masks.
     """
     if len(frame.worlds) > world_limit:
         raise ModelError(
             f"frame has {len(frame.worlds)} worlds; valid_on_frame limit is {world_limit}")
+    base = KripkeModel(frame)
     names = sorted(atoms(f))
-    ups = upward_closed_sets(frame.worlds, frame.leq)
-    assignment: dict[str, frozenset[int]] = {}
-
-    def go(i: int) -> bool:
-        if i == len(names):
-            model = KripkeModel(frame, dict(assignment))
-            return valid_on_model(model, f)
-        for up in ups:
-            assignment[names[i]] = up
-            if not go(i + 1):
-                return False
-        return True
-
-    return go(0)
+    ups = [sum(1 << base.index[w] for w in up)
+           for up in upward_closed_sets(frame.worlds, frame.leq)]
+    return all(truth_mask(f, base.leq_succ, base.r_succ, dict(zip(names, val)),
+                          base.full, {}) == base.full
+               for val in itertools.product(ups, repeat=len(names)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,16 @@
 A class table for a finite alphabet is the least fixpoint of: start from ⊥ and
 the atoms; repeatedly add α→β for implication-free α and current classes β,
 and close under ∧ and ∨; deduplicate by IPC equivalence.  Local finiteness of
-NNIL makes the fixpoint terminate (guarded by a class-count budget).
+NNIL makes the fixpoint terminate; tables exist for alphabets of at most
+``DEFAULT_MAX_ATOMS`` names (2 names give 158 classes), one per arity.
 
 Deduplication would be hopeless with prover calls alone, so every class keeps
 a semantic fingerprint: its truth mask on one model, the disjoint union of a
 family of small intuitionistic models, computed by ``kripke.truth_mask``.
 Distinct fingerprints prove inequivalence outright; colliding ones are
-confirmed by the prover, and a refuted equivalence appends its countermodel
-to the union, which keeps fingerprints separating as the table grows.
+confirmed by the prover, and a refuted equivalence appends its countermodel,
+as the successor and atom masks the ``KripkeModel`` already holds, to the
+union, which keeps fingerprints separating as the table grows.
 
 A candidate r_i ∧ r_j whose fingerprint is that of class k is confirmed
 through the class order (i ≤ j iff ⊢ r_i → r_j), whose memoised facts all
@@ -30,22 +32,16 @@ from dataclasses import dataclass
 from .formula import (And, Atom, Bottom, Formula, Imp, Or, BOT,
                       atoms, is_box_free, render, substitute)
 from .ipc import decide_ipc, ipc_provable, IpcInvalid
-from .kripke import KripkeModel, successor_masks, truth_mask
+from .kripke import KripkeModel, truth_mask
 
-__all__ = ["NnilClassTable", "AlphabetTooLarge", "ClassBudgetExceeded",
-           "is_nnil", "enumerate_nnil_classes", "nnil_star",
-           "DEFAULT_MAX_ATOMS", "DEFAULT_CLASS_BUDGET"]
+__all__ = ["NnilClassTable", "AlphabetTooLarge",
+           "is_nnil", "enumerate_nnil_classes", "nnil_star", "DEFAULT_MAX_ATOMS"]
 
 DEFAULT_MAX_ATOMS = 2
-DEFAULT_CLASS_BUDGET = 4000
 
 
 class AlphabetTooLarge(ValueError):
-    """More atoms than the configured alphabet cap."""
-
-
-class ClassBudgetExceeded(RuntimeError):
-    """The class fixpoint outgrew its budget; the alphabet is too large."""
+    """More atoms than the alphabet cap."""
 
 
 def _contains_imp(f: Formula) -> bool:
@@ -112,10 +108,7 @@ class _Family:
         self.cache.clear()
 
     def add_kripke(self, model: KripkeModel) -> None:
-        idx = {w: i for i, w in enumerate(sorted(model.frame.worlds))}
-        self._add(successor_masks(idx, model.frame.leq),
-                  {name: sum(1 << idx[w] for w in model.valuation.get(name, ()))
-                   for name in self.names})
+        self._add(model.leq_succ, {name: model.val.get(name, 0) for name in self.names})
 
     def eval(self, f: Formula) -> int:
         return truth_mask(f, self.succ, self.r_succ, self.val, self.full, self.cache)
@@ -125,9 +118,8 @@ class _Family:
 # Canonical class tables, one per alphabet arity.
 
 class _CanonicalTable:
-    def __init__(self, arity: int, budget: int):
+    def __init__(self, arity: int):
         self.names = tuple(f"a{i + 1}" for i in range(arity))
-        self.budget = budget
         self.family = _Family(self.names)
         self.reps: list[Formula] = []
         self.index: dict[Formula, int] = {}
@@ -150,11 +142,6 @@ class _CanonicalTable:
             fp = self.family.eval(cand)
             idx = self.by_fp.get(fp)
             if idx is None:
-                if len(self.reps) >= self.budget:
-                    raise ClassBudgetExceeded(
-                        f"more than {self.budget} NNIL classes over "
-                        f"{len(self.names)} names: the alphabet is too large "
-                        "for full class enumeration")
                 idx = len(self.reps)
                 self.reps.append(cand)
                 self.index[cand] = idx
@@ -256,14 +243,14 @@ class _CanonicalTable:
         return result
 
 
-_tables: dict[tuple[int, int], _CanonicalTable] = {}
+_tables: dict[int, _CanonicalTable] = {}
 
 
-def _canonical_table(arity: int, budget: int) -> _CanonicalTable:
-    tbl = _tables.get((arity, budget))
+def _canonical_table(arity: int) -> _CanonicalTable:
+    tbl = _tables.get(arity)
     if tbl is None:
-        tbl = _CanonicalTable(arity, budget)
-        _tables[(arity, budget)] = tbl
+        tbl = _CanonicalTable(arity)
+        _tables[arity] = tbl
     return tbl
 
 
@@ -278,21 +265,20 @@ class NnilClassTable:
     representatives: tuple[Formula, ...]
 
 
-def enumerate_nnil_classes(atom_names, budget: int = DEFAULT_CLASS_BUDGET,
-                           max_atoms: int = DEFAULT_MAX_ATOMS) -> NnilClassTable:
+def enumerate_nnil_classes(atom_names) -> NnilClassTable:
     """Least fixpoint of the NNIL class construction over the given atoms."""
     names = tuple(atom_names)
     if len(set(names)) != len(names):
         raise ValueError("duplicate atom names")
-    if len(names) > max_atoms:
-        raise AlphabetTooLarge(f"alphabet {list(names)} exceeds the cap of {max_atoms}")
-    tbl = _canonical_table(len(names), budget)
+    if len(names) > DEFAULT_MAX_ATOMS:
+        raise AlphabetTooLarge(
+            f"alphabet {list(names)} exceeds the cap of {DEFAULT_MAX_ATOMS}")
+    tbl = _canonical_table(len(names))
     back = {c: Atom(n) for c, n in zip(tbl.names, names)}
     return NnilClassTable(names, tuple(substitute(r, back) for r in tbl.reps))
 
 
-def nnil_star(a: Formula, max_atoms: int = DEFAULT_MAX_ATOMS,
-              budget: int = DEFAULT_CLASS_BUDGET) -> Formula:
+def nnil_star(a: Formula) -> Formula:
     """Strongest NNIL consequence-preserving approximation from below.
 
     The output O satisfies ⊢ O → a, and ⊢ B → O for every NNIL class
@@ -301,9 +287,10 @@ def nnil_star(a: Formula, max_atoms: int = DEFAULT_MAX_ATOMS,
     if not is_box_free(a):
         raise ValueError(f"boxed formula not allowed here: {render(a)}")
     names = sorted(atoms(a))
-    if len(names) > max_atoms:
-        raise AlphabetTooLarge(f"alphabet {list(names)} exceeds the cap of {max_atoms}")
-    tbl = _canonical_table(len(names), budget)
+    if len(names) > DEFAULT_MAX_ATOMS:
+        raise AlphabetTooLarge(
+            f"alphabet {list(names)} exceeds the cap of {DEFAULT_MAX_ATOMS}")
+    tbl = _canonical_table(len(names))
     fwd = {n: Atom(c) for n, c in zip(names, tbl.names)}
     back = {c: Atom(n) for n, c in zip(names, tbl.names)}
     return substitute(tbl.star(substitute(a, fwd)), back)

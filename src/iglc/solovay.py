@@ -9,16 +9,20 @@ only on the core, so every formula's truth set is either finite or all of ℕ.
 
 Truth sets are computed through a finite horizon H = r + |sub(A)| + 1: the
 tail profiles (sets of subformulas forced at tail worlds) shrink monotonically
-and must repeat within |sub(A)| steps, after which they are constant; world 0
-is evaluated by dedicated clauses against the stabilized profile.
+and must repeat within |sub(A)| steps, after which they are constant.  Worlds
+1..H are evaluated as one finite model by ``kripke.truth_mask``, on successor
+masks read off ``ExtendedModel.leq`` and ``sqsubset``, the one definition of
+the tail's shape; world 0 is evaluated by dedicated clauses against the
+stabilized profile.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formula import And, Atom, Bottom, Formula, Imp, Or, render, size, subsentences
-from .kripke import KripkeModel, check_frame, forces
+from .formula import (And, Atom, Bottom, Formula, Imp, Or, atoms, render, size,
+                      subsentences)
+from .kripke import KripkeModel, truth_mask
 
 __all__ = ["ExtendedModel", "TruthSet", "extend_model", "truth_set", "tail_profiles"]
 
@@ -83,14 +87,13 @@ def extend_model(core: KripkeModel) -> ExtendedModel:
     The core must be finite, irreflexive, realistic (a poset with the model
     property comes with KripkeModel) and possess a ⪯-least element.
     """
-    rep = check_frame(core.frame)
+    rep = core.report
     if not rep.irreflexive:
         raise ValueError("core not irreflexive")
     if not rep.realistic:
         raise ValueError("core not realistic")
-    worlds = sorted(core.frame.worlds)
-    least = [w for w in worlds
-             if all((w, v) in core.frame.leq for v in worlds)]
+    worlds = core.order
+    least = [w for w, up in zip(worlds, core.leq_succ) if up == core.full]
     if not least:
         raise ValueError("core has no least element under the intuitionistic order")
     root = least[0]
@@ -110,80 +113,60 @@ def _horizon(m: ExtendedModel, a: Formula) -> int:
     return m.r + len(subsentences(a)) + 1
 
 
-def _truth_table(m: ExtendedModel, a: Formula) -> dict[Formula, list[bool]]:
-    """Truth of every subformula at worlds 1..H (index = world), then world 0.
+def _truth_table(m: ExtendedModel, a: Formula) -> dict[Formula, int]:
+    """Truth mask of every subformula over worlds 0..H: bit i is world i.
 
-    Core worlds keep their core forcing (their successor sets do not change
-    under the extension); tail worlds are evaluated in increasing order, and
-    world 0 last, by its dedicated clauses.
+    Worlds 1..H are one finite model: the ⪯- and ⊏-successors of each are
+    again among them, so their forcing there is their forcing in the
+    extension.  Its successor and atom masks come from ``m.leq``,
+    ``m.sqsubset`` and ``m.holds_atom``, and one ``truth_mask`` pass with
+    world 0 left out evaluates it.  World 0 comes last, by its dedicated
+    clauses against the stabilized profile at H.
     """
-    r, H = m.r, _horizon(m, a)
+    H = _horizon(m, a)
+    worlds = range(H + 1)
+    leq_succ = [sum(1 << j for j in worlds if m.leq(i, j)) for i in worlds]
+    r_succ = [sum(1 << j for j in worlds if m.sqsubset(i, j)) for i in worlds]
+    val = {p: sum(1 << i for i in worlds if m.holds_atom(p, i)) for p in atoms(a)}
+    positive = (1 << (H + 1)) - 2
     subs = sorted(subsentences(a), key=lambda f: (size(f), render(f)))
-    truth: dict[Formula, list[bool]] = {f: [False] * (H + 1) for f in subs}
+    cache: dict[Formula, int] = {}
+    truth = {f: truth_mask(f, leq_succ, r_succ, val, positive, cache) for f in subs}
 
-    for f in subs:
-        for i in range(1, r + 1):
-            truth[f][i] = forces(m.core, i, f)
-
-    for i in range(r + 1, H + 1):
-        for f in subs:
-            row = truth[f]
-            if isinstance(f, Atom):
-                row[i] = False
-            elif isinstance(f, Bottom):
-                row[i] = False
-            elif isinstance(f, And):
-                row[i] = truth[f.left][i] and truth[f.right][i]
-            elif isinstance(f, Or):
-                row[i] = truth[f.left][i] or truth[f.right][i]
-            elif isinstance(f, Imp):
-                lrow, rrow = truth[f.left], truth[f.right]
-                row[i] = all(rrow[j] or not lrow[j] for j in range(1, i + 1))
-            else:
-                irow = truth[f.inner]
-                row[i] = all(irow[j] for j in range(1, i))
-
-    stable = {f for f in subs if truth[f][H]}
-    if stable != {f for f in subs if truth[f][H - 1]}:
+    last, before = 1 << H, 1 << (H - 1)
+    if any(bool(t & last) != bool(t & before) for t in truth.values()):
         raise AssertionError("tail profiles failed to stabilize within the horizon")
 
-    zero: dict[Formula, bool] = {}
-    for f in subs:
+    core = (1 << (m.r + 1)) - 2
+    for f in subs:                      # subformulas first, so their bit 0 is set
         if isinstance(f, (Atom, Bottom)):
-            zero[f] = False
+            zero = False
         elif isinstance(f, And):
-            zero[f] = zero[f.left] and zero[f.right]
+            zero = truth[f.left] & truth[f.right] & 1
         elif isinstance(f, Or):
-            zero[f] = zero[f.left] or zero[f.right]
-        elif isinstance(f, Imp):
-            pointwise = all(truth[f.right][j] or not truth[f.left][j]
-                            for j in range(1, H + 1))
-            zero[f] = pointwise and (zero[f.right] or not zero[f.left])
+            zero = (truth[f.left] | truth[f.right]) & 1
+        elif isinstance(f, Imp):        # pointwise on 1..H and at 0 itself
+            zero = truth[f.left] & ~truth[f.right] == 0
         else:
-            zero[f] = (f.inner in stable
-                       and all(truth[f.inner][j] for j in range(1, m.r + 1)))
-    for f in subs:
-        truth[f][0] = zero[f]
+            zero = bool(truth[f.inner] & last) and truth[f.inner] & core == core
+        truth[f] |= zero
     return truth
 
 
 def truth_set(m: ExtendedModel, a: Formula) -> TruthSet:
     """The exact truth set of a in the infinite extended model."""
     H = _horizon(m, a)
-    truth = _truth_table(m, a)
-    row = truth[a]
-    if row[0]:
-        assert all(row[i] for i in range(1, H + 1)), \
+    row = _truth_table(m, a)[a]
+    if row & 1:
+        assert row == (1 << (H + 1)) - 1, \
             "world 0 forced the formula but a positive world refutes it"
         return TruthSet.every()
-    assert not row[H], "formula stabilized true on the tail but fails at world 0"
-    return TruthSet.finite(i for i in range(1, H + 1) if row[i])
+    assert not row >> H & 1, "formula stabilized true on the tail but fails at world 0"
+    return TruthSet.finite(i for i in range(1, H + 1) if row >> i & 1)
 
 
 def tail_profiles(m: ExtendedModel, a: Formula) -> list[frozenset[Formula]]:
     """Subformula profiles forced at the tail worlds r+1 … H, in order."""
     truth = _truth_table(m, a)
-    H = _horizon(m, a)
-    subs = subsentences(a)
-    return [frozenset(f for f in subs if truth[f][i])
-            for i in range(m.r + 1, H + 1)]
+    return [frozenset(f for f, t in truth.items() if t >> i & 1)
+            for i in range(m.r + 1, _horizon(m, a) + 1)]

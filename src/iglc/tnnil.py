@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .formula import (And, Atom, Bottom, Box, Formula, Imp, Or,
                       atoms, boxdepth, modal_decompose, render, substitute)
-from .nnil import DEFAULT_CLASS_BUDGET, DEFAULT_MAX_ATOMS, AlphabetTooLarge, nnil_star
+from .nnil import DEFAULT_MAX_ATOMS, AlphabetTooLarge, nnil_star
 
 __all__ = ["is_tnnil", "tnnil_plus"]
 
@@ -37,8 +37,7 @@ def is_tnnil(a: Formula) -> bool:
             and is_tnnil(a.left) and is_tnnil(a.right))
 
 
-def tnnil_plus(a: Formula, max_atoms: int = DEFAULT_MAX_ATOMS,
-               budget: int = DEFAULT_CLASS_BUDGET) -> Formula:
+def tnnil_plus(a: Formula) -> Formula:
     """Apply the star to every modal level; the output is TNNIL.
 
     The skeleton alphabet (atoms plus one placeholder per distinct boxed part)
@@ -47,18 +46,18 @@ def tnnil_plus(a: Formula, max_atoms: int = DEFAULT_MAX_ATOMS,
     for name in atoms(a):
         if name.startswith("_"):
             raise ValueError(f"atom name {name!r} collides with placeholder names")
-    return _plus(a, max_atoms, budget)
+    return _plus(a)
 
 
-def _plus(a: Formula, max_atoms: int, budget: int) -> Formula:
+def _plus(a: Formula) -> Formula:
     dec = modal_decompose(a)
     alphabet = atoms(dec.skeleton)
-    if len(alphabet) > max_atoms:
+    if len(alphabet) > DEFAULT_MAX_ATOMS:
         raise AlphabetTooLarge(
             f"skeleton alphabet {sorted(alphabet)} of {render(a)} exceeds the cap "
-            f"of {max_atoms}")
-    starred = nnil_star(dec.skeleton, max_atoms=max_atoms, budget=budget)
-    mapping = {q: Box(_plus(b, max_atoms, budget))
+            f"of {DEFAULT_MAX_ATOMS}")
+    starred = nnil_star(dec.skeleton)
+    mapping = {q: Box(_plus(b))
                for q, b in zip(dec.placeholders, dec.boxed_parts)}
     out = substitute(starred, mapping)
     assert boxdepth(out) <= boxdepth(a)

@@ -140,6 +140,21 @@ def test_frame_report(tmp_path, capsys):
     assert report["realistic"] is False
 
 
+def test_frame_report_unknown_world_exit_4(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text('{"worlds": [1], "leq": [[1, 2]], "r": []}')
+    code, out, err = run_captured(capsys, ["frame", "report", str(path)])
+    assert code == 4 and not out
+    assert "unknown world" in err and "Traceback" not in err
+
+
+def test_prove_ipc_negation_tower_is_fast(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_captured(capsys, ["prove", "--logic", "ipc", "~" * 100 + "p"])
+    assert time.perf_counter() - start < 0.5
+    assert code == 1 and out.startswith("INVALID")
+
+
 def test_solovay_truthset(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text('{"worlds": [1], "leq": [], "r": [], "val": {"p": [1]}}')

@@ -1,5 +1,6 @@
-"""No dead code in src/iglc: every import is used in its module, and every
-top-level private name is referenced outside its own definition."""
+"""No dead code in src/iglc: every import is used in its module, every
+top-level private name is referenced outside its own definition, and every
+``__all__`` entry is bound in its module."""
 
 import ast
 from pathlib import Path
@@ -66,3 +67,21 @@ def test_no_unreferenced_private_top_level_names():
             if not any(name in used for j, used in enumerate(used_by) if j != i):
                 dead.append(f"{filename}:{stmt.lineno} {name}")
     assert not dead, dead
+
+
+def test_every_all_entry_is_bound():
+    missing = []
+    exported = 0
+    for filename, tree in modules().items():
+        bound, names = set(), []
+        for stmt in tree.body:
+            bound.update(bound_names(stmt))
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                bound.update(alias.asname or alias.name.split(".")[0]
+                             for alias in stmt.names)
+            if "__all__" in bound_names(stmt):
+                names = ast.literal_eval(stmt.value)
+        exported += len(names)
+        missing += [f"{filename} {name}" for name in names if name not in bound]
+    assert exported > 50
+    assert not missing, missing

@@ -179,3 +179,21 @@ def test_countermodel_above_the_classical_atom_cap():
     v = decide_ipc((), f)
     assert isinstance(v, IpcInvalid)
     assert not forces(v.countermodel, v.world, f)
+
+
+def test_glivenko_bottom_goals_match_plain_search(monkeypatch):
+    # Γ ⊢ ⊥ answered by truth tables must agree with G4ip alone, which is what
+    # the search does once the classical atom cap admits no alphabet at all
+    rng = random.Random(1804)
+    cases = []
+    for _ in range(300):
+        ctx, goal = random_sequent(rng, ("p", "q", "r"), 9)
+        cases += [(ctx, goal), (ctx, Neg(goal)), (ctx | {goal}, BOT)]
+    ipc.clear_caches()
+    with_tables = [ipc_provable(ctx, goal) for ctx, goal in cases]
+    monkeypatch.setattr(ipc, "_CLASSICAL_ATOM_CAP", -1)
+    ipc.clear_caches()
+    assert [ipc_provable(ctx, goal) for ctx, goal in cases] == with_tables
+    ipc.clear_caches()
+    bottom = [v for (_, goal), v in zip(cases, with_tables) if goal is BOT]
+    assert 20 < sum(bottom) < len(bottom) - 20

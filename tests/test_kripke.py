@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from iglc.formula import Atom, Box, TOP, parse
+from iglc.formula import Atom, Box, TOP, atoms, parse
 from iglc.kripke import (Frame, KripkeModel, ModelError, check_frame, forces,
                          model_from_json, model_to_dot, model_to_json,
-                         valid_on_frame, valid_on_model)
+                         successor_masks, upward_closed_sets, valid_on_frame,
+                         valid_on_model)
 from conftest import (enumerate_iml_frames, random_formula,
                       random_realistic_model)
 
@@ -191,3 +192,58 @@ def test_dot_export():
     assert "w1 -> w2;" in dot            # modal edge, solid
     assert "w1 -> w2 [style=dashed];" in dot
     assert '"2: p"' in dot
+
+
+def test_model_keeps_its_report_and_masks():
+    rng = random.Random(31)
+    for _ in range(200):
+        m = random_realistic_model(rng, 5, ("p", "q"))
+        order = sorted(m.frame.worlds)
+        index = {w: i for i, w in enumerate(order)}
+        assert m.report == check_frame(m.frame)
+        assert (m.order, m.index) == (order, index)
+        assert m.leq_succ == successor_masks(index, m.frame.leq)
+        assert m.r_succ == successor_masks(index, m.frame.r)
+        assert m.val == {p: sum(1 << index[w] for w in ws) for p, ws in m.valuation.items()}
+        assert m.full == (1 << len(order)) - 1
+
+
+def test_check_frame_rejects_unknown_worlds():
+    with pytest.raises(ModelError, match="unknown world"):
+        check_frame(Frame.make([1], [(1, 2)], []))
+    with pytest.raises(ModelError, match="unknown world"):
+        check_frame(Frame.make([1], [(1, 1)], [(3, 1)]))
+
+
+def reference_valid_on_frame(frame, f):
+    """One validated KripkeModel per monotone valuation of f's atoms."""
+    names = sorted(atoms(f))
+    ups = upward_closed_sets(frame.worlds, frame.leq)
+    assignment = {}
+
+    def go(i):
+        if i == len(names):
+            return valid_on_model(KripkeModel(frame, dict(assignment)), f)
+        for up in ups:
+            assignment[names[i]] = up
+            if not go(i + 1):
+                return False
+        return True
+
+    return go(0)
+
+
+def test_valid_on_frame_matches_the_reference():
+    rng = random.Random(26)
+    formulas = [LOB, CP] + [random_formula(rng, ("p", "q"), rng.randint(1, 8))
+                            for _ in range(10)]
+    frames = [Frame.make(range(1, n + 1), leq, r)
+              for n in (1, 2) for leq, r in enumerate_iml_frames(n)]
+    frames += [_random_iml_frame(rng, 4) for _ in range(120)]
+    valid = 0
+    for frame in frames:
+        for f in formulas:
+            verdict = valid_on_frame(frame, f)
+            assert verdict == reference_valid_on_frame(frame, f), (frame, f)
+            valid += verdict
+    assert 0 < valid < len(frames) * len(formulas)

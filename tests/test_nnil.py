@@ -7,7 +7,7 @@ from iglc import nnil
 from iglc.formula import And, Atom, Box, Imp, Or, BOT, TOP, Neg, parse, render
 from iglc.ipc import ipc_equiv, ipc_provable
 from iglc.kripke import forces, model_from_masks
-from iglc.nnil import (AlphabetTooLarge, ClassBudgetExceeded, enumerate_nnil_classes,
+from iglc.nnil import (AlphabetTooLarge, enumerate_nnil_classes,
                        is_nnil, nnil_star)
 from iglc.tnnil import tnnil_plus
 from conftest import ModelTable, random_formula
@@ -91,11 +91,6 @@ def test_alphabet_cap():
         nnil_star(parse("p & q & r & s"))
 
 
-def test_three_atom_alphabet_blows_the_class_budget():
-    with pytest.raises(ClassBudgetExceeded):
-        enumerate_nnil_classes(["p", "q", "r"], budget=1000, max_atoms=3)
-
-
 def test_three_names_exceed_the_default_cap():
     with pytest.raises(AlphabetTooLarge):
         nnil_star(parse("p -> (q | r)"))
@@ -112,7 +107,7 @@ def test_two_atom_representatives_pinned():
 
 
 def test_class_order_confirms_exactly_the_equivalent_meets_and_joins():
-    tbl = nnil._canonical_table(2, nnil.DEFAULT_CLASS_BUDGET)
+    tbl = nnil._canonical_table(2)
     reps = tbl.reps
     rng = random.Random(27)
     pairs = [(rng.randrange(len(reps)), rng.randrange(len(reps))) for _ in range(40)]
@@ -128,7 +123,7 @@ def test_class_order_confirms_exactly_the_equivalent_meets_and_joins():
 
 
 def test_union_fingerprint_is_forcing_on_the_union_model():
-    tbl = nnil._canonical_table(2, nnil.DEFAULT_CLASS_BUDGET)
+    tbl = nnil._canonical_table(2)
     fam = tbl.family
     model = model_from_masks(fam.succ, fam.r_succ, fam.val, fam.full)
     oracle = ModelTable([model])

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from iglc.formula import And, Atom, Or, TOP, parse, subsentences
-from iglc.kripke import KripkeModel
+from iglc.formula import (And, Atom, Bottom, Imp, Or, TOP, parse, render, size,
+                          subsentences)
+from iglc.kripke import KripkeModel, forces
 from iglc.solovay import ExtendedModel, TruthSet, extend_model, tail_profiles, truth_set
 from conftest import random_formula, random_realistic_model
 
@@ -141,3 +142,78 @@ def test_set_level_homomorphism():
         for i in probe:
             assert (i in tand) == ((i in tb) and (i in tc))
             assert (i in tor) == ((i in tb) or (i in tc))
+
+
+# ---------------------------------------------------------------------------
+# The mask evaluation against the list-of-booleans table it replaced: core
+# worlds by forces, tail worlds by explicit loops over the tail's successors,
+# world 0 by its own clauses.
+
+def reference_truth_table(m, a):
+    r, H = m.r, m.r + len(subsentences(a)) + 1
+    subs = sorted(subsentences(a), key=lambda f: (size(f), render(f)))
+    truth = {f: [False] * (H + 1) for f in subs}
+    for f in subs:
+        for i in range(1, r + 1):
+            truth[f][i] = forces(m.core, i, f)
+    for i in range(r + 1, H + 1):
+        for f in subs:
+            row = truth[f]
+            if isinstance(f, (Atom, Bottom)):
+                row[i] = False
+            elif isinstance(f, And):
+                row[i] = truth[f.left][i] and truth[f.right][i]
+            elif isinstance(f, Or):
+                row[i] = truth[f.left][i] or truth[f.right][i]
+            elif isinstance(f, Imp):
+                lrow, rrow = truth[f.left], truth[f.right]
+                row[i] = all(rrow[j] or not lrow[j] for j in range(1, i + 1))
+            else:
+                irow = truth[f.inner]
+                row[i] = all(irow[j] for j in range(1, i))
+    stable = {f for f in subs if truth[f][H]}
+    assert stable == {f for f in subs if truth[f][H - 1]}
+    zero = {}
+    for f in subs:
+        if isinstance(f, (Atom, Bottom)):
+            zero[f] = False
+        elif isinstance(f, And):
+            zero[f] = zero[f.left] and zero[f.right]
+        elif isinstance(f, Or):
+            zero[f] = zero[f.left] or zero[f.right]
+        elif isinstance(f, Imp):
+            pointwise = all(truth[f.right][j] or not truth[f.left][j]
+                            for j in range(1, H + 1))
+            zero[f] = pointwise and (zero[f.right] or not zero[f.left])
+        else:
+            zero[f] = (f.inner in stable
+                       and all(truth[f.inner][j] for j in range(1, m.r + 1)))
+    for f in subs:
+        truth[f][0] = zero[f]
+    return truth
+
+
+def reference_truth_set(m, a):
+    row = reference_truth_table(m, a)[a]
+    if row[0]:
+        return TruthSet.every()
+    return TruthSet.finite(i for i in range(1, len(row)) if row[i])
+
+
+def reference_tail_profiles(m, a):
+    truth = reference_truth_table(m, a)
+    return [frozenset(f for f in truth if truth[f][i])
+            for i in range(m.r + 1, m.r + len(subsentences(a)) + 2)]
+
+
+def test_truth_sets_and_profiles_match_the_reference_table():
+    rng = random.Random(2018)
+    every = 0
+    for _ in range(250):
+        m = random_rooted_core(rng, 5, ("p", "q", "r"))
+        f = random_formula(rng, ("p", "q", "r"), rng.randint(1, 12))
+        ts = truth_set(m, f)
+        assert ts == reference_truth_set(m, f), render(f)
+        assert tail_profiles(m, f) == reference_tail_profiles(m, f), render(f)
+        every += ts.all_worlds
+    assert 20 < every < 230
