@@ -1,45 +1,49 @@
 """Decision procedure for intuitionistic propositional logic with countermodels.
 
-Provability is decided by terminating contraction-free backward sequent search
-(the G4ip rule set), memoized on saturated sequents.  A sound refutation
-shortcut runs first: a classical truth-table scan (classical refutability
-implies intuitionistic refutability).  A search goal ⊥ is answered exactly by
-the same truth tables: by Glivenko's theorem Γ ⊢ ⊥ holds in IPC iff it holds
-classically, that is iff Γ is unsatisfiable.  Countermodels come from a
-separate saturation construction: worlds are deductively saturated subsets of
-the subformula closure, built on demand from the failure points of the query,
-ordered by inclusion, and shrunk greedily on successor bitmasks
-(``kripke.shrink``) before one validated model is built.  The saturation
-screens each of its derivability tests with the same truth tables before it
-searches: a test whose premises hold under some assignment that falsifies its
-conclusion is not derivable classically, so not in IPC either (IPC ⊆ classical
-logic), and only the tests that survive the screen reach G4ip.
+Provability is decided by Dyckhoff's contraction-free backward sequent search
+(G4ip, JSL 1992) on sequents (context bitmask, goal index).  A
+``SequentTable`` indexes formulas on demand and holds the memo, so the memo
+lives as long as one search scope: a ``decide_ipc`` call, a bare
+``ipc_provable`` call or an NNIL class-table build.  Per index it keeps, as a
+mask, what the context-free invertible rules (∧L, ⊥→, ⊤→, A→A, (C∧D)→B,
+(C∨D)→B) make of the formula, so saturation is a mask union plus L0→ passes.
+Choices run in index order, so the search does not depend on hashes.  Per-index
+classical truth-table vectors (up to ``_CLASSICAL_ATOM_CAP`` atoms) give a
+sound refutation filter at the root and answer a goal ⊥ exactly: by Glivenko's
+theorem Γ ⊢ ⊥ holds in IPC iff Γ is classically unsatisfiable.
+
+Countermodels come from a separate saturation construction: worlds are
+deductively saturated subsets of the subformula closure, built on demand from
+the failure points of the query, ordered by inclusion, and shrunk greedily on
+successor bitmasks (``kripke.shrink``) before one validated model is built.
+The saturation screens each of its derivability tests with the same truth
+tables before it searches: a test whose premises hold under some assignment
+that falsifies its conclusion is not derivable classically, so not in IPC
+either (IPC ⊆ classical logic), and only the tests that survive the screen
+reach G4ip.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .formula import (And, Atom, Bottom, Formula, Imp, Or, BOT, TOP,
-                      atoms, is_box_free, render, size, subsentences)
+from .formula import (And, Atom, Bottom, Formula, Imp, Or, TOP,
+                      render, size, subsentences)
 from .kripke import KripkeModel, forces, model_from_masks, shrink
 
-__all__ = ["IpcValid", "IpcInvalid", "IpcVerdict", "decide_ipc", "ipc_provable",
-           "ipc_equiv", "clear_caches"]
+__all__ = ["IpcValid", "IpcInvalid", "IpcVerdict", "SequentTable", "decide_ipc",
+           "ipc_provable", "ipc_equiv", "clear_caches"]
 
 if sys.getrecursionlimit() < 20000:
     sys.setrecursionlimit(20000)
 
 _CLASSICAL_ATOM_CAP = 10
 
-_memo: dict[tuple[frozenset[Formula], Formula], bool] = {}
 _equiv_memo: dict[tuple[Formula, Formula], bool] = {}
 
 
 def clear_caches() -> None:
-    _memo.clear()
     _equiv_memo.clear()
 
 
@@ -57,39 +61,8 @@ class IpcInvalid:
 IpcVerdict = IpcValid | IpcInvalid
 
 
-def _require_box_free(fs) -> None:
-    for f in fs:
-        if not is_box_free(f):
-            raise ValueError(f"boxed formula not allowed here: {render(f)}")
-
-
-# ---------------------------------------------------------------------------
-# Classical truth-table refutation (sound filter: IPC ⊆ classical logic).
-# Each formula is evaluated once as a 2^k-bit vector over all assignments.
-
-@lru_cache(maxsize=None)
-def _classical_vector(f: Formula, names: tuple[str, ...]) -> int:
-    if isinstance(f, Atom):
-        i = names.index(f.name)
-        block = (1 << (1 << i)) - 1
-        pattern = 0
-        for hi in range(1 << (len(names) - i - 1)):
-            pattern |= block << ((2 * hi + 1) << i)
-        return pattern
-    if isinstance(f, Bottom):
-        return 0
-    full = (1 << (1 << len(names))) - 1
-    if isinstance(f, And):
-        return _classical_vector(f.left, names) & _classical_vector(f.right, names)
-    if isinstance(f, Or):
-        return _classical_vector(f.left, names) | _classical_vector(f.right, names)
-    return (~_classical_vector(f.left, names) | _classical_vector(f.right, names)) & full
-
-
-def _classical_names(fs) -> tuple[str, ...] | None:
-    """The sorted atoms of fs, or None above the truth-table cap."""
-    names = sorted(set().union(*(atoms(f) for f in fs)))
-    return tuple(names) if len(names) <= _CLASSICAL_ATOM_CAP else None
+def _order(f: Formula) -> tuple[int, str]:
+    return size(f), render(f)
 
 
 def _refutes(premises: int, goal: int) -> bool:
@@ -97,116 +70,235 @@ def _refutes(premises: int, goal: int) -> bool:
     return bool(premises & ~goal)
 
 
-def _classically_refuted(ctx, goal: Formula) -> bool | None:
-    """Some assignment satisfies ctx but not goal; None above the atom cap."""
-    names = _classical_names((goal, *ctx))
-    if names is None:
-        return None
-    premises = _classical_vector(TOP, names)
-    for f in ctx:
-        premises &= _classical_vector(f, names)
-    return _refutes(premises, _classical_vector(goal, names))
-
-
 # ---------------------------------------------------------------------------
-# G4ip backward proof search.
+# The sequent table and G4ip backward proof search.
 
-def _saturate_context(work: set[Formula], goal: Formula):
-    """Apply non-branching invertible rules to a fixpoint.
+_ATOM, _BOT, _AND, _OR, _IMP = range(5)
+_KINDS = {Atom: _ATOM, Bottom: _BOT, And: _AND, Or: _OR, Imp: _IMP}
 
-    Returns (work, goal, proved) where proved=True short-circuits the search.
+
+class _BoxFound(Exception):
+    pass
+
+
+class SequentTable:
+    """The formulas of one search scope by index, their rule masks, and the
+    memo of its saturated sequents.
+
+    ``closure[i]`` is the context that formula i alone saturates to under the
+    context-free invertible rules, computed when the formula first enters a
+    context (most goals never do); a context is always a union of such masks.
+    ``aux[i]`` is the index of D→B for (C→D)→B, the left premise's new
+    assumption in L→→.
     """
-    while True:
-        if BOT in work or goal in work:
-            return work, goal, True
-        if isinstance(goal, Imp):
-            work.add(goal.left)
-            goal = goal.right
-            continue
-        changed = False
-        for f in list(work):
-            if isinstance(f, And):
-                work.discard(f)
-                work.add(f.left)
-                work.add(f.right)
-                changed = True
-            elif isinstance(f, Imp):
-                l = f.left
-                if isinstance(l, Bottom):
-                    work.discard(f)          # ⊥→B carries no information
-                    changed = True
-                elif l == TOP or l == f.right:
-                    work.discard(f)
-                    if l != f.right:
-                        work.add(f.right)    # ⊤→B reduces to B
-                    changed = True
-                elif isinstance(l, Atom):
-                    if l in work:            # L0→: p, p→B ⇒ keep p, get B
-                        work.discard(f)
-                        work.add(f.right)
-                        changed = True
-                elif isinstance(l, And):
-                    work.discard(f)          # (C∧D)→B ⇒ C→(D→B)
-                    work.add(Imp(l.left, Imp(l.right, f.right)))
-                    changed = True
-                elif isinstance(l, Or):
-                    work.discard(f)          # (C∨D)→B ⇒ C→B, D→B
-                    work.add(Imp(l.left, f.right))
-                    work.add(Imp(l.right, f.right))
-                    changed = True
-        if not changed:
-            return work, goal, False
 
+    def __init__(self):
+        self.formulas: list[Formula] = []
+        self.index: dict[Formula, int] = {}
+        self.kind: list[int] = []
+        self.left: list[int] = []               # child indices, -1 for atoms and ⊥
+        self.right: list[int] = []
+        self.closure: list[int | None] = []
+        self.aux: list[int] = []
+        self.bottom = 0                         # the bit of ⊥ once indexed
+        self.ors = 0                            # the bits of ∨-formulas in contexts
+        self.atom_imps = 0                      # p→B
+        self.imp_imps = 0                       # (C→D)→B
+        self.names: list[str] = []              # the atoms in index order
+        self.vectors: list[int | None] = []     # classical vectors, lazily
+        self.memo: dict[tuple[int, int], bool] = {}
 
-def _search(ctx: frozenset[Formula], goal: Formula) -> bool:
-    work, goal, proved = _saturate_context(set(ctx), goal)
-    if proved:
-        return True
-    if isinstance(goal, Bottom):    # Glivenko: Γ ⊢_IPC ⊥ iff Γ ⊢_CPC ⊥
-        refuted = _classically_refuted(work, goal)
-        if refuted is not None:
-            return not refuted
-    key = (frozenset(work), goal)
-    hit = _memo.get(key)
-    if hit is not None:
-        return hit
-    _memo[key] = False  # cycle guard; G4ip terminates, this is belt and braces
-    result = _decide_saturated(key[0], goal)
-    _memo[key] = result
-    return result
+    # -- indexing -------------------------------------------------------------
 
+    def add(self, f: Formula) -> int:
+        i = self.index.get(f)
+        if i is not None:
+            return i
+        kind = _KINDS.get(type(f))
+        if kind is None:                        # a box: not IPC input
+            raise _BoxFound
+        left = right = -1
+        if kind >= _AND:
+            left, right = self.add(f.left), self.add(f.right)
+        i = len(self.formulas)
+        self.formulas.append(f)
+        self.index[f] = i
+        self.kind.append(kind)
+        self.left.append(left)
+        self.right.append(right)
+        self.closure.append(None)
+        self.aux.append(-1)
+        self.vectors.append(None)
+        if kind == _ATOM:                       # a new atom changes every vector's width
+            self.names.append(f.name)
+            self.vectors = [None] * len(self.formulas)
+        elif kind == _BOT:
+            self.bottom = 1 << i
+        return i
 
-def _decide_saturated(ctx: frozenset[Formula], goal: Formula) -> bool:
-    # Goal is an atom, ⊥, ∧ or ∨ here; context has no ∧ and no reducible →.
-    if isinstance(goal, And):
-        return _search(ctx, goal.left) and _search(ctx, goal.right)
-    for f in ctx:
-        if isinstance(f, Or):  # L∨ is invertible: split on the first disjunction
-            rest = ctx - {f}
-            return (_search(rest | {f.left}, goal)
-                    and _search(rest | {f.right}, goal))
-    # Choice points: R∨ halves and L→→ for each nested implication.
-    if isinstance(goal, Or):
-        if _search(ctx, goal.left) or _search(ctx, goal.right):
-            return True
-    for f in ctx:
-        if isinstance(f, Imp) and isinstance(f.left, Imp):
-            c, d = f.left.left, f.left.right
-            rest = ctx - {f}
-            if (_search(rest | {Imp(d, f.right)}, f.left)
-                    and _search(rest | {f.right}, goal)):
+    def close(self, i: int) -> int:
+        """``closure[i]``, computed on first use."""
+        c = self.closure[i]
+        if c is not None:
+            return c
+        kind, left, right = self.kind[i], self.left[i], self.right[i]
+        c = bit = 1 << i
+        if kind == _AND:
+            c = self.close(left) | self.close(right)
+        elif kind == _OR:
+            self.ors |= bit
+        elif kind == _IMP:
+            a, b = self.formulas[i].left, self.formulas[i].right
+            lk = self.kind[left]
+            if lk == _BOT:                      # ⊥→B carries no information
+                c = 0
+            elif a is TOP or left == right:     # ⊤→B reduces to B; A→A is dropped
+                c = 0 if left == right else self.close(right)
+            elif lk == _ATOM:
+                self.atom_imps |= bit
+            elif lk == _AND:                    # (C∧D)→B ⇒ C→(D→B)
+                c = self.close(self.add(Imp(a.left, Imp(a.right, b))))
+            elif lk == _OR:                     # (C∨D)→B ⇒ C→B, D→B
+                c = self.close(self.add(Imp(a.left, b))) | self.close(self.add(Imp(a.right, b)))
+            else:
+                self.imp_imps |= bit
+                self.aux[i] = self.add(Imp(a.right, b))
+        self.closure[i] = c
+        return c
+
+    def add_input(self, f: Formula) -> int:
+        try:
+            return self.add(f)
+        except _BoxFound:
+            raise ValueError(f"boxed formula not allowed here: {render(f)}") from None
+
+    def context(self, fs) -> int:
+        """The context mask of a set of formulas.  New ones are indexed in
+        (size, rendering) order, so that no index depends on set order."""
+        work = 0
+        new = []
+        for f in fs:
+            i = self.index.get(f)
+            if i is None:
+                new.append(f)
+            else:
+                work |= self.close(i)
+        for f in sorted(new, key=_order):
+            work |= self.close(self.add_input(f))
+        return work
+
+    # -- classical truth tables ----------------------------------------------
+
+    def classical(self) -> bool:
+        return len(self.names) <= _CLASSICAL_ATOM_CAP
+
+    def full(self) -> int:
+        return (1 << (1 << len(self.names))) - 1
+
+    def vector(self, i: int) -> int:
+        """Formula i's truth value under each assignment to the table's atoms."""
+        v = self.vectors[i]
+        if v is None:
+            kind = self.kind[i]
+            if kind == _ATOM:
+                n, p = len(self.names), self.names.index(self.formulas[i].name)
+                block = (1 << (1 << p)) - 1
+                v = 0
+                for hi in range(1 << (n - p - 1)):
+                    v |= block << ((2 * hi + 1) << p)
+            elif kind == _BOT:
+                v = 0
+            elif kind == _AND:
+                v = self.vector(self.left[i]) & self.vector(self.right[i])
+            elif kind == _OR:
+                v = self.vector(self.left[i]) | self.vector(self.right[i])
+            else:
+                v = (~self.vector(self.left[i]) | self.vector(self.right[i])) & self.full()
+            self.vectors[i] = v
+        return v
+
+    def premises(self, work: int) -> int:
+        """The assignments that make every formula of the context true."""
+        v = self.full()
+        while work and v:
+            low = work & -work
+            work ^= low
+            v &= self.vector(low.bit_length() - 1)
+        return v
+
+    # -- search ---------------------------------------------------------------
+
+    def provable(self, work: int, goal: int) -> bool:
+        """Decide the sequent (work ⊢ goal) by G4ip."""
+        kind, left, right, close = self.kind, self.left, self.right, self.close
+        while True:
+            if work & self.bottom or work >> goal & 1:
                 return True
-    return False
+            if kind[goal] == _IMP:              # R→
+                work |= close(left[goal])
+                goal = right[goal]
+                continue
+            fired = False
+            m = work & self.atom_imps           # L0→: p, p→B ⇒ p, B
+            while m:
+                low = m & -m
+                m ^= low
+                i = low.bit_length() - 1
+                if work >> left[i] & 1:
+                    work = work ^ low | close(right[i])
+                    fired = True
+            if not fired:
+                break
+        if kind[goal] == _BOT and self.classical():
+            return not self.premises(work)      # Glivenko: Γ ⊢_IPC ⊥ iff Γ ⊢_CPC ⊥
+        key = (work, goal)
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit
+        self.memo[key] = False  # cycle guard; G4ip terminates, this is belt and braces
+        # The goal is an atom, ⊥, ∧ or ∨ here; the context holds atoms, ∨,
+        # p→B with p absent and (C→D)→B.
+        provable = self.provable
+        if kind[goal] == _AND:
+            result = provable(work, left[goal]) and provable(work, right[goal])
+        elif m := work & self.ors:              # L∨ is invertible: split on the first
+            low = m & -m
+            i = low.bit_length() - 1
+            rest = work ^ low
+            result = (provable(rest | close(left[i]), goal)
+                      and provable(rest | close(right[i]), goal))
+        else:
+            result = kind[goal] == _OR and (provable(work, left[goal])
+                                            or provable(work, right[goal]))
+            m = work & self.imp_imps            # L→→ on each (C→D)→B
+            while m and not result:
+                low = m & -m
+                m ^= low
+                i = low.bit_length() - 1
+                rest = work ^ low
+                result = (provable(rest | close(self.aux[i]), left[i])
+                          and provable(rest | close(right[i]), goal))
+        self.memo[key] = result
+        return result
+
+    def derives(self, premises, goal: Formula) -> bool:
+        """premises ⊢ goal by search alone, for indexed box-free formulas."""
+        return self.provable(self.context(premises), self.add_input(goal))
 
 
-def ipc_provable(context, goal: Formula) -> bool:
-    """Decide Γ ⊢_IPC goal for box-free inputs."""
-    ctx = frozenset(context)
-    _require_box_free(ctx)
-    _require_box_free((goal,))
-    if _classically_refuted(ctx, goal):
+def ipc_provable(context, goal: Formula, table: SequentTable | None = None) -> bool:
+    """Decide Γ ⊢_IPC goal for box-free inputs.
+
+    The search memo lives in ``table``: a fresh one unless a caller shares
+    one across a scope of related queries.
+    """
+    if table is None:
+        table = SequentTable()
+    work = table.context(context)
+    g = table.add_input(goal)
+    if table.classical() and _refutes(table.premises(work), table.vector(g)):
         return False
-    return _search(ctx, goal)
+    return table.provable(work, g)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +310,7 @@ def ipc_provable(context, goal: Formula) -> bool:
 # recursively; the intuitionistic order is set inclusion.
 
 def _enumeration(X) -> list[Formula]:
-    return sorted(X, key=lambda f: (size(f), render(f)))
+    return sorted(X, key=_order)
 
 
 def _saturate_set(base: frozenset[Formula], avoid: Formula, enum: list[Formula],
@@ -264,24 +356,30 @@ def _saturate_set(base: frozenset[Formula], avoid: Formula, enum: list[Formula],
     return frozenset(s)
 
 
-def _build_countermodel(ctx: frozenset[Formula], goal: Formula) -> tuple[KripkeModel, int]:
+def _build_countermodel(ctx: frozenset[Formula], goal: Formula,
+                        table: SequentTable) -> tuple[KripkeModel, int]:
+    """A refuting model of ctx ⊢ goal, whose formulas table has indexed."""
     X = set(subsentences(goal))
     for f in ctx:
         X |= subsentences(f)
     enum = _enumeration(X)
     imps = [f for f in enum if isinstance(f, Imp)]
-    names = _classical_names(X)
-    # Above the atom cap every formula gets the vector 1, true under a single
-    # dummy assignment, and the saturation's screen never refutes.
-    vec = {f: 1 if names is None else _classical_vector(f, names) for f in X | {TOP}}
+    if table.classical():
+        vec = {f: table.vector(table.index[f]) for f in X}
+        vec[TOP] = table.full()
+    else:
+        # Above the atom cap every formula gets the vector 1, true under a
+        # single dummy assignment, and the saturation's screen never refutes.
+        vec = dict.fromkeys((*X, TOP), 1)
+    derives = table.derives
 
-    sats = [_saturate_set(ctx, goal, enum, vec, _search)]  # the root has index 0
+    sats = [_saturate_set(ctx, goal, enum, vec, derives)]  # the root has index 0
     seen = set(sats)
     for w in sats:                              # grows while walked: breadth first
         for f in imps:
             if f in w or f.left in w:
                 continue  # w itself witnesses f.left∈, f.right∉ when f.left ∈ w
-            child = _saturate_set(w | {f.left}, f.right, enum, vec, _search)
+            child = _saturate_set(w | {f.left}, f.right, enum, vec, derives)
             if child not in seen:
                 seen.add(child)
                 sats.append(child)
@@ -303,14 +401,19 @@ def _build_countermodel(ctx: frozenset[Formula], goal: Formula) -> tuple[KripkeM
     return model_from_masks(leq_succ, r_succ, val, keep), 1
 
 
-def decide_ipc(assumptions, goal: Formula) -> IpcVerdict:
-    """Decide ⋀assumptions → goal in IPC; Invalid carries a refuting model."""
+def decide_ipc(assumptions, goal: Formula,
+               table: SequentTable | None = None) -> IpcVerdict:
+    """Decide ⋀assumptions → goal in IPC; Invalid carries a refuting model.
+
+    The provability test and the countermodel saturation share one table: a
+    fresh one unless a caller shares one across a scope of related queries.
+    """
     ctx = frozenset(assumptions)
-    _require_box_free(ctx)
-    _require_box_free((goal,))
-    if ipc_provable(ctx, goal):
+    if table is None:
+        table = SequentTable()
+    if ipc_provable(ctx, goal, table):
         return IpcValid()
-    model, root = _build_countermodel(ctx, goal)
+    model, root = _build_countermodel(ctx, goal, table)
     assert not forces(model, root, goal) and all(forces(model, root, f) for f in ctx), \
         "internal error: countermodel failed its own check"
     return IpcInvalid(model, root)
@@ -320,9 +423,10 @@ def ipc_equiv(a: Formula, b: Formula) -> bool:
     """IPC interderivability of two box-free formulas."""
     if a == b:
         return True
-    key = (a, b) if (size(a), render(a)) <= (size(b), render(b)) else (b, a)
+    key = (a, b) if _order(a) <= _order(b) else (b, a)
     hit = _equiv_memo.get(key)
     if hit is None:
-        hit = ipc_provable((), Imp(a, b)) and ipc_provable((), Imp(b, a))
+        table = SequentTable()
+        hit = ipc_provable((), Imp(a, b), table) and ipc_provable((), Imp(b, a), table)
         _equiv_memo[key] = hit
     return hit

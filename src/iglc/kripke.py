@@ -104,6 +104,8 @@ def successor_masks(index: dict[int, int], pairs) -> list[int]:
 
 def _compile(frame: Frame) -> tuple[list[int], dict[int, int], list[int], list[int]]:
     """The worlds in sorted order, their index, and the ⪯ and ⊏ successor masks."""
+    if not frame.worlds:
+        raise ModelError("empty world set")
     order = sorted(frame.worlds)
     index = {w: i for i, w in enumerate(order)}
     for rel, name in ((frame.leq, "leq"), (frame.r, "r")):
@@ -153,7 +155,8 @@ def _report(frame: Frame, index: dict[int, int], leq_succ: list[int],
 def check_frame(frame: Frame) -> FrameReport:
     """Evaluate the seven frame properties by direct definition on finite data.
 
-    Raises ModelError when a relation pair mentions an unknown world.
+    Raises ModelError on an empty world set or when a relation pair mentions
+    an unknown world.
     """
     _, index, leq_succ, r_succ = _compile(frame)
     return _report(frame, index, leq_succ, r_succ)
@@ -175,8 +178,6 @@ class KripkeModel:
     def __init__(self, frame: Frame, valuation: dict[str, frozenset[int]] | None = None):
         self.frame = frame
         self.valuation = {p: frozenset(v) for p, v in (valuation or {}).items()}
-        if not frame.worlds:
-            raise ModelError("empty world set")
         self.order, self.index, self.leq_succ, self.r_succ = _compile(frame)
         self.report = rep = _report(frame, self.index, self.leq_succ, self.r_succ)
         if not rep.is_poset:

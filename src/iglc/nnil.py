@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .formula import (And, Atom, Bottom, Formula, Imp, Or, BOT,
                       atoms, is_box_free, render, substitute)
-from .ipc import decide_ipc, ipc_provable, IpcInvalid
+from .ipc import IpcInvalid, SequentTable, decide_ipc, ipc_provable
 from .kripke import KripkeModel, truth_mask
 
 __all__ = ["NnilClassTable", "AlphabetTooLarge",
@@ -128,7 +128,9 @@ class _CanonicalTable:
         self.impl_free: list[int] = []
         self._leq_memo: dict[tuple[int, int], bool] = {}
         self._star_memo: dict[Formula, Formula] = {}
+        self.g4ip: SequentTable | None = SequentTable()  # the build's one G4ip memo
         self._build()
+        self.g4ip = None  # each later star or leq query is a search scope of its own
 
     # -- construction -------------------------------------------------------
 
@@ -158,15 +160,15 @@ class _CanonicalTable:
         i, j = self.index[cand.left], self.index[cand.right]
         if isinstance(cand, And):
             return (self.leq(k, i) and self.leq(k, j)
-                    and (k in (i, j) or ipc_provable((), Imp(cand, self.reps[k]))))
+                    and (k in (i, j) or ipc_provable((), Imp(cand, self.reps[k]), self.g4ip)))
         return (self.leq(i, k) and self.leq(j, k)
-                and (k in (i, j) or ipc_provable((), Imp(self.reps[k], cand))))
+                and (k in (i, j) or ipc_provable((), Imp(self.reps[k], cand), self.g4ip)))
 
     def _confirm_equiv(self, a: Formula, b: Formula) -> bool:
         """Prover-confirmed equivalence; on failure the family gains a separator."""
         for x, y in ((a, b), (b, a)):
-            if not ipc_provable((), Imp(x, y)):
-                verdict = decide_ipc((), Imp(x, y))
+            if not ipc_provable((), Imp(x, y), self.g4ip):
+                verdict = decide_ipc((), Imp(x, y), self.g4ip)
                 assert isinstance(verdict, IpcInvalid)
                 self.family.add_kripke(verdict.countermodel)
                 self._refingerprint()
@@ -222,7 +224,7 @@ class _CanonicalTable:
         hit = self._leq_memo.get((i, j))
         if hit is None:
             hit = (self.fps[i] & ~self.fps[j] == 0
-                   and ipc_provable((), Imp(self.reps[i], self.reps[j])))
+                   and ipc_provable((), Imp(self.reps[i], self.reps[j]), self.g4ip))
             self._leq_memo[(i, j)] = hit
         return hit
 
@@ -233,7 +235,7 @@ class _CanonicalTable:
         target = self.family.eval(f)
         selected = [i for i in range(len(self.reps))
                     if self.fps[i] & ~target == 0
-                    and ipc_provable((), Imp(self.reps[i], f))]
+                    and ipc_provable((), Imp(self.reps[i], f), self.g4ip)]
         maximal = [i for i in selected
                    if not any(j != i and self.leq(i, j) for j in selected)]
         result: Formula = BOT

@@ -148,6 +148,16 @@ def test_frame_report_unknown_world_exit_4(tmp_path, capsys):
     assert "unknown world" in err and "Traceback" not in err
 
 
+def test_empty_world_set_exit_4_in_frame_report_and_model_check(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text('{"worlds": [], "leq": [], "r": [], "val": {}}')
+    for argv in (["frame", "report", str(path)], ["frame", "report", str(path), "--json"],
+                 ["model", "check", str(path), "p"]):
+        code, out, err = run_captured(capsys, argv)
+        assert code == 4 and not out, argv
+        assert "empty world set" in err and "Traceback" not in err
+
+
 def test_prove_ipc_negation_tower_is_fast(capsys):
     start = time.perf_counter()
     code, out, _ = run_captured(capsys, ["prove", "--logic", "ipc", "~" * 100 + "p"])

@@ -1,12 +1,17 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from iglc import ipc
 from iglc.formula import (And, Atom, Bottom, Box, Imp, Or, BOT, TOP, Neg, atoms,
                           parse, subsentences)
-from iglc.ipc import IpcInvalid, IpcValid, decide_ipc, ipc_equiv, ipc_provable
+from iglc.ipc import (IpcInvalid, IpcValid, SequentTable, decide_ipc, ipc_equiv,
+                      ipc_provable)
 from iglc.kripke import check_frame, forces, model_to_json
 from conftest import random_formula
 
@@ -53,6 +58,14 @@ def test_rejects_boxed_input():
         decide_ipc((), Box(P))
     with pytest.raises(ValueError):
         decide_ipc((Box(P),), P)
+
+
+def test_boxed_input_is_named_in_the_error():
+    boxed = Imp(P, Box(Q))
+    for call in (lambda: decide_ipc((P, boxed), Q), lambda: decide_ipc((P,), boxed),
+                 lambda: ipc_provable((boxed,), P), lambda: ipc_provable((), boxed)):
+        with pytest.raises(ValueError, match=r"^boxed formula not allowed here: p -> \[\]q$"):
+            call()
 
 
 def test_assumptions():
@@ -125,12 +138,11 @@ def test_classical_screen_rejects_only_unprovable_sequents():
     for names in (("p", "q", "r"), ("p", "q", "r", "s", "t")):
         for _ in range(400):
             ctx, goal = random_sequent(rng, names, 10)
-            premises = ipc._classical_vector(TOP, names)
-            for f in ctx:
-                premises &= ipc._classical_vector(f, names)
-            if ipc._refutes(premises, ipc._classical_vector(goal, names)):
+            table = SequentTable()
+            premises = table.premises(table.context(ctx))
+            if ipc._refutes(premises, table.vector(table.add_input(goal))):
                 rejected += 1
-                assert not ipc._search(ctx, goal), (ctx, goal)
+                assert not table.derives(ctx, goal), (ctx, goal)
             else:
                 passed += 1
     assert rejected > 200 and passed > 200
@@ -145,13 +157,13 @@ def reference_saturate_set(base, avoid, enum, vec=None, derives=None):
         for b in enum:
             if b in s:
                 if isinstance(b, Or) and b.left not in s and b.right not in s:
-                    pick = b.left if not ipc._search(frozenset(s | {b.left}), avoid) else b.right
+                    pick = b.left if not ipc_provable(s | {b.left}, avoid) else b.right
                     s.add(pick)
                     changed = True
-            elif ipc._search(frozenset(s), b):
+            elif ipc_provable(s, b):
                 s.add(b)
                 if isinstance(b, Or) and b.left not in s and b.right not in s:
-                    pick = b.left if not ipc._search(frozenset(s | {b.left}), avoid) else b.right
+                    pick = b.left if not ipc_provable(s | {b.left}, avoid) else b.right
                     s.add(pick)
                 changed = True
     return frozenset(s)
@@ -162,11 +174,9 @@ def test_screened_countermodels_equal_unscreened(boxfree_corpus, monkeypatch):
     cases = [(frozenset(), f) for f in boxfree_corpus]
     cases += [random_sequent(rng, ("p", "q", "r"), 9) for _ in range(300)]
     invalid = [(ctx, goal) for ctx, goal in cases if not ipc_provable(ctx, goal)]
-    screened = [model_to_json(ipc._build_countermodel(ctx, goal)[0])
-                for ctx, goal in invalid]
+    screened = [model_to_json(decide_ipc(ctx, goal).countermodel) for ctx, goal in invalid]
     monkeypatch.setattr(ipc, "_saturate_set", reference_saturate_set)
-    unscreened = [model_to_json(ipc._build_countermodel(ctx, goal)[0])
-                  for ctx, goal in invalid]
+    unscreened = [model_to_json(decide_ipc(ctx, goal).countermodel) for ctx, goal in invalid]
     assert screened == unscreened
     assert len(invalid) > 3000
 
@@ -175,7 +185,9 @@ def test_countermodel_above_the_classical_atom_cap():
     names = [f"p{i}" for i in range(ipc._CLASSICAL_ATOM_CAP + 1)]
     # excluded middle for p0, or the conjunction of all the others
     f = Or(Or(Atom("p0"), Neg(Atom("p0"))), parse(" & ".join(names[1:])))
-    assert ipc._classical_names(subsentences(f)) is None
+    table = SequentTable()
+    table.add_input(f)
+    assert not table.classical()
     v = decide_ipc((), f)
     assert isinstance(v, IpcInvalid)
     assert not forces(v.countermodel, v.world, f)
@@ -189,11 +201,147 @@ def test_glivenko_bottom_goals_match_plain_search(monkeypatch):
     for _ in range(300):
         ctx, goal = random_sequent(rng, ("p", "q", "r"), 9)
         cases += [(ctx, goal), (ctx, Neg(goal)), (ctx | {goal}, BOT)]
-    ipc.clear_caches()
     with_tables = [ipc_provable(ctx, goal) for ctx, goal in cases]
     monkeypatch.setattr(ipc, "_CLASSICAL_ATOM_CAP", -1)
-    ipc.clear_caches()
     assert [ipc_provable(ctx, goal) for ctx, goal in cases] == with_tables
-    ipc.clear_caches()
     bottom = [v for (_, goal), v in zip(cases, with_tables) if goal is BOT]
     assert 20 < sum(bottom) < len(bottom) - 20
+
+
+# ---------------------------------------------------------------------------
+# The integer-indexed engine against the frozenset G4ip it replaced.
+
+def reference_saturate_context(work, goal):
+    """The frozenset engine's non-branching invertible rules, to a fixpoint."""
+    while True:
+        if BOT in work or goal in work:
+            return work, goal, True
+        if isinstance(goal, Imp):
+            work.add(goal.left)
+            goal = goal.right
+            continue
+        changed = False
+        for f in list(work):
+            if isinstance(f, And):
+                work.discard(f)
+                work.add(f.left)
+                work.add(f.right)
+                changed = True
+            elif isinstance(f, Imp):
+                l = f.left
+                if isinstance(l, Bottom):
+                    work.discard(f)
+                    changed = True
+                elif l == TOP or l == f.right:
+                    work.discard(f)
+                    if l != f.right:
+                        work.add(f.right)
+                    changed = True
+                elif isinstance(l, Atom):
+                    if l in work:
+                        work.discard(f)
+                        work.add(f.right)
+                        changed = True
+                elif isinstance(l, And):
+                    work.discard(f)
+                    work.add(Imp(l.left, Imp(l.right, f.right)))
+                    changed = True
+                elif isinstance(l, Or):
+                    work.discard(f)
+                    work.add(Imp(l.left, f.right))
+                    work.add(Imp(l.right, f.right))
+                    changed = True
+        if not changed:
+            return work, goal, False
+
+
+def reference_search(ctx, goal, memo):
+    """Plain G4ip on frozensets: no truth tables anywhere."""
+    work, goal, proved = reference_saturate_context(set(ctx), goal)
+    if proved:
+        return True
+    key = (frozenset(work), goal)
+    hit = memo.get(key)
+    if hit is None:
+        memo[key] = False
+        hit = memo[key] = reference_decide_saturated(key[0], goal, memo)
+    return hit
+
+
+def reference_decide_saturated(ctx, goal, memo):
+    if isinstance(goal, And):
+        return (reference_search(ctx, goal.left, memo)
+                and reference_search(ctx, goal.right, memo))
+    for f in ctx:
+        if isinstance(f, Or):
+            rest = ctx - {f}
+            return (reference_search(rest | {f.left}, goal, memo)
+                    and reference_search(rest | {f.right}, goal, memo))
+    if isinstance(goal, Or):
+        if reference_search(ctx, goal.left, memo) or reference_search(ctx, goal.right, memo):
+            return True
+    for f in ctx:
+        if isinstance(f, Imp) and isinstance(f.left, Imp):
+            rest = ctx - {f}
+            if (reference_search(rest | {Imp(f.left.right, f.right)}, f.left, memo)
+                    and reference_search(rest | {f.right}, goal, memo)):
+                return True
+    return False
+
+
+def test_engine_matches_frozenset_reference(boxfree_corpus):
+    rng = random.Random(2018)
+    cases = [(frozenset(), f) for f in boxfree_corpus]
+    for names in (("p", "q", "r"), ("p", "q", "r", "s"), ("p", "q", "r", "s", "t")):
+        for _ in range(250):
+            ctx, goal = random_sequent(rng, names, 12)
+            cases += [(ctx, goal), (ctx, Neg(goal)), (ctx | {goal}, BOT)]
+    memo = {}
+    answers = [ipc_provable(ctx, goal) for ctx, goal in cases]
+    assert answers == [reference_search(ctx, goal, memo) for ctx, goal in cases]
+    random_answers = answers[len(boxfree_corpus):]
+    assert len(random_answers) >= 2000
+    assert 300 < sum(random_answers) < len(random_answers) - 300
+
+
+def test_shared_table_answers_like_fresh_tables():
+    rng = random.Random(31)
+    cases = [random_sequent(rng, ("p", "q", "r"), 9) for _ in range(300)]
+    table = SequentTable()
+    assert ([ipc_provable(ctx, goal, table) for ctx, goal in cases]
+            == [ipc_provable(ctx, goal) for ctx, goal in cases])
+    assert table.memo
+
+
+DETERMINISM_SCRIPT = """
+import random, sys
+junk = [object() for _ in range(int(sys.argv[1]))]  # shifts every later address
+from conftest import random_formula
+from iglc.ipc import SequentTable, decide_ipc, IpcInvalid
+from iglc.kripke import model_to_json
+rng = random.Random(9451)
+memo = 0
+for i in range(200):
+    f = random_formula(rng, ("p", "q", "r", "s", "t"), rng.randint(20, 40), box_prob=0.0)
+    ctx = {random_formula(rng, ("p", "q", "r"), 9, box_prob=0.0) for _ in range(i % 4)}
+    table = SequentTable()
+    v = decide_ipc(ctx, f, table)
+    memo += len(table.memo)
+    print(f"I{v.world}{model_to_json(v.countermodel)}" if isinstance(v, IpcInvalid) else "V")
+print("memo", memo)
+"""
+
+
+def test_search_is_deterministic_across_hash_seeds_and_allocations():
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    outputs = []
+    for hash_seed, junk in (("1", "0"), ("20181804", "5000")):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", DETERMINISM_SCRIPT, junk], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        outputs.append(proc.stdout)
+    lines = outputs[0].splitlines()
+    assert len(lines) == 201 and int(lines[-1].split()[1]) > 0
+    assert any(line.startswith("I") for line in lines)
+    assert outputs[0] == outputs[1]

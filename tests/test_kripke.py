@@ -215,6 +215,13 @@ def test_check_frame_rejects_unknown_worlds():
         check_frame(Frame.make([1], [(1, 1)], [(3, 1)]))
 
 
+def test_check_frame_rejects_empty_world_set():
+    with pytest.raises(ModelError, match="empty world set"):
+        check_frame(Frame.make([], [], []))
+    with pytest.raises(ModelError, match="empty world set"):
+        KripkeModel(Frame.make([], [], []))
+
+
 def reference_valid_on_frame(frame, f):
     """One validated KripkeModel per monotone valuation of f's atoms."""
     names = sorted(atoms(f))
