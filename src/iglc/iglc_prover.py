@@ -18,16 +18,21 @@ Pipeline for decide_iglc, all phases metered by one step budget:
    members, where candidate enumeration is the expensive route to a small
    countermodel;
 4. the complete core: worlds are candidate subsets of the adequate set
-   X = sub(A) ∪ {□B : B ∈ sub(A)} satisfying syntactic closure constraints
-   (Hintikka conditions plus derivable box closures), ordered by inclusion
-   with the canonical modal relation; incoherent candidates, whose membership
-   disagrees with forcing, are eliminated to a fixpoint.  Every X-saturated
-   set survives, and the surviving model satisfies membership = forcing, so
-   the query is a theorem iff it belongs to every surviving world; otherwise
-   the least world omitting it roots a countermodel on its ⊆-cone.  Cones of
-   at most 40 worlds are shrunk greedily on successor bitmasks
-   (``kripke.shrink``: drop worlds while the root still refutes the query),
-   and one validated model is built from the kept worlds at the end.
+   X = sub(A) ∪ {□B : B ∈ sub(A)}, bit vectors generated member by member
+   under closure rules (Hintikka conditions plus derivable box closures, as
+   premise masks), ordered by inclusion and the canonical modal relation.
+   Column ``col[p]`` is the bitset of the candidates holding member p, so the
+   ⊆-successors of w are ⋀_{p∈w} col[p] and its ⊏-successors
+   ⋀_{□C∈w} col[C] ∧ ⋁_{□B∉w} col[□B].  Incoherent candidates, whose
+   membership disagrees with forcing, are eliminated in rounds to a fixpoint:
+   a round meets each live candidate's successors with the refuters of each
+   B→C (col[B] ∧ ¬col[C]) and □C (¬col[C]) in X, storing O(n·|X|) bits for n
+   candidates.  Every X-saturated set survives, and membership = forcing on
+   the survivors, so the query is a theorem iff it belongs to every survivor;
+   otherwise the least one omitting it roots a countermodel on its ⊆-cone,
+   whose masks are read off the columns.  Cones of at most 40 worlds are
+   shrunk greedily (``kripke.shrink``: drop worlds while the root still
+   refutes the query), and one validated model is built from the kept worlds.
 
 The scan is one loop over one frame table.  A tier's frames are compiled
 once per alphabet into successor masks under every monotone valuation (one
@@ -50,7 +55,7 @@ from functools import lru_cache
 from .formula import (And, Atom, Bottom, Box, Formula, Imp, Or, BOT, TOP,
                       atoms, modal_decompose, render, size, subsentences)
 from .ipc import _saturate_set, ipc_provable
-from .kripke import (KripkeModel, forces, model_from_masks, shrink,
+from .kripke import (KripkeModel, forces, mask_bits, model_from_masks, shrink,
                      successor_masks, truth_mask, upward_closed_sets)
 
 __all__ = [
@@ -271,6 +276,9 @@ class _Canonical:
         self.imps: list[tuple[int, int, int]] = []
         self.boxes: list[tuple[int, int]] = []
         self.atom_positions: dict[str, int] = {}
+        # each member's choice in _generate: None when free, else (∧?, the mask
+        # of its operands), with ⊥ the empty ∨
+        self.kinds: list[tuple[bool, int] | None] = [None] * len(members)
         for i, f in enumerate(members):
             if isinstance(f, Imp):
                 self.imps.append((i, self.index[f.left], self.index[f.right]))
@@ -278,16 +286,22 @@ class _Canonical:
                 self.boxes.append((i, self.index[f.inner]))
             elif isinstance(f, Atom):
                 self.atom_positions[f.name] = i
-        self.imp_mask = sum(1 << i for i, _, _ in self.imps)
-        self.box_mask = sum(1 << i for i, _ in self.boxes)
+            elif isinstance(f, (And, Or)):
+                self.kinds[i] = (isinstance(f, And),
+                                 1 << self.index[f.left] | 1 << self.index[f.right])
+            else:                               # ⊥
+                self.kinds[i] = (False, 0)
 
-        # Closure rules ({premise bits} -> conclusion bit), necessary for
-        # saturated sets, anchored at their largest position for generation.
-        self.rules_at: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in members]
+        # Closure rules (premise mask, conclusion bit), necessary for saturated
+        # sets, anchored at their largest position for generation.  The mask is
+        # an OR, so the repeated premise of □(B∧B)'s rule is one bit.
+        self.rules_at: list[list[tuple[int, int]]] = [[] for _ in members]
 
         def rule(premises: tuple[int, ...], concl: int) -> None:
-            anchor = max((*premises, concl))
-            self.rules_at[anchor].append((premises, concl))
+            mask = 0
+            for q in premises:
+                mask |= 1 << q
+            self.rules_at[max((*premises, concl))].append((mask, 1 << concl))
 
         box_of = {c: i for i, c in self.boxes}
         for i, l, r in self.imps:
@@ -323,84 +337,77 @@ class _Canonical:
                     rule((i, bl), br)           # K: □(B→C), □B ⊢ □C
 
     def _generate(self) -> list[int]:
-        members = self.members
-        rules_at = self.rules_at
+        n, kinds, rules_at, charge = self.n, self.kinds, self.rules_at, self.bud.charge
         out: list[int] = []
-        bits = 0
-
-        def ok(p: int, v: int, vec: int) -> bool:
-            vec |= v << p
-            for premises, concl in rules_at[p]:
-                if all(vec >> q & 1 for q in premises) and not vec >> concl & 1:
-                    return False
-            return True
 
         def rec(p: int, vec: int) -> None:
-            self.bud.charge()
-            if p == self.n:
+            charge()
+            if p == n:
                 out.append(vec)
                 if len(out) > _CANDIDATE_CAP:
                     raise BudgetExhausted(self.bud.used)
                 return
-            f = members[p]
-            if isinstance(f, Bottom):
-                choices = (0,)
-            elif isinstance(f, And):
-                v = (vec >> self.index[f.left] & 1) & (vec >> self.index[f.right] & 1)
-                choices = (v,)
-            elif isinstance(f, Or):
-                v = (vec >> self.index[f.left] & 1) | (vec >> self.index[f.right] & 1)
-                choices = (v,)
+            kind = kinds[p]
+            if kind is None:
+                choices = (vec, vec | 1 << p)
             else:
-                choices = (0, 1)
+                conj, operands = kind
+                hit = vec & operands
+                choices = (vec | 1 << p if (hit == operands if conj else hit) else vec,)
             for v in choices:
-                if ok(p, v, vec):
-                    rec(p + 1, vec | v << p)
+                for premises, concl in rules_at[p]:
+                    if v & premises == premises and not v & concl:
+                        break
+                else:
+                    rec(p + 1, v)
 
-        rec(0, bits)
+        rec(0, 0)
         return out
 
+    def _columns(self, worlds: list[int]) -> list[int]:
+        """col[p]: the mask of the worlds containing member p, bit j for worlds[j]."""
+        n, spec = self.n, f"0{self.n}b"
+        rows = "".join(format(v, spec) for v in reversed(worlds))
+        return [int(rows[n - 1 - p::n] or "0", 2) for p in range(n)]
+
+    def _successors(self, w: int, col: list[int], within: int) -> tuple[int, int]:
+        """The ⊆- and ⊏-successors of vector w among the worlds of ``within``:
+        every v ⊇ w, and every v ⊇ {C : □C ∈ w} holding a box that w lacks."""
+        leq = within
+        for p in mask_bits(w):
+            leq &= col[p]
+        r, new = within, 0
+        for i, c in self.boxes:
+            if w >> i & 1:
+                r &= col[c]
+            else:
+                new |= col[i]
+        return leq, r & new
+
     def _eliminate(self, cands: list[int]) -> list[int]:
-        imps, boxes = self.imps, self.boxes
-        imp_mask, box_mask = self.imp_mask, self.box_mask
+        col = self._columns(cands)
+        # (member i, 0 for ⊆- or 1 for ⊏-successors, the candidates refuting i
+        # there): for an imp those with its left side and not its right, for a
+        # box those without its inner formula.  A candidate is kept when it
+        # holds exactly the imps and boxes that none of its successors refutes.
+        tests = ([(i, 0, col[l] & ~col[r]) for i, l, r in self.imps]
+                 + [(i, 1, ~col[c]) for i, c in self.boxes])
+        live = range(len(cands))
         while True:
-            self.bud.charge(len(cands) * (len(cands) + 1) // 4 + 1)
-            fail_imp = []
-            miss_box = []
-            reqs = []
-            for v in cands:
-                fi = 0
-                for i, l, r in imps:
-                    if v >> l & 1 and not v >> r & 1:
-                        fi |= 1 << i
-                fail_imp.append(fi)
-                mb = 0
-                req = 0
-                for i, c in boxes:
-                    if not v >> c & 1:
-                        mb |= 1 << i
-                    if v >> i & 1:
-                        req |= 1 << c
-                miss_box.append(mb)
-                reqs.append(req)
+            self.bud.charge(len(live) * (len(live) + 1) // 4 + 1)
+            alive = sum(1 << j for j in live)
             keep = []
-            changed = False
-            for wi, w in enumerate(cands):
-                acc_i = 0
-                acc_b = 0
-                req = reqs[wi]
-                for vi, v in enumerate(cands):
-                    if w & ~v == 0:
-                        acc_i |= fail_imp[vi]
-                    if req & ~v == 0 and box_mask & v & ~w:
-                        acc_b |= miss_box[vi]
-                if (w & imp_mask) == imp_mask & ~acc_i and (w & box_mask) == box_mask & ~acc_b:
-                    keep.append(w)
+            for j in live:
+                w = cands[j]
+                succ = self._successors(w, col, alive)
+                for i, side, refuting in tests:
+                    if w >> i & 1 == bool(succ[side] & refuting):
+                        break
                 else:
-                    changed = True
-            if not changed:
-                return keep
-            cands = keep
+                    keep.append(j)
+            if len(keep) == len(live):
+                return [cands[j] for j in keep]
+            live = keep
 
     def decide(self) -> Verdict:
         cands = self._generate()
@@ -423,23 +430,11 @@ class _Canonical:
 
     def _masks(self, worlds: list[int]):
         """⊆- and ⊏-successor masks and atom masks over a list of candidates."""
-        leq_succ, r_succ = [], []
-        for w in worlds:
-            req = 0
-            for i, c in self.boxes:
-                if w >> i & 1:
-                    req |= 1 << c
-            leq_m = r_m = 0
-            for j, v in enumerate(worlds):
-                if w & ~v == 0:
-                    leq_m |= 1 << j
-                if req & ~v == 0 and self.box_mask & v & ~w:    # w ⊏ v
-                    r_m |= 1 << j
-            leq_succ.append(leq_m)
-            r_succ.append(r_m)
-        val = {name: sum(1 << j for j, v in enumerate(worlds) if v >> p & 1)
-               for name, p in self.atom_positions.items()}
-        return leq_succ, r_succ, val
+        col = self._columns(worlds)
+        full = (1 << len(worlds)) - 1
+        leq_succ, r_succ = zip(*(self._successors(w, col, full) for w in worlds))
+        val = {name: col[p] for name, p in self.atom_positions.items()}
+        return list(leq_succ), list(r_succ), val
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ __all__ = [
     "Frame", "KripkeModel", "FrameReport", "ModelError",
     "check_frame", "forces", "valid_on_model", "valid_on_frame",
     "model_to_json", "model_from_json", "model_to_dot", "upward_closed_sets",
-    "successor_masks", "truth_mask", "shrink", "model_from_masks",
+    "successor_masks", "mask_bits", "truth_mask", "shrink", "model_from_masks",
 ]
 
 VALID_ON_FRAME_WORLD_LIMIT = 8
@@ -102,6 +102,14 @@ def successor_masks(index: dict[int, int], pairs) -> list[int]:
     return succ
 
 
+def mask_bits(m: int):
+    """The positions of the set bits of m, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
 def _compile(frame: Frame) -> tuple[list[int], dict[int, int], list[int], list[int]]:
     """The worlds in sorted order, their index, and the ⪯ and ⊏ successor masks."""
     if not frame.worlds:
@@ -136,11 +144,8 @@ def _report(frame: Frame, index: dict[int, int], leq_succ: list[int],
     reach_up = []
     for i in range(n):
         u = 0
-        m = r_succ[i]
-        while m:
-            j = (m & -m).bit_length() - 1
+        for j in mask_bits(r_succ[i]):
             u |= leq_succ[j]
-            m &= m - 1
         reach_up.append(u)
     semi_transitive = all(r_succ[index[b]] & ~reach_up[index[a]] == 0 for a, b in r)
     realistic = r <= leq
@@ -289,10 +294,10 @@ def model_from_masks(leq_succ, r_succ, val: dict[str, int], keep: int) -> Kripke
     """The validated submodel on ``keep``; kept indices become worlds 1, 2, … in order."""
     kept = [i for i in range(len(leq_succ)) if keep >> i & 1]
     label = {i: k + 1 for k, i in enumerate(kept)}
-    leq = {(label[i], label[j]) for i in kept for j in kept if leq_succ[i] >> j & 1}
-    r = {(label[i], label[j]) for i in kept for j in kept if r_succ[i] >> j & 1}
-    valuation = {p: {label[i] for i in kept if m >> i & 1} for p, m in val.items()}
-    return KripkeModel.make(list(label.values()), leq, r, valuation)
+    leq, r = (frozenset((label[i], label[j]) for i in kept for j in mask_bits(succ[i] & keep))
+              for succ in (leq_succ, r_succ))
+    valuation = {p: frozenset(label[i] for i in mask_bits(m & keep)) for p, m in val.items()}
+    return KripkeModel(Frame(frozenset(label.values()), leq, r), valuation)
 
 
 def forces(model: KripkeModel, world: int, f: Formula) -> bool:
@@ -356,8 +361,8 @@ def model_from_json(text: str) -> KripkeModel:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ModelError(f"bad model JSON: {e}") from None
-    if not isinstance(data, dict):
-        raise ModelError("model JSON must be an object")
+    if not isinstance(data, dict) or not isinstance(data.get("val", {}), dict):
+        raise ModelError("model JSON and its \"val\" must be objects")
     try:
         worlds = [int(w) for w in data["worlds"]]
         leq = {(int(a), int(b)) for a, b in data.get("leq", [])}

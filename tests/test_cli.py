@@ -158,6 +158,17 @@ def test_empty_world_set_exit_4_in_frame_report_and_model_check(tmp_path, capsys
         assert "empty world set" in err and "Traceback" not in err
 
 
+def test_non_object_val_exit_4_in_model_check_and_solovay(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    for val in ('["p"]', "null", '"p"'):
+        path.write_text('{"worlds": [1], "val": %s}' % val)
+        for argv in (["model", "check", str(path), "p"],
+                     ["solovay", "truthset", str(path), "p"]):
+            code, out, err = run_captured(capsys, argv)
+            assert code == 4 and not out, (val, argv)
+            assert "val" in err and "Traceback" not in err
+
+
 def test_prove_ipc_negation_tower_is_fast(capsys):
     start = time.perf_counter()
     code, out, _ = run_captured(capsys, ["prove", "--logic", "ipc", "~" * 100 + "p"])

@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from iglc.formula import And, Atom, Box, Imp, Or, BOT, Iff, atoms, parse, render
+from iglc.formula import And, Atom, Bottom, Box, Imp, Or, BOT, Iff, atoms, parse, render
 from iglc.iglc_prover import (AdequateSet, BudgetExceeded, BudgetExhausted,
                               Invalid, Valid, decide_iglc, derives_iglc,
                               is_saturated, saturate, clear_caches, _Budget,
-                              _FRAMES, _scan)
+                              _CANDIDATE_CAP, _Canonical, _FRAMES, _scan)
 from iglc.kripke import (Frame, KripkeModel, check_frame, forces, model_to_json,
                          upward_closed_sets)
 from conftest import ModelTable, random_formula, random_realistic_model
@@ -381,3 +381,221 @@ def test_scan_frames_are_irreflexive_realistic_posets():
             rep = check_frame(Frame.make(worlds, leq, strict if r is None else r))
             assert rep.is_poset and rep.has_model_property
             assert rep.irreflexive and rep.realistic
+
+
+# ---------------------------------------------------------------------------
+# The canonical core against the pairwise loops that its column bitsets
+# replaced: the same candidate lists, survivors, cone masks and step costs.
+
+class ReferenceCanonical(_Canonical):
+    """``_Canonical`` with closure rules as premise tuples and the pairwise
+    ``_generate``, ``_eliminate`` and ``_masks`` of the loops replaced."""
+
+    def __init__(self, a, bud):
+        super().__init__(a, bud)
+        members = self.members
+        self.imp_mask = sum(1 << i for i, _, _ in self.imps)
+        self.box_mask = sum(1 << i for i, _ in self.boxes)
+        self.rules_at = [[] for _ in members]
+
+        def rule(premises, concl):
+            anchor = max((*premises, concl))
+            self.rules_at[anchor].append((premises, concl))
+
+        box_of = {c: i for i, c in self.boxes}
+        for i, l, r in self.imps:
+            rule((i, l), r)
+            rule((r,), i)
+            if isinstance(members[l], Bottom) or l == r:
+                rule((), i)
+        for i, c in self.boxes:
+            rule((c,), i)
+            inner = members[c]
+            if isinstance(inner, Bottom):
+                for j, _ in self.boxes:
+                    if j != i:
+                        rule((i,), j)
+            elif isinstance(inner, And):
+                bl = box_of.get(self.index[inner.left])
+                br = box_of.get(self.index[inner.right])
+                if bl is not None and br is not None:
+                    rule((i,), bl)
+                    rule((i,), br)
+                    rule((bl, br), i)
+            elif isinstance(inner, Or):
+                bl = box_of.get(self.index[inner.left])
+                br = box_of.get(self.index[inner.right])
+                if bl is not None:
+                    rule((bl,), i)
+                if br is not None:
+                    rule((br,), i)
+            elif isinstance(inner, Imp):
+                bl = box_of.get(self.index[inner.left])
+                br = box_of.get(self.index[inner.right])
+                if bl is not None and br is not None:
+                    rule((i, bl), br)
+
+    def _generate(self):
+        members = self.members
+        rules_at = self.rules_at
+        out = []
+
+        def ok(p, v, vec):
+            vec |= v << p
+            for premises, concl in rules_at[p]:
+                if all(vec >> q & 1 for q in premises) and not vec >> concl & 1:
+                    return False
+            return True
+
+        def rec(p, vec):
+            self.bud.charge()
+            if p == self.n:
+                out.append(vec)
+                if len(out) > _CANDIDATE_CAP:
+                    raise BudgetExhausted(self.bud.used)
+                return
+            f = members[p]
+            if isinstance(f, Bottom):
+                choices = (0,)
+            elif isinstance(f, And):
+                choices = ((vec >> self.index[f.left] & 1) & (vec >> self.index[f.right] & 1),)
+            elif isinstance(f, Or):
+                choices = ((vec >> self.index[f.left] & 1) | (vec >> self.index[f.right] & 1),)
+            else:
+                choices = (0, 1)
+            for v in choices:
+                if ok(p, v, vec):
+                    rec(p + 1, vec | v << p)
+
+        rec(0, 0)
+        return out
+
+    def _eliminate(self, cands):
+        imps, boxes = self.imps, self.boxes
+        imp_mask, box_mask = self.imp_mask, self.box_mask
+        while True:
+            self.bud.charge(len(cands) * (len(cands) + 1) // 4 + 1)
+            fail_imp, miss_box, reqs = [], [], []
+            for v in cands:
+                fi = 0
+                for i, l, r in imps:
+                    if v >> l & 1 and not v >> r & 1:
+                        fi |= 1 << i
+                fail_imp.append(fi)
+                mb = req = 0
+                for i, c in boxes:
+                    if not v >> c & 1:
+                        mb |= 1 << i
+                    if v >> i & 1:
+                        req |= 1 << c
+                miss_box.append(mb)
+                reqs.append(req)
+            keep = []
+            for wi, w in enumerate(cands):
+                acc_i = acc_b = 0
+                for vi, v in enumerate(cands):
+                    if w & ~v == 0:
+                        acc_i |= fail_imp[vi]
+                    if reqs[wi] & ~v == 0 and box_mask & v & ~w:
+                        acc_b |= miss_box[vi]
+                if (w & imp_mask) == imp_mask & ~acc_i and (w & box_mask) == box_mask & ~acc_b:
+                    keep.append(w)
+            if len(keep) == len(cands):
+                return keep
+            cands = keep
+
+    def _masks(self, worlds):
+        leq_succ, r_succ = [], []
+        for w in worlds:
+            req = 0
+            for i, c in self.boxes:
+                if w >> i & 1:
+                    req |= 1 << c
+            leq_m = r_m = 0
+            for j, v in enumerate(worlds):
+                if w & ~v == 0:
+                    leq_m |= 1 << j
+                if req & ~v == 0 and self.box_mask & v & ~w:
+                    r_m |= 1 << j
+            leq_succ.append(leq_m)
+            r_succ.append(r_m)
+        val = {name: sum(1 << j for j, v in enumerate(worlds) if v >> p & 1)
+               for name, p in self.atom_positions.items()}
+        return leq_succ, r_succ, val
+
+
+def core_trace(cls, a, budget):
+    """What the core computes for a up to its cone masks, with the steps used
+    after each phase; a budget that runs out ends the trace with its count."""
+    bud = _Budget(budget)
+    core = cls(a, bud)
+    trace = []
+    try:
+        cands = core._generate()
+        trace += [cands, bud.used]
+        survivors = core._eliminate(cands)
+        trace += [survivors, bud.used]
+        bad = [w for w in survivors if not w >> core.query_bit & 1]
+        if bad:
+            root = min(bad)
+            trace.append(core._masks(sorted(v for v in survivors if root & ~v == 0)))
+    except BudgetExhausted as e:
+        trace.append(("budget", e.steps_used))
+    return trace
+
+
+CORE_HAND_CASES = ["[](p & p) -> []p", "[]p -> [](p & p)", "[](p | p) -> []p",
+                   "(p -> p) & ([]false -> []q)", "[]([]false -> p) -> [](p -> p)",
+                   "[]([](p & p) -> (p | p)) -> [](p & p)", "~[]false"]
+
+
+def test_core_matches_pairwise_reference(modal_corpus):
+    rng = random.Random(4417)
+    sample = [random_formula(rng, ("p", "q", "r"), rng.randint(14, 22), box_prob=0.25)
+              for _ in range(300)]
+    sample += random.Random(4418).sample(modal_corpus, 2000)
+    sample += [MOJTAHEDI] + [parse(t) for t in CORE_HAND_CASES]
+    for f in sample:
+        assert core_trace(_Canonical, f, 100_000) == core_trace(ReferenceCanonical, f, 100_000), render(f)
+
+
+# (budget, verdict kind, steps used) of cold decisions, recorded from the
+# pairwise core.  The budgets land in the scan and certifier, inside
+# _generate, at the end of _generate, inside the first and later elimination
+# rounds, one step short of a full run and at a full run; a BudgetExceeded
+# count past its budget is the charge of the round it could not pay.
+BUDGET_CASES = {
+    MOJTAHEDI: [(5, "BudgetExceeded", 6), (5000, "BudgetExceeded", 5001),
+                (9608, "BudgetExceeded", 9609), (9609, "Invalid", None)],
+    PTP: [(5, "BudgetExceeded", 6), (6, "Invalid", None)],
+    parse("[]([]p -> p) -> []p"): [
+        (50, "BudgetExceeded", 51), (81, "BudgetExceeded", 142), (100, "BudgetExceeded", 142),
+        (145, "BudgetExceeded", 150), (152, "BudgetExceeded", 156),
+        (162, "BudgetExceeded", 163), (163, "Valid", None)],
+    parse("([](p | q) -> ([]p | []q)) | ~~[]r"): [
+        (2000, "BudgetExceeded", 2001), (4790, "BudgetExceeded", 161804),
+        (161805, "BudgetExceeded", 171655), (198220, "BudgetExceeded", 198221),
+        (198221, "Valid", None)],
+    parse("(([]p -> []q) -> []r) -> ([](p -> q) | [](q -> r))"): [
+        (5000, "BudgetExceeded", 5001), (13304, "BudgetExceeded", 1380449),
+        (1380450, "BudgetExceeded", 1452945), (1499458, "BudgetExceeded", 1499459),
+        (1499459, "Invalid", None)],
+}
+
+
+def test_cold_budget_outcomes_match_the_pairwise_core(monkeypatch):
+    for f, cases in BUDGET_CASES.items():
+        for budget, kind, steps in cases:
+            clear_caches()
+            v = decide_iglc(f, budget)
+            assert (type(v).__name__, getattr(v, "steps_used", None)) == (kind, steps), \
+                (render(f), budget)
+    # a round the budget cannot pay for computes no successor sets
+    calls = []
+    successors = _Canonical._successors
+    monkeypatch.setattr(_Canonical, "_successors",
+                        lambda self, *args: calls.append(1) or successors(self, *args))
+    clear_caches()
+    assert decide_iglc(parse("([](p | q) -> ([]p | []q)) | ~~[]r"), 4790) == \
+        BudgetExceeded(161804)
+    assert not calls
