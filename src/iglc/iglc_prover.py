@@ -9,10 +9,9 @@ Pipeline for decide_iglc, all phases metered by one step budget:
 1. the small tier of the small-model scan (below): every irreflexive
    realistic model on one world or a 2-chain over the query's atoms (at most
    4), which settles most refutable inputs immediately;
-2. a sound validity certifier: the query follows in IPC, at the level of its
-   modal skeleton, from instances of the iGLC axioms over its boxed
-   subformulas (K, Löb, completeness, and □-congruence bridges obtained by
-   recursion on strictly smaller box depth);
+2. a sound validity certifier, a fast path only: the query's modal skeleton
+   is an IPC tautology, or follows in IPC, at the level of the skeleton, from
+   the instances of K, Löb and completeness over its boxed subformulas;
 3. the large tier of the scan: eight curated 3–5-world frames over at most 3
    atoms, tried only when the adequate set X of step 4 has more than 24
    members, where candidate enumeration is the expensive route to a small
@@ -36,9 +35,11 @@ Pipeline for decide_iglc, all phases metered by one step budget:
 
 The scan is one loop over one frame table.  A tier's frames are compiled
 once per alphabet into successor masks under every monotone valuation (one
-model per frame, ⊏ and valuation), each model is evaluated with
-``kripke.truth_mask`` for one step, and the first model refuting the query,
-rooted at its least refuting world, is the answer.  A model's validated
+model per frame, ⊏ and valuation), each model tried costs one step, and the
+first model refuting the query, rooted at its least refuting world, is the
+answer.  The models of one frame and ⊏ that differ only in the last atom's
+upset are laid side by side as one disjoint-union model, so one
+``kripke.truth_mask`` pass evaluates them together.  A model's validated
 ``KripkeModel`` is built the first time it refutes and shared after that.
 
 Every Invalid answer is machine-checked (the frame flags of the model's
@@ -67,7 +68,6 @@ __all__ = [
 DEFAULT_BUDGET = 10_000_000
 
 _CANDIDATE_CAP = 250_000
-_CONGRUENCE_BOX_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -111,13 +111,7 @@ class _Budget:
             raise BudgetExhausted(self.used)
 
 
-# formula -> (definitive verdict, step cost of computing it); replaying the
-# cost on cache hits keeps budget behavior independent of call history
-_verdict_memo: dict[Formula, tuple[Verdict, int]] = {}
-
-
 def clear_caches() -> None:
-    _verdict_memo.clear()
     _compiled.cache_clear()
 
 
@@ -162,49 +156,66 @@ _FRAMES = (
 _TIERS = ((_FRAMES[:2], 4), (_FRAMES[2:], 3))
 
 
-class _ScanModel:
-    """A compiled scan model; ``model`` is its validated ``KripkeModel``,
+class _ScanChunk:
+    """Consecutive scan models of one n-world frame and ⊏, laid side by side
+    as one disjoint-union model: copy j holds the j-th model on worlds
+    j·n … j·n + n − 1.  ``models[j]`` is copy j's validated ``KripkeModel``,
     built the first time it refutes a query and shared from then on."""
 
-    __slots__ = ("leq_succ", "r_succ", "val", "model")
+    __slots__ = ("n", "leq_succ", "r_succ", "val", "full", "models")
 
-    def __init__(self, leq_succ: list[int], r_succ: list[int], val: dict[str, int]):
-        self.leq_succ = leq_succ
-        self.r_succ = r_succ
-        self.val = val
-        self.model: KripkeModel | None = None
+    def __init__(self, leq_succ: list[int], r_succ: list[int], names: tuple[str, ...],
+                 vals: list[tuple[int, ...]]):
+        n = len(leq_succ)
+        shifts = range(0, n * len(vals), n)
+        self.n = n
+        self.leq_succ = [m << s for s in shifts for m in leq_succ]
+        self.r_succ = [m << s for s in shifts for m in r_succ]
+        self.val = {p: sum(v[i] << s for v, s in zip(vals, shifts))
+                    for i, p in enumerate(names)}
+        self.full = (1 << n * len(vals)) - 1
+        self.models: list[KripkeModel | None] = [None] * len(vals)
+
+    def model(self, j: int) -> KripkeModel:
+        if self.models[j] is None:
+            copy = ((1 << self.n) - 1) << j * self.n
+            self.models[j] = model_from_masks(self.leq_succ, self.r_succ, self.val, copy)
+        return self.models[j]
 
 
 @lru_cache(maxsize=64)
-def _compiled(tier: int, names: tuple[str, ...]) -> tuple[_ScanModel, ...]:
+def _compiled(tier: int, names: tuple[str, ...]) -> tuple[_ScanChunk, ...]:
     """Every frame, ⊏ and valuation of the tier, in scan order: each name gets
-    an upset in ``upward_closed_sets`` order, the first name varying slowest."""
-    models = []
+    an upset in ``upward_closed_sets`` order, the first name varying slowest.
+    A chunk holds the valuations that differ only in the last name's upset."""
+    chunks = []
     for n, strict, r_options in _TIERS[tier][0]:
         worlds = range(1, n + 1)
         index = {w: w - 1 for w in worlds}
         leq_succ = successor_masks(index, [*strict, *((w, w) for w in worlds)])
         ups = [sum(1 << index[w] for w in up) for up in upward_closed_sets(worlds, strict)]
+        vals = list(itertools.product(ups, repeat=len(names)))
         for r in r_options:
             r_succ = successor_masks(index, strict if r is None else r)
-            for val in itertools.product(ups, repeat=len(names)):
-                models.append(_ScanModel(leq_succ, r_succ, dict(zip(names, val))))
-    return tuple(models)
+            for i in range(0, len(vals), len(ups)):
+                chunks.append(_ScanChunk(leq_succ, r_succ, names, vals[i:i + len(ups)]))
+    return tuple(chunks)
 
 
 def _scan(a: Formula, bud: _Budget, tier: int) -> Invalid | None:
-    """The first model of the tier refuting a, rooted at its least refuting world."""
+    """The first model of the tier refuting a, rooted at its least refuting
+    world; each model tried costs one step."""
     names = tuple(sorted(atoms(a)))
     if len(names) > _TIERS[tier][1]:
         return None
-    for m in _compiled(tier, names):
-        bud.charge()
-        full = (1 << len(m.leq_succ)) - 1
-        miss = full & ~truth_mask(a, m.leq_succ, m.r_succ, m.val, full, {})
+    for ch in _compiled(tier, names):
+        miss = ch.full & ~truth_mask(a, ch.leq_succ, ch.r_succ, ch.val, ch.full, {})
+        first = (miss & -miss).bit_length() - 1
+        tried = first // ch.n + 1 if miss else len(ch.models)
+        for _ in range(tried):
+            bud.charge()
         if miss:
-            if m.model is None:
-                m.model = model_from_masks(m.leq_succ, m.r_succ, m.val, full)
-            return Invalid(m.model, (miss & -miss).bit_length())
+            return Invalid(ch.model(tried - 1), first % ch.n + 1)
     return None
 
 
@@ -216,7 +227,7 @@ def _boxed_subformulas(a: Formula) -> list[Formula]:
     return sorted(set(inner), key=lambda f: (size(f), render(f)))
 
 
-def _quick_valid(a: Formula, bud: _Budget, depth: int) -> Valid | None:
+def _quick_valid(a: Formula, bud: _Budget) -> Valid | None:
     bud.charge()
     if ipc_provable((), modal_decompose(a).skeleton):
         return Valid(("substitution instance of an IPC tautology",))
@@ -230,18 +241,6 @@ def _quick_valid(a: Formula, bud: _Budget, depth: int) -> Valid | None:
             axiom_set.append(Imp(Box(b), Box(b.right)))       # Löb
         if isinstance(b, Imp):                                # K
             axiom_set.append(Imp(Box(b), Imp(Box(b.left), Box(b.right))))
-    if len(boxes) <= _CONGRUENCE_BOX_CAP:
-        for x, y in itertools.permutations(boxes, 2):
-            bud.charge()
-            sub = _decide(Imp(x, y), bud, depth + 1)
-            if isinstance(sub, Valid):
-                axiom_set.append(Imp(Box(x), Box(y)))         # Nec + K bridge
-    for extra in list(axiom_set):
-        for g in sorted(subsentences(extra), key=lambda h: (size(h), render(h))):
-            if isinstance(g, Box) and g.inner not in boxes:
-                axiom_set.append(Imp(g.inner, Box(g.inner)))
-                boxes.append(g.inner)
-    axiom_set = list(dict.fromkeys(axiom_set))
     goal = a
     for ax in axiom_set:
         goal = Imp(ax, goal)
@@ -443,19 +442,10 @@ class _Canonical:
 _LARGE_ADEQUATE = 24
 
 
-def _decide(a: Formula, bud: _Budget, depth: int = 0) -> Verdict:
-    hit = _verdict_memo.get(a)
-    if hit is not None:
-        verdict, cost = hit
-        # replaying the recorded cost keeps top-level budget behavior close to
-        # a cold run; nested hits charge like any other cheap step, otherwise
-        # recorded costs would compound through the recursion
-        bud.charge(cost if depth == 0 else 1)
-        return verdict
-    start = bud.used
+def _decide(a: Formula, bud: _Budget) -> Verdict:
     verdict: Verdict | None = _scan(a, bud, 0)
     if verdict is None:
-        verdict = _quick_valid(a, bud, depth)
+        verdict = _quick_valid(a, bud)
     if verdict is None:
         subs = subsentences(a)
         if len(subs | {Box(b) for b in subs}) > _LARGE_ADEQUATE:
@@ -464,7 +454,6 @@ def _decide(a: Formula, bud: _Budget, depth: int = 0) -> Verdict:
         verdict = _Canonical(a, bud).decide()
     if isinstance(verdict, Invalid):
         _machine_check(verdict.countermodel, verdict.root, a)
-    _verdict_memo[a] = (verdict, bud.used - start)
     return verdict
 
 

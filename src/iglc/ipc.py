@@ -33,19 +33,12 @@ from .formula import (And, Atom, Bottom, Formula, Imp, Or, TOP,
 from .kripke import KripkeModel, forces, model_from_masks, shrink
 
 __all__ = ["IpcValid", "IpcInvalid", "IpcVerdict", "SequentTable", "decide_ipc",
-           "ipc_provable", "ipc_equiv", "clear_caches"]
+           "ipc_provable", "ipc_equiv"]
 
 if sys.getrecursionlimit() < 20000:
     sys.setrecursionlimit(20000)
 
 _CLASSICAL_ATOM_CAP = 10
-
-_equiv_memo: dict[tuple[Formula, Formula], bool] = {}
-
-
-def clear_caches() -> None:
-    _equiv_memo.clear()
-
 
 @dataclass(frozen=True)
 class IpcValid:
@@ -423,10 +416,5 @@ def ipc_equiv(a: Formula, b: Formula) -> bool:
     """IPC interderivability of two box-free formulas."""
     if a == b:
         return True
-    key = (a, b) if _order(a) <= _order(b) else (b, a)
-    hit = _equiv_memo.get(key)
-    if hit is None:
-        table = SequentTable()
-        hit = ipc_provable((), Imp(a, b), table) and ipc_provable((), Imp(b, a), table)
-        _equiv_memo[key] = hit
-    return hit
+    table = SequentTable()
+    return ipc_provable((), Imp(a, b), table) and ipc_provable((), Imp(b, a), table)

@@ -324,16 +324,17 @@ def upward_closed_sets(worlds, leq) -> list[frozenset[int]]:
     return ups
 
 
-def valid_on_frame(frame: Frame, f: Formula, world_limit: int = VALID_ON_FRAME_WORLD_LIMIT) -> bool:
+def valid_on_frame(frame: Frame, f: Formula) -> bool:
     """True iff f holds under every monotone valuation of its atoms.
 
-    Only the atoms occurring in f need a valuation; refuses frames larger than
-    the world limit (the valuation space is exponential in |W|).  The frame
-    is checked and compiled once, and each valuation is a map of atom masks.
+    Only the atoms occurring in f need a valuation; refuses frames of more
+    than ``VALID_ON_FRAME_WORLD_LIMIT`` worlds (the valuation space is
+    exponential in |W|).  The frame is checked and compiled once, and each
+    valuation is a map of atom masks.
     """
-    if len(frame.worlds) > world_limit:
-        raise ModelError(
-            f"frame has {len(frame.worlds)} worlds; valid_on_frame limit is {world_limit}")
+    if len(frame.worlds) > VALID_ON_FRAME_WORLD_LIMIT:
+        raise ModelError(f"frame has {len(frame.worlds)} worlds; valid_on_frame "
+                         f"limit is {VALID_ON_FRAME_WORLD_LIMIT}")
     base = KripkeModel(frame)
     names = sorted(atoms(f))
     ups = [sum(1 << base.index[w] for w in up)

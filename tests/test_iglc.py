@@ -8,7 +8,7 @@ from iglc.formula import And, Atom, Bottom, Box, Imp, Or, BOT, Iff, atoms, parse
 from iglc.iglc_prover import (AdequateSet, BudgetExceeded, BudgetExhausted,
                               Invalid, Valid, decide_iglc, derives_iglc,
                               is_saturated, saturate, clear_caches, _Budget,
-                              _CANDIDATE_CAP, _Canonical, _FRAMES, _scan)
+                              _CANDIDATE_CAP, _Canonical, _FRAMES, _decide, _scan)
 from iglc.kripke import (Frame, KripkeModel, check_frame, forces, model_to_json,
                          upward_closed_sets)
 from conftest import ModelTable, random_formula, random_realistic_model
@@ -559,27 +559,29 @@ def test_core_matches_pairwise_reference(modal_corpus):
         assert core_trace(_Canonical, f, 100_000) == core_trace(ReferenceCanonical, f, 100_000), render(f)
 
 
-# (budget, verdict kind, steps used) of cold decisions, recorded from the
-# pairwise core.  The budgets land in the scan and certifier, inside
-# _generate, at the end of _generate, inside the first and later elimination
-# rounds, one step short of a full run and at a full run; a BudgetExceeded
-# count past its budget is the charge of the round it could not pay.
+# (budget, verdict kind, steps used) of cold decisions.  The budgets land in
+# the small tier, the certifier (its first charge and its axiom charge), the
+# large tier, inside _generate, at the end of _generate, inside the first and
+# later elimination rounds, one step short of a full run and at a full run; a
+# BudgetExceeded count past its budget is the charge of the round it could not
+# pay.  Full runs: Mojtahedi and PTP end in the scan, Löb in the certifier,
+# the last two in the core.
 BUDGET_CASES = {
-    MOJTAHEDI: [(5, "BudgetExceeded", 6), (5000, "BudgetExceeded", 5001),
-                (9608, "BudgetExceeded", 9609), (9609, "Invalid", None)],
+    MOJTAHEDI: [(5, "BudgetExceeded", 6), (95, "BudgetExceeded", 96),
+                (4703, "BudgetExceeded", 4704), (4704, "Invalid", None)],
     PTP: [(5, "BudgetExceeded", 6), (6, "Invalid", None)],
     parse("[]([]p -> p) -> []p"): [
-        (50, "BudgetExceeded", 51), (81, "BudgetExceeded", 142), (100, "BudgetExceeded", 142),
-        (145, "BudgetExceeded", 150), (152, "BudgetExceeded", 156),
-        (162, "BudgetExceeded", 163), (163, "Valid", None)],
+        (0, "BudgetExceeded", 1), (5, "BudgetExceeded", 6), (7, "BudgetExceeded", 8),
+        (8, "BudgetExceeded", 9), (9, "BudgetExceeded", 14),
+        (13, "BudgetExceeded", 14), (14, "Valid", None)],
     parse("([](p | q) -> ([]p | []q)) | ~~[]r"): [
-        (2000, "BudgetExceeded", 2001), (4790, "BudgetExceeded", 161804),
-        (161805, "BudgetExceeded", 171655), (198220, "BudgetExceeded", 198221),
-        (198221, "Valid", None)],
+        (1915, "BudgetExceeded", 1916), (4705, "BudgetExceeded", 161719),
+        (161720, "BudgetExceeded", 171570), (198135, "BudgetExceeded", 198136),
+        (198136, "Valid", None)],
     parse("(([]p -> []q) -> []r) -> ([](p -> q) | [](q -> r))"): [
-        (5000, "BudgetExceeded", 5001), (13304, "BudgetExceeded", 1380449),
-        (1380450, "BudgetExceeded", 1452945), (1499458, "BudgetExceeded", 1499459),
-        (1499459, "Invalid", None)],
+        (4884, "BudgetExceeded", 4885), (13188, "BudgetExceeded", 1380333),
+        (1380334, "BudgetExceeded", 1452829), (1499342, "BudgetExceeded", 1499343),
+        (1499343, "Invalid", None)],
 }
 
 
@@ -596,6 +598,35 @@ def test_cold_budget_outcomes_match_the_pairwise_core(monkeypatch):
     monkeypatch.setattr(_Canonical, "_successors",
                         lambda self, *args: calls.append(1) or successors(self, *args))
     clear_caches()
-    assert decide_iglc(parse("([](p | q) -> ([]p | []q)) | ~~[]r"), 4790) == \
-        BudgetExceeded(161804)
+    assert decide_iglc(parse("([](p | q) -> ([]p | []q)) | ~~[]r"), 4705) == \
+        BudgetExceeded(161719)
     assert not calls
+
+
+def test_budget_verdicts_do_not_depend_on_cache_state(modal_corpus):
+    rng = random.Random(7)
+    sample = rng.sample(modal_corpus, 600)
+    sample += [random_formula(rng, ("p", "q", "r"), rng.randint(14, 22), box_prob=0.25)
+               for _ in range(40)]
+    costs = {}
+    for f in sample:
+        clear_caches()
+        bud = _Budget(10**9)
+        _decide(f, bud)
+        costs[f] = bud.used
+
+    def kinds(f, cold):
+        out = []
+        for budget in (costs[f] - 1, costs[f]):
+            if cold:
+                clear_caches()
+            out.append(type(decide_iglc(f, budget)).__name__)
+        return out
+
+    cold = {f: kinds(f, True) for f in costs}
+    assert all(k[0] == "BudgetExceeded" and k[1] != "BudgetExceeded" for k in cold.values())
+    clear_caches()
+    for f in sample:
+        decide_iglc(f)
+    moved = [render(f) for f in costs if kinds(f, False) != cold[f]]
+    assert not moved, moved
