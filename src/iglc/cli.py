@@ -16,8 +16,8 @@ from .ipc import IpcValid, decide_ipc
 from .iglc_prover import DEFAULT_BUDGET, Invalid, Valid, decide_iglc
 from .ha import (LOGIC_NAMES, in_ha_fast_sigma1_logic, in_ha_sigma1_logic,
                  in_selfcompletion_fast_logic)
-from .kripke import (Frame, KripkeModel, ModelError, check_frame, model_from_json,
-                     model_to_dot, model_to_json)
+from .kripke import (KripkeModel, ModelError, check_frame, frame_from_json,
+                     model_from_json, model_to_dot, model_to_json)
 from .nnil import nnil_star
 from .solovay import extend_model, truth_set
 from .tnnil import tnnil_plus
@@ -137,17 +137,16 @@ def _cmd_transform(args) -> int:
     return EXIT_VALID
 
 
-def _load_model(path: str) -> KripkeModel:
+def _read(path: str) -> str:
     try:
         with open(path) as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as e:
         raise ModelError(f"cannot read {path}: {e}") from None
-    return model_from_json(text)
 
 
 def _cmd_model_check(args) -> int:
-    model = _load_model(args.path)
+    model = model_from_json(_read(args.path))
     f = parse(args.formula)
     truth = model.truth(f)
     refuting = [w for i, w in enumerate(model.order) if not truth >> i & 1]
@@ -161,21 +160,8 @@ def _cmd_model_check(args) -> int:
     return EXIT_VALID if not refuting else EXIT_INVALID
 
 
-def _load_frame_raw(path: str) -> Frame:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        worlds = [int(w) for w in data["worlds"]]
-        leq = {(int(a), int(b)) for a, b in data.get("leq", [])}
-        r = {(int(a), int(b)) for a, b in data.get("r", [])}
-    except (OSError, ValueError, KeyError, TypeError) as e:
-        raise ModelError(f"bad frame file {path}: {e}") from None
-    leq |= {(w, w) for w in worlds}
-    return Frame.make(worlds, leq, r)
-
-
 def _cmd_frame_report(args) -> int:
-    report = check_frame(_load_frame_raw(args.path))
+    report = check_frame(frame_from_json(_read(args.path)))
     if args.as_json:
         print(json.dumps(report.as_dict(), sort_keys=True))
     else:
@@ -185,7 +171,7 @@ def _cmd_frame_report(args) -> int:
 
 
 def _cmd_solovay_truthset(args) -> int:
-    model = _load_model(args.path)
+    model = model_from_json(_read(args.path))
     f = parse(args.formula)
     try:
         extended = extend_model(model)
@@ -202,6 +188,20 @@ def _cmd_solovay_truthset(args) -> int:
     return EXIT_VALID
 
 
+def _corpus_verdict(parts: list[str], budget: int) -> str:
+    """The verdict word of one corpus line's fields; ValueError says what is wrong."""
+    if len(parts) != 3:
+        raise ValueError("expected 3 tab-separated fields")
+    expected, logic, text = parts
+    if expected not in ("valid", "invalid") or logic not in LOGIC_NAMES:
+        raise ValueError("bad verdict or logic")
+    try:
+        f = parse(text)
+    except ParseError as e:
+        raise ValueError(f"formula: {e}") from None
+    return _decide_in_logic(logic, f, budget)[0]
+
+
 def _cmd_corpus_run(args) -> int:
     try:
         with open(args.path) as fh:
@@ -210,45 +210,34 @@ def _cmd_corpus_run(args) -> int:
         print(f"error: cannot read {args.path}: {e}", file=sys.stderr)
         return EXIT_USAGE
     results = []
-    mismatches = budget_hits = 0
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        parts = stripped.split("\t")
-        if len(parts) != 3:
-            print(f"error: line {lineno}: expected 3 tab-separated fields",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        expected, logic, text = (p.strip() for p in parts)
-        if expected not in ("valid", "invalid") or logic not in LOGIC_NAMES:
-            print(f"error: line {lineno}: bad verdict or logic", file=sys.stderr)
-            return EXIT_USAGE
+        parts = [p.strip() for p in stripped.split("\t")]
+        expected, logic, text = parts if len(parts) == 3 else (None, None, stripped)
+        row = {"line": lineno, "logic": logic, "formula": text, "expected": expected}
         try:
-            f = parse(text)
-        except ParseError as e:
-            print(f"error: line {lineno}: formula: {e}", file=sys.stderr)
-            return EXIT_USAGE
-        word, _, _, _ = _decide_in_logic(logic, f, args.budget)
-        if word == "budget-exceeded":
-            outcome = "budget-exceeded"
-            budget_hits += 1
-        elif word == expected:
-            outcome = "ok"
-        else:
-            outcome = "MISMATCH"
-            mismatches += 1
-        results.append({"line": lineno, "logic": logic, "formula": text,
-                        "expected": expected, "actual": word, "outcome": outcome})
+            row["actual"] = word = _corpus_verdict(parts, args.budget)
+            row["outcome"] = ("budget-exceeded" if word == "budget-exceeded"
+                              else "ok" if word == expected else "MISMATCH")
+        except ValueError as e:     # one bad line is one error row; the run goes on
+            print(f"error: line {lineno}: {e}", file=sys.stderr)
+            row.update(actual="error", outcome="error", error=str(e))
+        results.append(row)
+    mismatches, budget_hits, errors = (sum(row["outcome"] == k for row in results)
+                                       for k in ("MISMATCH", "budget-exceeded", "error"))
     if args.as_json:
         print(json.dumps({"results": results, "mismatches": mismatches,
-                          "budget_exceeded": budget_hits}, sort_keys=True))
+                          "budget_exceeded": budget_hits, "errors": errors}, sort_keys=True))
     else:
         for row in results:
-            print(f"{row['outcome']:>16}  line {row['line']:>3}  {row['logic']:>14}  "
+            print(f"{row['outcome']:>16}  line {row['line']:>3}  {row['logic']!s:>14}  "
                   f"{row['formula']}  (expected {row['expected']}, got {row['actual']})")
-        print(f"{len(results)} entries, {len(results) - mismatches - budget_hits} ok, "
-              f"{mismatches} mismatched, {budget_hits} budget-exceeded")
+        print(f"{len(results)} entries, {len(results) - mismatches - budget_hits - errors} ok, "
+              f"{mismatches} mismatched, {budget_hits} budget-exceeded, {errors} errors")
+    if errors:
+        return EXIT_USAGE
     if budget_hits:
         return EXIT_BUDGET
     return EXIT_INVALID if mismatches else EXIT_VALID

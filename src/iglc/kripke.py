@@ -2,20 +2,17 @@
 
 A frame carries an intuitionistic partial order ``leq`` (⪯) and a modal
 relation ``r`` (⊏) subject to the model property ⪯∘⊏ ⊆ ⊏.  Worlds are small
-integers; relations are explicit pair sets.
+integers; a relation is a list of per-world successor bitmasks.  Pair sets
+appear only at the edges: a ``Frame`` is compiled to masks once, and a model's
+``frame`` and ``valuation`` are views of its masks, for export.
 
-Evaluation runs on per-world successor bitmasks, compiled from pair sets by
-``successor_masks``, through one mask evaluator, ``truth_mask``, which also
-evaluates on a submodel given by a mask of kept worlds.  A ``KripkeModel``
-compiles its frame once, when it validates itself, and keeps the masks and
-the ``FrameReport``: ``forces``, ``valid_on_model``, the deciders' machine
-checks, the tail extension and the NNIL fingerprint family all read them, and
-each forcing question is one ``truth_mask`` pass with a fresh cache.
-``valid_on_frame`` checks and compiles its frame once and varies only the
-atom masks.  The iGLC decider's small-model scan calls ``truth_mask`` on
-compiled frames, and ``shrink``, the one greedy countermodel shrinker of the
-iGLC and IPC deciders, on trial submodels; ``model_from_masks`` then builds
-the one validated model of the result.
+A ``KripkeModel`` keeps only the masks it is validated on (``_report``) and
+its ``FrameReport``.  ``truth_mask``, the one evaluator, reads masks, also on
+a submodel given by a mask of kept worlds: ``forces``, the deciders' machine
+checks, the tail extension, the NNIL fingerprint family and the iGLC scan
+each make one pass per question.  ``shrink``, the one greedy countermodel
+shrinker of the iGLC and IPC deciders, drops worlds from a mask, and
+``model_from_masks`` validates the kept worlds' masks as the result's model.
 """
 
 from __future__ import annotations
@@ -28,7 +25,8 @@ from .formula import And, Atom, Bottom, Box, Formula, Imp, Or, atoms
 __all__ = [
     "Frame", "KripkeModel", "FrameReport", "ModelError",
     "check_frame", "forces", "valid_on_model", "valid_on_frame",
-    "model_to_json", "model_from_json", "model_to_dot", "upward_closed_sets",
+    "model_to_json", "model_from_json", "frame_from_json", "model_to_dot",
+    "upward_closed_sets",
     "successor_masks", "mask_bits", "truth_mask", "shrink", "model_from_masks",
 ]
 
@@ -68,31 +66,6 @@ class FrameReport:
         return dict(self.__dict__)
 
 
-def _has_cycle(worlds, succ) -> bool:
-    # Iterative DFS; a back edge in r means some nonempty set lacks a maximal element.
-    color = {w: 0 for w in worlds}
-    for start in worlds:
-        if color[start]:
-            continue
-        stack = [(start, iter(succ.get(start, ())))]
-        color[start] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == 1:
-                    return True
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    stack.append((nxt, iter(succ.get(nxt, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
-    return False
-
-
 def successor_masks(index: dict[int, int], pairs) -> list[int]:
     """Per-world successor masks of a relation: bit ``index[b]`` of entry
     ``index[a]`` is set for each pair (a, b)."""
@@ -110,6 +83,18 @@ def mask_bits(m: int):
         m ^= low
 
 
+def _ors(sel: int, a: list[int], b: list[int]) -> tuple[int, int]:
+    """The OR of ``a[j]`` and the OR of ``b[j]`` over the set bits j of ``sel``."""
+    ua = ub = 0
+    while sel:
+        low = sel & -sel
+        j = low.bit_length() - 1
+        ua |= a[j]
+        ub |= b[j]
+        sel ^= low
+    return ua, ub
+
+
 def _compile(frame: Frame) -> tuple[list[int], dict[int, int], list[int], list[int]]:
     """The worlds in sorted order, their index, and the ⪯ and ⊏ successor masks."""
     if not frame.worlds:
@@ -123,99 +108,109 @@ def _compile(frame: Frame) -> tuple[list[int], dict[int, int], list[int], list[i
     return order, index, successor_masks(index, frame.leq), successor_masks(index, frame.r)
 
 
-def _report(frame: Frame, index: dict[int, int], leq_succ: list[int],
-            r_succ: list[int]) -> FrameReport:
-    """The seven frame properties by direct definition, on the compiled masks.
-
-    Successor bitmasks keep the relational composites near-linear in the
-    number of relation pairs.
-    """
-    leq, r = frame.leq, frame.r
-    n = len(index)
-    reflexive = all(leq_succ[i] >> i & 1 for i in range(n))
-    antisym = all(not (leq_succ[index[b]] >> index[a] & 1)
-                  for a, b in leq if a != b)
-    leq_trans = all(leq_succ[index[b]] & ~leq_succ[index[a]] == 0 for a, b in leq)
-    is_poset = reflexive and antisym and leq_trans
-    model_property = all(r_succ[index[b]] & ~r_succ[index[a]] == 0 for a, b in leq)
-    irreflexive = all(not (r_succ[i] >> i & 1) for i in range(n))
-    transitive = all(r_succ[index[b]] & ~r_succ[index[a]] == 0 for a, b in r)
+def _report(leq_succ: list[int], r_succ: list[int]) -> FrameReport:
+    """The seven frame properties by direct definition, on successor masks:
+    a law over all pairs (a, b) is one test per world a against the OR of its
+    successors' masks; a preorder is antisymmetric iff its ⪯-masks are
+    distinct; ⊏ is conversely well-founded iff repeatedly peeling off the
+    worlds without a live ⊏-successor empties the frame."""
+    via_leq = [_ors(s, leq_succ, r_succ) for s in leq_succ]    # ⪯∘⪯ and ⪯∘⊏ per world
+    via_r = [_ors(s, leq_succ, r_succ) for s in r_succ]        # ⊏∘⪯ and ⊏∘⊏
+    is_poset = (all(s >> i & 1 for i, s in enumerate(leq_succ))
+                and all(up & ~s == 0 for s, (up, _) in zip(leq_succ, via_leq))
+                and len(set(leq_succ)) == len(leq_succ))
+    model_property = all(later & ~s == 0 for s, (_, later) in zip(r_succ, via_leq))
+    irreflexive = not any(s >> i & 1 for i, s in enumerate(r_succ))
+    transitive = all(later & ~s == 0 for s, (_, later) in zip(r_succ, via_r))
     # ⊏∘⊏ ⊆ ⊏∘⪯: anything two ⊏-steps away is one ⊏-step then ⪯-up.
-    reach_up = []
-    for i in range(n):
-        u = 0
-        for j in mask_bits(r_succ[i]):
-            u |= leq_succ[j]
-        reach_up.append(u)
-    semi_transitive = all(r_succ[index[b]] & ~reach_up[index[a]] == 0 for a, b in r)
-    realistic = r <= leq
-    succ: dict[int, list[int]] = {}
-    for a, b in r:
-        succ.setdefault(a, []).append(b)
-    cwf = not _has_cycle(frame.worlds, succ)
+    semi_transitive = all(later & ~up == 0 for up, later in via_r)
+    realistic = all(s & ~up == 0 for up, s in zip(leq_succ, r_succ))
+    alive = (1 << len(r_succ)) - 1
+    while alive:
+        sinks = sum(1 << i for i in mask_bits(alive) if r_succ[i] & alive == 0)
+        if not sinks:
+            break
+        alive ^= sinks
     return FrameReport(is_poset, model_property, irreflexive, transitive,
-                       semi_transitive, realistic, cwf)
+                       semi_transitive, realistic, not alive)
 
 
 def check_frame(frame: Frame) -> FrameReport:
-    """Evaluate the seven frame properties by direct definition on finite data.
-
-    Raises ModelError on an empty world set or when a relation pair mentions
-    an unknown world.
-    """
-    _, index, leq_succ, r_succ = _compile(frame)
-    return _report(frame, index, leq_succ, r_succ)
+    """The seven frame properties of finite data; ModelError on an empty world
+    set or a relation pair that mentions an unknown world."""
+    return _report(*_compile(frame)[2:])
 
 
 class KripkeModel:
-    """Frame plus monotone valuation; invariants are checked at construction.
+    """Frame plus monotone valuation, kept as the masks it is validated on.
 
-    The masks compiled for that check are kept: ``order`` lists the worlds
-    sorted, ``index`` maps a world to its position there, ``leq_succ[i]`` and
-    ``r_succ[i]`` are the ⪯- and ⊏-successor masks of world ``order[i]``,
-    ``val[p]`` is the mask of worlds where p holds, ``full`` the mask of all
-    worlds and ``report`` the frame's ``FrameReport``.
+    ``order`` lists the worlds sorted, ``index`` maps a world to its position
+    there, ``leq_succ[i]`` and ``r_succ[i]`` are the ⪯- and ⊏-successor masks
+    of world ``order[i]``, ``val[p]`` is the mask of worlds where p holds,
+    ``full`` the mask of all worlds and ``report`` the frame's
+    ``FrameReport``.  Equality and hashing compare the masks; ``frame`` and
+    ``valuation`` are pair-set views of them for export, built on each read.
     """
 
-    __slots__ = ("frame", "valuation", "order", "index", "leq_succ", "r_succ",
-                 "val", "full", "report")
+    __slots__ = ("order", "index", "leq_succ", "r_succ", "val", "full", "report")
 
     def __init__(self, frame: Frame, valuation: dict[str, frozenset[int]] | None = None):
-        self.frame = frame
-        self.valuation = {p: frozenset(v) for p, v in (valuation or {}).items()}
-        self.order, self.index, self.leq_succ, self.r_succ = _compile(frame)
-        self.report = rep = _report(frame, self.index, self.leq_succ, self.r_succ)
+        order, index, leq_succ, r_succ = _compile(frame)
+        self._validate(order, leq_succ, r_succ)
+        for p, trues in (valuation or {}).items():
+            trues = frozenset(trues)
+            if not trues <= frame.worlds:
+                raise ModelError(f"valuation of {p!r} mentions unknown world")
+            self._add_atom(p, sum(1 << index[w] for w in trues))
+
+    def _validate(self, order: list[int], leq_succ: list[int], r_succ: list[int]) -> None:
+        """Adopt the frame's masks, or raise ModelError; no atoms yet."""
+        self.report = rep = _report(leq_succ, r_succ)
         if not rep.is_poset:
             raise ModelError("leq is not a partial order")
         if not rep.has_model_property:
             raise ModelError("model property fails (leq∘r ⊄ r)")
-        self.val = {}
-        for p, trues in self.valuation.items():
-            if not trues <= frame.worlds:
-                raise ModelError(f"valuation of {p!r} mentions unknown world")
-            m = sum(1 << self.index[w] for w in trues)
-            for a in sorted(trues):
-                up = self.leq_succ[self.index[a]] & ~m
-                if up:
-                    b = self.order[(up & -up).bit_length() - 1]
-                    raise ModelError(f"valuation of {p!r} not monotone ({a}⪯{b})")
-            self.val[p] = m
-        self.full = (1 << len(self.order)) - 1
+        self.order, self.leq_succ, self.r_succ = order, leq_succ, r_succ
+        self.index = {w: i for i, w in enumerate(order)}
+        self.val: dict[str, int] = {}
+        self.full = (1 << len(order)) - 1
+
+    def _add_atom(self, p: str, m: int) -> None:
+        for i in mask_bits(m):
+            up = self.leq_succ[i] & ~m
+            if up:
+                b = self.order[(up & -up).bit_length() - 1]
+                raise ModelError(f"valuation of {p!r} not monotone ({self.order[i]}⪯{b})")
+        self.val[p] = m
+
+    def _pairs(self, succ) -> list[tuple[int, int]]:
+        """The pairs (a, b) of a relation given by per-world masks, sorted."""
+        return [(self.order[i], self.order[j]) for i, s in enumerate(succ) for j in mask_bits(s)]
+
+    @property
+    def frame(self) -> Frame:
+        return Frame(frozenset(self.order), frozenset(self._pairs(self.leq_succ)),
+                     frozenset(self._pairs(self.r_succ)))
+
+    @property
+    def valuation(self) -> dict[str, frozenset[int]]:
+        return {p: frozenset(self.order[i] for i in mask_bits(m)) for p, m in self.val.items()}
 
     def __hash__(self):
-        return hash((self.frame, tuple(sorted(self.valuation.items()))))
+        return hash((tuple(self.order), tuple(self.leq_succ), tuple(self.r_succ),
+                     frozenset(self.val.items())))
 
     def __eq__(self, other):
-        return (isinstance(other, KripkeModel) and self.frame == other.frame
-                and self.valuation == other.valuation)
+        return (isinstance(other, KripkeModel) and self.order == other.order
+                and self.leq_succ == other.leq_succ and self.r_succ == other.r_succ
+                and self.val == other.val)
 
     def __repr__(self):
         return f"KripkeModel({self.frame!r}, {self.valuation!r})"
 
     @staticmethod
     def make(worlds, leq, r, valuation) -> "KripkeModel":
-        return KripkeModel(Frame.make(worlds, leq, r),
-                           {p: frozenset(v) for p, v in valuation.items()})
+        return KripkeModel(Frame.make(worlds, leq, r), valuation)
 
     def truth(self, f: Formula) -> int:
         """Mask of the worlds forcing f (bit i for world ``order[i]``)."""
@@ -292,12 +287,19 @@ def shrink(leq_succ, r_succ, val: dict[str, int], root: int, refutes, charge) ->
 
 def model_from_masks(leq_succ, r_succ, val: dict[str, int], keep: int) -> KripkeModel:
     """The validated submodel on ``keep``; kept indices become worlds 1, 2, … in order."""
-    kept = [i for i in range(len(leq_succ)) if keep >> i & 1]
-    label = {i: k + 1 for k, i in enumerate(kept)}
-    leq, r = (frozenset((label[i], label[j]) for i in kept for j in mask_bits(succ[i] & keep))
-              for succ in (leq_succ, r_succ))
-    valuation = {p: frozenset(label[i] for i in mask_bits(m & keep)) for p, m in val.items()}
-    return KripkeModel(Frame(frozenset(label.values()), leq, r), valuation)
+    if not keep:
+        raise ModelError("empty world set")
+    if keep != (1 << len(leq_succ)) - 1:
+        pos = {j: k for k, j in enumerate(mask_bits(keep))}
+        def gather(m: int) -> int:
+            return sum(1 << pos[j] for j in mask_bits(m & keep))
+        leq_succ, r_succ = ([gather(succ[j]) for j in pos] for succ in (leq_succ, r_succ))
+        val = {p: gather(m) for p, m in val.items()}
+    model = KripkeModel.__new__(KripkeModel)
+    model._validate(list(range(1, len(leq_succ) + 1)), list(leq_succ), list(r_succ))
+    for p, m in val.items():
+        model._add_atom(p, m)
+    return model
 
 
 def forces(model: KripkeModel, world: int, f: Formula) -> bool:
@@ -337,8 +339,7 @@ def valid_on_frame(frame: Frame, f: Formula) -> bool:
                          f"limit is {VALID_ON_FRAME_WORLD_LIMIT}")
     base = KripkeModel(frame)
     names = sorted(atoms(f))
-    ups = [sum(1 << base.index[w] for w in up)
-           for up in upward_closed_sets(frame.worlds, frame.leq)]
+    ups = [m for m in range(base.full + 1) if _ors(m, base.leq_succ, base.leq_succ)[0] == m]
     return all(truth_mask(f, base.leq_succ, base.r_succ, dict(zip(names, val)),
                           base.full, {}) == base.full
                for val in itertools.product(ups, repeat=len(names)))
@@ -348,50 +349,60 @@ def valid_on_frame(frame: Frame, f: Formula) -> bool:
 # JSON and DOT interchange.
 
 def model_to_json(model: KripkeModel) -> str:
-    worlds = sorted(model.frame.worlds)
-    leq = sorted((a, b) for a, b in model.frame.leq if a != b)
-    r = sorted(model.frame.r)
-    val = {p: sorted(v) for p, v in sorted(model.valuation.items()) if v}
-    return json.dumps({"worlds": worlds, "leq": [list(p) for p in leq],
-                       "r": [list(p) for p in r], "val": val})
+    order = model.order
+    leq = [[a, b] for a, b in model._pairs(model.leq_succ) if a != b]
+    r = [[a, b] for a, b in model._pairs(model.r_succ)]
+    val = {p: [order[i] for i in mask_bits(m)] for p, m in sorted(model.val.items()) if m}
+    return json.dumps({"worlds": order, "leq": leq, "r": r, "val": val})
 
 
-def model_from_json(text: str) -> KripkeModel:
-    """Load a model; reflexive ⪯ pairs may be omitted and are added here."""
+def _read_json(text: str):
+    """The one reader of model and frame files: worlds, ⪯ pairs with the
+    reflexive ones added, ⊏ pairs and valuation."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ModelError(f"bad model JSON: {e}") from None
     if not isinstance(data, dict) or not isinstance(data.get("val", {}), dict):
         raise ModelError("model JSON and its \"val\" must be objects")
-    try:
-        worlds = [int(w) for w in data["worlds"]]
-        leq = {(int(a), int(b)) for a, b in data.get("leq", [])}
-        r = {(int(a), int(b)) for a, b in data.get("r", [])}
-        val = {str(p): [int(w) for w in ws] for p, ws in data.get("val", {}).items()}
-    except (KeyError, TypeError, ValueError) as e:
-        raise ModelError(f"bad model JSON structure: {e}") from None
-    leq |= {(w, w) for w in worlds}
+
+    def ints(value, n=None) -> bool:    # a list of n integers, or of any number; no bools
+        return (isinstance(value, list) and all(type(x) is int for x in value)
+                and n in (None, len(value)))
+
+    worlds, val = data.get("worlds"), data.get("val", {})
+    rels = [data.get("leq", []), data.get("r", [])]
+    if not (ints(worlds) and all(ints(ws) for ws in val.values())
+            and all(isinstance(rel, list) and all(ints(p, 2) for p in rel) for rel in rels)):
+        raise ModelError("bad model JSON structure: \"worlds\", each \"val\" entry and "
+                         "each \"leq\" and \"r\" pair must be lists of integers")
+    leq, r = ({(a, b) for a, b in rel} for rel in rels)
+    return worlds, leq | {(w, w) for w in worlds}, r, val
+
+
+def frame_from_json(text: str) -> Frame:
+    """Load the frame of a model or frame file; reflexive ⪯ pairs are added."""
+    worlds, leq, r, _ = _read_json(text)
+    return Frame.make(worlds, leq, r)
+
+
+def model_from_json(text: str) -> KripkeModel:
+    """Load a model; reflexive ⪯ pairs may be omitted and are added here."""
+    worlds, leq, r, val = _read_json(text)
     return KripkeModel.make(worlds, leq, r, val)
-
-
-def _hasse(worlds, leq) -> set[tuple[int, int]]:
-    strict = {(a, b) for a, b in leq if a != b}
-    return {(a, b) for a, b in strict
-            if not any((a, z) in strict and (z, b) in strict for z in worlds)}
 
 
 def model_to_dot(model: KripkeModel) -> str:
     """DOT export: solid edges ⊏, dashed edges the Hasse reduction of ⪯."""
-    worlds = sorted(model.frame.worlds)
     lines = ["digraph model {"]
-    for w in worlds:
-        forced = ",".join(p for p in sorted(model.valuation) if w in model.valuation[p])
+    for i, w in enumerate(model.order):
+        forced = ",".join(p for p in sorted(model.val) if model.val[p] >> i & 1)
         label = f"{w}: {forced}" if forced else str(w)
         lines.append(f'  w{w} [label="{label}"];')
-    for a, b in sorted(model.frame.r):
+    for a, b in model._pairs(model.r_succ):
         lines.append(f"  w{a} -> w{b};")
-    for a, b in sorted(_hasse(worlds, model.frame.leq)):
+    strict = [s & ~(1 << i) for i, s in enumerate(model.leq_succ)]
+    for a, b in model._pairs([s & ~_ors(s, strict, strict)[0] for s in strict]):
         lines.append(f"  w{a} -> w{b} [style=dashed];")
     lines.append("}")
     return "\n".join(lines)

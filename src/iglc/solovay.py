@@ -12,8 +12,8 @@ tail profiles (sets of subformulas forced at tail worlds) shrink monotonically
 and must repeat within |sub(A)| steps, after which they are constant.  Worlds
 1..H are evaluated as one finite model by ``kripke.truth_mask``, on successor
 masks read off ``ExtendedModel.leq`` and ``sqsubset``, the one definition of
-the tail's shape; world 0 is evaluated by dedicated clauses against the
-stabilized profile.
+the tail's shape, which on the core read the core's own masks; world 0 is
+evaluated by dedicated clauses against the stabilized profile.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .formula import (And, Atom, Bottom, Formula, Imp, Or, atoms, render, size,
                       subsentences)
-from .kripke import KripkeModel, truth_mask
+from .kripke import KripkeModel, mask_bits, model_from_masks, truth_mask
 
 __all__ = ["ExtendedModel", "TruthSet", "extend_model", "truth_set", "tail_profiles"]
 
@@ -54,7 +54,8 @@ class TruthSet:
 
 
 class ExtendedModel:
-    """A finite rooted realistic core {1..r} plus the implied infinite tail."""
+    """A finite rooted realistic core {1..r} plus the implied infinite tail;
+    core world i is bit i - 1 of the core's masks."""
 
     __slots__ = ("core", "r")
 
@@ -68,17 +69,17 @@ class ExtendedModel:
     def leq(self, i: int, j: int) -> bool:
         r = self.r
         if 1 <= i <= r and 1 <= j <= r:
-            return (i, j) in self.core.frame.leq
+            return bool(self.core.leq_succ[i - 1] >> j - 1 & 1)
         return (i > r and 1 <= j <= i) or i == 0
 
     def sqsubset(self, i: int, j: int) -> bool:
         r = self.r
         if 1 <= i <= r and 1 <= j <= r:
-            return (i, j) in self.core.frame.r
+            return bool(self.core.r_succ[i - 1] >> j - 1 & 1)
         return (i > r and 1 <= j < i) or (i == 0 and j > 0)
 
     def holds_atom(self, name: str, i: int) -> bool:
-        return 1 <= i <= self.r and i in self.core.valuation.get(name, ())
+        return 1 <= i <= self.r and bool(self.core.val.get(name, 0) >> i - 1 & 1)
 
 
 def extend_model(core: KripkeModel) -> ExtendedModel:
@@ -92,21 +93,18 @@ def extend_model(core: KripkeModel) -> ExtendedModel:
         raise ValueError("core not irreflexive")
     if not rep.realistic:
         raise ValueError("core not realistic")
-    worlds = core.order
-    least = [w for w, up in zip(worlds, core.leq_succ) if up == core.full]
+    least = [i for i, up in enumerate(core.leq_succ) if up == core.full]
     if not least:
         raise ValueError("core has no least element under the intuitionistic order")
-    root = least[0]
-    r = len(worlds)
-    relabel = {root: r}
-    for i, w in enumerate(sorted(set(worlds) - {root})):
-        relabel[w] = i + 1
-    new_core = KripkeModel.make(
-        [relabel[w] for w in worlds],
-        {(relabel[a], relabel[b]) for a, b in core.frame.leq},
-        {(relabel[a], relabel[b]) for a, b in core.frame.r},
-        {p: {relabel[w] for w in ws} for p, ws in core.valuation.items()})
-    return ExtendedModel(new_core, r)
+    # new position k holds old index perm[k]: the other worlds in order, the root last
+    perm = [i for i in range(len(core.order)) if i != least[0]] + least[:1]
+    pos = {i: k for k, i in enumerate(perm)}
+    def move(m: int) -> int:
+        return sum(1 << pos[j] for j in mask_bits(m))
+    new_core = model_from_masks([move(core.leq_succ[i]) for i in perm],
+                                [move(core.r_succ[i]) for i in perm],
+                                {p: move(m) for p, m in core.val.items()}, core.full)
+    return ExtendedModel(new_core, len(perm))
 
 
 def _horizon(m: ExtendedModel, a: Formula) -> int:

@@ -265,3 +265,52 @@ def test_transform_json(capsys):
     assert code == 0
     assert json.loads(out) == {"input": "[]((p -> q) -> q)", "op": "tnnil",
                                "output": "[](p | q)"}
+
+
+def test_model_files_need_integer_world_ids(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    for text in ('{"worlds": "12", "leq": [], "r": [], "val": {}}',
+                 '{"worlds": [1, 2], "leq": [], "r": [], "val": {"p": "2"}}',
+                 '{"worlds": [1, true, 2.7], "leq": [], "r": [], "val": {}}',
+                 '{"worlds": [1, 2], "leq": ["12"], "r": [], "val": {}}',
+                 '{"worlds": [1, 2], "leq": [], "r": [[1, 2, 2]], "val": {}}',
+                 '{"worlds": [1, 2], "leq": [], "r": 5, "val": {}}',
+                 '{"leq": [], "r": [], "val": {}}'):
+        path.write_text(text)
+        for argv in (["model", "check", str(path), "p"], ["frame", "report", str(path)]):
+            code, out, err = run_captured(capsys, argv)
+            assert code == 4 and not out, (text, argv)
+            assert err.startswith("error: model: bad model JSON structure: "), (text, err)
+
+
+def test_corpus_run_records_each_bad_line_and_continues(tmp_path, capsys):
+    moj = ("[](([]false) -> (~p -> (q | r))) -> "
+           "[](([]false) -> ((~p -> q) | (~p -> r)))")
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text(
+        "valid\tiglc\tp -> []p\n"
+        f"invalid\tha-sigma1\t{moj}\n"
+        "valid iglc p\n"
+        "maybe\tiglc\tp\n"
+        "valid\tipc\t[]p -> []p\n"
+        "invalid\tipc\tp ->\n"
+        "invalid\tiglc\t[]p -> p\n")
+    code, out, err = run_captured(capsys, ["corpus", "run", str(corpus), "--json"])
+    assert code == 2
+    payload = json.loads(out)
+    rows = payload["results"]
+    assert [(row["line"], row["outcome"]) for row in rows] == [
+        (1, "ok"), (2, "error"), (3, "error"), (4, "error"), (5, "error"), (6, "error"),
+        (7, "ok")]
+    assert (payload["errors"], payload["mismatches"], payload["budget_exceeded"]) == (5, 0, 0)
+    assert "exceeds the cap of 2" in rows[1]["error"]
+    assert err.splitlines() == [
+        f"error: line 2: {rows[1]['error']}",
+        "error: line 3: expected 3 tab-separated fields",
+        "error: line 4: bad verdict or logic",
+        "error: line 5: boxed formula not allowed here: []p -> []p",
+        f"error: line 6: {rows[5]['error']}"]
+    assert rows[5]["error"].startswith("formula: ")
+    code, out, _ = run_captured(capsys, ["corpus", "run", str(corpus)])
+    assert code == 2
+    assert out.splitlines()[-1] == "7 entries, 2 ok, 0 mismatched, 0 budget-exceeded, 5 errors"

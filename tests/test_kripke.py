@@ -1,12 +1,13 @@
+import json
 import random
 
 import pytest
 
 from iglc.formula import Atom, Box, TOP, atoms, parse
-from iglc.kripke import (Frame, KripkeModel, ModelError, check_frame, forces,
-                         model_from_json, model_to_dot, model_to_json,
-                         successor_masks, upward_closed_sets, valid_on_frame,
-                         valid_on_model)
+from iglc.kripke import (Frame, FrameReport, KripkeModel, ModelError, check_frame,
+                         forces, mask_bits, model_from_json, model_from_masks,
+                         model_to_dot, model_to_json, successor_masks,
+                         upward_closed_sets, valid_on_frame, valid_on_model)
 from conftest import (enumerate_iml_frames, random_formula,
                       random_realistic_model)
 
@@ -254,3 +255,196 @@ def test_valid_on_frame_matches_the_reference():
             assert verdict == reference_valid_on_frame(frame, f), (frame, f)
             valid += verdict
     assert 0 < valid < len(frames) * len(formulas)
+
+
+# ---------------------------------------------------------------------------
+# The pair-set frame report that preceded the mask report, kept as a
+# reference: check_frame must agree with it on every frame.
+
+def _reference_has_cycle(worlds, succ) -> bool:
+    # Iterative DFS; a back edge in r means some nonempty set lacks a maximal element.
+    color = {w: 0 for w in worlds}
+    for start in worlds:
+        if color[start]:
+            continue
+        stack = [(start, iter(succ.get(start, ())))]
+        color[start] = 1
+        while stack:
+            node, it = stack[-1]
+            advanced = False
+            for nxt in it:
+                if color[nxt] == 1:
+                    return True
+                if color[nxt] == 0:
+                    color[nxt] = 1
+                    stack.append((nxt, iter(succ.get(nxt, ()))))
+                    advanced = True
+                    break
+            if not advanced:
+                color[node] = 2
+                stack.pop()
+    return False
+
+
+def reference_report(frame: Frame) -> FrameReport:
+    leq, r = frame.leq, frame.r
+    index = {w: i for i, w in enumerate(sorted(frame.worlds))}
+    leq_succ, r_succ = successor_masks(index, leq), successor_masks(index, r)
+    n = len(index)
+    reflexive = all(leq_succ[i] >> i & 1 for i in range(n))
+    antisym = all(not (leq_succ[index[b]] >> index[a] & 1)
+                  for a, b in leq if a != b)
+    leq_trans = all(leq_succ[index[b]] & ~leq_succ[index[a]] == 0 for a, b in leq)
+    is_poset = reflexive and antisym and leq_trans
+    model_property = all(r_succ[index[b]] & ~r_succ[index[a]] == 0 for a, b in leq)
+    irreflexive = all(not (r_succ[i] >> i & 1) for i in range(n))
+    transitive = all(r_succ[index[b]] & ~r_succ[index[a]] == 0 for a, b in r)
+    reach_up = []
+    for i in range(n):
+        u = 0
+        for j in mask_bits(r_succ[i]):
+            u |= leq_succ[j]
+        reach_up.append(u)
+    semi_transitive = all(r_succ[index[b]] & ~reach_up[index[a]] == 0 for a, b in r)
+    realistic = r <= leq
+    succ = {}
+    for a, b in r:
+        succ.setdefault(a, []).append(b)
+    cwf = not _reference_has_cycle(frame.worlds, succ)
+    return FrameReport(is_poset, model_property, irreflexive, transitive,
+                       semi_transitive, realistic, cwf)
+
+
+def _random_relation_frame(rng):
+    """Up to 5 worlds with scattered ids; ⪯ a random poset (sometimes with one
+    pair flipped) or random pairs; ⊏ random, sometimes closed under the model
+    property or cut down to ⪯."""
+    worlds = rng.sample(range(-2, 10), rng.randint(1, 5))
+    pairs = [(a, b) for a in worlds for b in worlds]
+    if rng.random() < 0.6:
+        ranks = {w: rng.random() for w in worlds}
+        leq = {(a, b) for a, b in pairs if a == b or
+               (ranks[a] < ranks[b] and rng.random() < 0.6)}
+        closed = False
+        while not closed:
+            extra = {(a, c) for a, b in leq for b2, c in leq if b == b2} - leq
+            leq |= extra
+            closed = not extra
+        if rng.random() < 0.2:
+            leq ^= {rng.choice(pairs)}
+    else:
+        density = rng.random()
+        leq = {p for p in pairs if rng.random() < density}
+    density = rng.random() * 0.6
+    r = {p for p in pairs if rng.random() < density}
+    if rng.random() < 0.5:
+        r |= {(a, c) for a, b in leq for b2, c in r if b == b2}
+    if rng.random() < 0.3:
+        r &= leq
+    return Frame.make(worlds, leq, r)
+
+
+def test_check_frame_matches_the_pair_set_reference():
+    frames = []
+    for worlds in ([1], [1, 2]):
+        pairs = [(a, b) for a in worlds for b in worlds]
+        subsets = [{p for k, p in enumerate(pairs) if bits >> k & 1}
+                   for bits in range(1 << len(pairs))]
+        frames += [Frame.make(worlds, leq, r) for leq in subsets for r in subsets]
+    assert len(frames) == 260
+    rng = random.Random(44)
+    frames += [_random_relation_frame(rng) for _ in range(20_000)]
+    seen = {key: set() for key in FrameReport.__dataclass_fields__}
+    for frame in frames:
+        rep = check_frame(frame)
+        assert rep == reference_report(frame), frame
+        for key, value in rep.as_dict().items():
+            seen[key].add(value)
+    assert all(values == {True, False} for values in seen.values()), seen
+
+
+def reference_json(model) -> str:
+    """The pair-set JSON writer that preceded the mask one."""
+    leq = sorted((a, b) for a, b in model.frame.leq if a != b)
+    val = {p: sorted(v) for p, v in sorted(model.valuation.items()) if v}
+    return json.dumps({"worlds": sorted(model.frame.worlds), "leq": [list(p) for p in leq],
+                       "r": [list(p) for p in sorted(model.frame.r)], "val": val})
+
+
+def reference_dot(model) -> str:
+    """The pair-set DOT writer that preceded the mask one."""
+    worlds = sorted(model.frame.worlds)
+    strict = {(a, b) for a, b in model.frame.leq if a != b}
+    hasse = {(a, b) for a, b in strict
+             if not any((a, z) in strict and (z, b) in strict for z in worlds)}
+    lines = ["digraph model {"]
+    for w in worlds:
+        forced = ",".join(p for p in sorted(model.valuation) if w in model.valuation[p])
+        label = f"{w}: {forced}" if forced else str(w)
+        lines.append(f'  w{w} [label="{label}"];')
+    lines += [f"  w{a} -> w{b};" for a, b in sorted(model.frame.r)]
+    lines += [f"  w{a} -> w{b} [style=dashed];" for a, b in sorted(hasse)]
+    return "\n".join(lines + ["}"])
+
+
+def _derived_pairs_model(leq_succ, r_succ, val, keep):
+    """KripkeModel.make of the pairs of the submodel on keep, relabelled 1, 2, …"""
+    kept = [i for i in range(len(leq_succ)) if keep >> i & 1]
+    label = {i: k + 1 for k, i in enumerate(kept)}
+    leq, r = ({(label[i], label[j]) for i in kept for j in mask_bits(succ[i] & keep)}
+              for succ in (leq_succ, r_succ))
+    return KripkeModel.make(label.values(), leq, r,
+                            {p: {label[i] for i in mask_bits(m & keep)} for p, m in val.items()})
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ModelError as e:
+        return str(e)
+
+
+def test_model_from_masks_equals_the_model_of_its_pairs():
+    rng = random.Random(45)
+    built = 0
+    for trial in range(1500):
+        if trial % 3:
+            m = random_realistic_model(rng, 6, ("p", "q"), rooted=trial % 2 == 0)
+            leq_succ, r_succ, val = m.leq_succ, m.r_succ, m.val
+        else:               # arbitrary masks: both routes must fail alike
+            n = rng.randint(1, 4)
+            leq_succ = [rng.getrandbits(n) | (1 << i) * (rng.random() < 0.9) for i in range(n)]
+            r_succ = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(n)]
+            val = {"p": rng.getrandbits(n), "q": 0}
+        n = len(leq_succ)
+        keep = (1 << n) - 1 if rng.random() < 0.3 else rng.randint(1, (1 << n) - 1)
+        got = _outcome(lambda: model_from_masks(leq_succ, r_succ, val, keep))
+        want = _outcome(lambda: _derived_pairs_model(leq_succ, r_succ, val, keep))
+        if isinstance(want, str):
+            assert got == want
+            continue
+        built += 1
+        assert got == want and hash(got) == hash(want)
+        assert got.frame == want.frame and got.valuation == want.valuation
+        assert got.report == want.report == check_frame(want.frame)
+        assert model_to_json(got) == model_to_json(want) == reference_json(want)
+        assert model_to_dot(got) == model_to_dot(want) == reference_dot(want)
+    assert 1000 < built < 1500
+    assert _outcome(lambda: model_from_masks([1], [0], {}, 0)) == "empty world set"
+
+
+def test_model_errors_keep_their_messages():
+    cases = [
+        (([1, 2], [(1, 1), (2, 2), (1, 2), (2, 1)], [], {}), "leq is not a partial order"),
+        (([1, 2], [(1, 1), (2, 2), (1, 2)], [(2, 2)], {}), "model property fails (leq∘r ⊄ r)"),
+        (([1, 2], [(1, 1), (2, 2), (1, 2)], [], {"p": [1]}),
+         "valuation of 'p' not monotone (1⪯2)"),
+        (([1, 2], [(1, 1), (2, 2)], [], {"p": [3]}), "valuation of 'p' mentions unknown world"),
+        (([1], [(1, 1), (1, 2)], [], {}), "leq pair (1,2) mentions unknown world"),
+        (([1], [(1, 1)], [(3, 1)], {}), "r pair (3,1) mentions unknown world"),
+        (([], [], [], {}), "empty world set"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ModelError) as e:
+            KripkeModel.make(*args)
+        assert str(e.value) == message
