@@ -53,9 +53,9 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .formula import (And, Atom, Bottom, Box, Formula, Imp, Or, BOT, TOP,
+from .formula import (And, Atom, Bottom, Box, Formula, Imp, Or, BOT,
                       atoms, modal_decompose, render, size, subsentences)
-from .ipc import _saturate_set, ipc_provable
+from .ipc import ipc_provable
 from .kripke import (KripkeModel, forces, mask_bits, model_from_masks, shrink,
                      successor_masks, truth_mask, upward_closed_sets)
 
@@ -539,13 +539,34 @@ def is_saturated(s, x: AdequateSet, budget: int = DEFAULT_BUDGET) -> bool:
     return True
 
 
+def _saturate_set(base: frozenset[Formula], avoid: Formula, enum: list[Formula],
+                  derives) -> frozenset[Formula]:
+    """Grow base along enum, cyclically, to a set closed under ``derives``
+    within enum that holds a disjunct of each member disjunction and does not
+    derive avoid; ``derives(premises, goal)`` is the derivability oracle."""
+    s = set(base)
+    changed = True
+    while changed:
+        changed = False
+        for b in enum:
+            if b not in s:
+                if not derives(frozenset(s), b):
+                    continue
+                s.add(b)
+                changed = True
+            if isinstance(b, Or) and b.left not in s and b.right not in s:
+                # the left disjunct unless it derives avoid
+                s.add(b.right if derives(frozenset(s | {b.left}), avoid) else b.left)
+                changed = True
+    return frozenset(s)
+
+
 def saturate(r, a: Formula, x: AdequateSet, budget: int = DEFAULT_BUDGET) -> SaturatedSet:
     """Extension-construction run: grow r to an x-saturated set not deriving a.
 
     The enumeration is members of x by (tree size, rendering), repeated
-    cyclically until a full pass adds nothing.  The loop is IPC's
-    ``_saturate_set`` with the iGLC oracle; its classical vectors are all
-    ones, so its screen never skips an oracle call.
+    cyclically until a full pass adds nothing; every test is an iGLC oracle
+    call under one budget.
     """
     base = frozenset(r)
     if not base <= x.members:
@@ -554,6 +575,5 @@ def saturate(r, a: Formula, x: AdequateSet, budget: int = DEFAULT_BUDGET) -> Sat
     if _oracle(base, a, bud):
         raise ValueError("precondition violated: r already derives the goal")
     enum = sorted(x.members, key=lambda g: (size(g), render(g)))
-    ones = dict.fromkeys((*enum, a, TOP), 1)
-    return SaturatedSet(_saturate_set(base, a, enum, ones,
+    return SaturatedSet(_saturate_set(base, a, enum,
                                       lambda gamma, goal: _oracle(gamma, goal, bud)))

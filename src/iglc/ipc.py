@@ -7,20 +7,18 @@ lives as long as one search scope: a ``decide_ipc`` call, a bare
 ``ipc_provable`` call or an NNIL class-table build.  Per index it keeps, as a
 mask, what the context-free invertible rules (∧L, ⊥→, ⊤→, A→A, (C∧D)→B,
 (C∨D)→B) make of the formula, so saturation is a mask union plus L0→ passes.
-Choices run in index order, so the search does not depend on hashes.  Per-index
-classical truth-table vectors (up to ``_CLASSICAL_ATOM_CAP`` atoms) give a
-sound refutation filter at the root and answer a goal ⊥ exactly: by Glivenko's
-theorem Γ ⊢ ⊥ holds in IPC iff Γ is classically unsatisfiable.
+The search's choices run in index order.  Per-index classical truth-table
+vectors (up to ``_CLASSICAL_ATOM_CAP`` atoms) give a sound refutation filter
+at the root and answer a goal ⊥ exactly: by Glivenko's theorem Γ ⊢ ⊥ holds in
+IPC iff Γ is classically unsatisfiable.
 
-Countermodels come from a separate saturation construction: worlds are
-deductively saturated subsets of the subformula closure, built on demand from
-the failure points of the query, ordered by inclusion, and shrunk greedily on
-successor bitmasks (``kripke.shrink``) before one validated model is built.
-The saturation screens each of its derivability tests with the same truth
-tables before it searches: a test whose premises hold under some assignment
-that falsifies its conclusion is not derivable classically, so not in IPC
-either (IPC ⊆ classical logic), and only the tests that survive the screen
-reach G4ip.
+Countermodels are read off the failed search (``_read_off``), after the
+refutation calculus Pinto and Dyckhoff pair with G4ip (Loop-free construction
+of counter-models for intuitionistic propositional logic, 1995) and the
+countermodels Ferrari, Fiorentini and Fiorino read off failed derivations
+(JAR 2013).  A query the classical filter refutes gets one world; otherwise
+each failed sequent is a world or reuses the world of a failed premise.
+``kripke.shrink`` then drops worlds greedily before one model is validated.
 """
 
 from __future__ import annotations
@@ -28,9 +26,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .formula import (And, Atom, Bottom, Formula, Imp, Or, TOP,
-                      render, size, subsentences)
-from .kripke import KripkeModel, forces, model_from_masks, shrink
+from .formula import And, Atom, Bottom, Formula, Imp, Or, TOP, render, size
+from .kripke import KripkeModel, forces, mask_bits, model_from_masks, shrink
 
 __all__ = ["IpcValid", "IpcInvalid", "IpcVerdict", "SequentTable", "decide_ipc",
            "ipc_provable", "ipc_equiv"]
@@ -56,11 +53,6 @@ IpcVerdict = IpcValid | IpcInvalid
 
 def _order(f: Formula) -> tuple[int, str]:
     return size(f), render(f)
-
-
-def _refutes(premises: int, goal: int) -> bool:
-    """Some assignment satisfies the premises' vector but not the goal's."""
-    return bool(premises & ~goal)
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +213,13 @@ class SequentTable:
 
     # -- search ---------------------------------------------------------------
 
-    def provable(self, work: int, goal: int) -> bool:
-        """Decide the sequent (work ⊢ goal) by G4ip."""
+    def normal(self, work: int, goal: int) -> tuple[int, int]:
+        """The sequent after R→ and L0→ to a fixpoint; goal -1 once an axiom
+        (⊥ or the goal in the context) proves it."""
         kind, left, right, close = self.kind, self.left, self.right, self.close
         while True:
             if work & self.bottom or work >> goal & 1:
-                return True
+                return work, -1
             if kind[goal] == _IMP:              # R→
                 work |= close(left[goal])
                 goal = right[goal]
@@ -241,7 +234,14 @@ class SequentTable:
                     work = work ^ low | close(right[i])
                     fired = True
             if not fired:
-                break
+                return work, goal
+
+    def provable(self, work: int, goal: int) -> bool:
+        """Decide the sequent (work ⊢ goal) by G4ip."""
+        work, goal = self.normal(work, goal)
+        if goal < 0:
+            return True
+        kind, left, right, close = self.kind, self.left, self.right, self.close
         if kind[goal] == _BOT and self.classical():
             return not self.premises(work)      # Glivenko: Γ ⊢_IPC ⊥ iff Γ ⊢_CPC ⊥
         key = (work, goal)
@@ -274,9 +274,23 @@ class SequentTable:
         self.memo[key] = result
         return result
 
-    def derives(self, premises, goal: Formula) -> bool:
-        """premises ⊢ goal by search alone, for indexed box-free formulas."""
-        return self.provable(self.context(premises), self.add_input(goal))
+    def refuting(self, work: int, goal: int) -> int:
+        """The assignments that satisfy the context and falsify the goal, 0
+        above the atom cap: a sound screen, as IPC ⊆ classical logic."""
+        return self.classical() and self.premises(work) & ~self.vector(goal)
+
+    def assignment(self, v: int) -> list[str]:
+        """The atoms true under the assignment of v that is least when the
+        atoms are read in name order, false before true."""
+        true = []
+        for name in sorted(self.names):
+            p = self.vector(self.index[Atom(name)])
+            if v & ~p:
+                v &= ~p
+            else:
+                v &= p
+                true.append(name)
+        return true
 
 
 def ipc_provable(context, goal: Formula, table: SequentTable | None = None) -> bool:
@@ -289,127 +303,101 @@ def ipc_provable(context, goal: Formula, table: SequentTable | None = None) -> b
         table = SequentTable()
     work = table.context(context)
     g = table.add_input(goal)
-    if table.classical() and _refutes(table.premises(work), table.vector(g)):
-        return False
-    return table.provable(work, g)
+    return not table.refuting(work, g) and table.provable(work, g)
 
 
 # ---------------------------------------------------------------------------
-# Countermodel construction by saturation.
-#
-# Worlds are saturated subsets of the subformula closure X: consistent,
-# deductively closed within X, and containing a disjunct of each member
-# disjunction.  Witness worlds for unprovable implications are generated
-# recursively; the intuitionistic order is set inclusion.
+# Countermodels read off the failed search.
 
-def _enumeration(X) -> list[Formula]:
-    return sorted(X, key=_order)
+def _read_off(table: SequentTable, work: int, goal: int) -> tuple[list[int], dict[str, int]]:
+    """The ⪯-successor masks and atom masks of a model whose world 0 refutes
+    the unprovable sequent (work ⊢ goal), read off its failed search.
 
-
-def _saturate_set(base: frozenset[Formula], avoid: Formula, enum: list[Formula],
-                  vec: dict[Formula, int], derives) -> frozenset[Formula]:
-    """Grow base along enum, cyclically, to a set closed under ``derives``
-    within enum that holds a disjunct of each member disjunction and does not
-    derive avoid.
-
-    ``derives(premises, goal)`` is the derivability oracle.  A test whose
-    premises' classical vector refutes its conclusion's is "not derivable"
-    without a call.
+    A sequent with an invertible failed premise reuses that premise's world.
+    Any other is a new world, true on the atoms of its context and ⪯-below
+    the worlds of its failed premises.  Worlds are shared per normal sequent
+    and choices run in (size, rendering) order, so that while the table stays
+    within the classical atom cap a countermodel depends only on the query,
+    not on what its table indexed before.
     """
-    s = set(base)
-    sv = vec[TOP]                               # the vector of s, kept as s grows
-    for f in s:
-        sv &= vec[f]
-
-    def add(f: Formula) -> None:
-        nonlocal sv
-        s.add(f)
-        sv &= vec[f]
-
-    def pick(b: Or) -> None:                    # the left disjunct unless it derives avoid
-        if (_refutes(sv & vec[b.left], vec[avoid])
-                or not derives(frozenset(s | {b.left}), avoid)):
-            add(b.left)
-        else:
-            add(b.right)
-
-    changed = True
-    while changed:
-        changed = False
-        for b in enum:
-            if b in s:
-                if isinstance(b, Or) and b.left not in s and b.right not in s:
-                    pick(b)
-                    changed = True
-            elif not _refutes(sv, vec[b]) and derives(frozenset(s), b):
-                add(b)
-                if isinstance(b, Or) and b.left not in s and b.right not in s:
-                    pick(b)
-                changed = True
-    return frozenset(s)
-
-
-def _build_countermodel(ctx: frozenset[Formula], goal: Formula,
-                        table: SequentTable) -> tuple[KripkeModel, int]:
-    """A refuting model of ctx ⊢ goal, whose formulas table has indexed."""
-    X = set(subsentences(goal))
-    for f in ctx:
-        X |= subsentences(f)
-    enum = _enumeration(X)
-    imps = [f for f in enum if isinstance(f, Imp)]
-    if table.classical():
-        vec = {f: table.vector(table.index[f]) for f in X}
-        vec[TOP] = table.full()
-    else:
-        # Above the atom cap every formula gets the vector 1, true under a
-        # single dummy assignment, and the saturation's screen never refutes.
-        vec = dict.fromkeys((*X, TOP), 1)
-    derives = table.derives
-
-    sats = [_saturate_set(ctx, goal, enum, vec, derives)]  # the root has index 0
-    seen = set(sats)
-    for w in sats:                              # grows while walked: breadth first
-        for f in imps:
-            if f in w or f.left in w:
-                continue  # w itself witnesses f.left∈, f.right∉ when f.left ∈ w
-            child = _saturate_set(w | {f.left}, f.right, enum, vec, derives)
-            if child not in seen:
-                seen.add(child)
-                sats.append(child)
-
-    n = len(sats)
-    leq_succ = [sum(1 << j for j in range(n) if sats[i] <= sats[j]) for i in range(n)]
+    kind, left, right, close, provable = (table.kind, table.left, table.right,
+                                          table.close, table.provable)
+    leq: list[int] = []
     val: dict[str, int] = {}
-    for i, sat in enumerate(sats):
-        for f in sat:
-            if isinstance(f, Atom):
-                val[f.name] = val.get(f.name, 0) | 1 << i
-    r_succ = [0] * n
-    keep = (1 << n) - 1
-    if n <= 24:
-        # the root must refute the goal and force every assumption
-        keep = shrink(leq_succ, r_succ, val, 0,
-                      lambda truth: not truth(goal) & 1 and all(truth(f) & 1 for f in ctx),
-                      lambda steps: None)
-    return model_from_masks(leq_succ, r_succ, val, keep), 1
+    worlds: dict[tuple[int, int], int] = {}     # one world per normal sequent
+
+    def new(true) -> int:
+        w = len(leq)
+        leq.append(1 << w)
+        for name in true:
+            val[name] = val.get(name, 0) | 1 << w
+        return w
+
+    def by_order(i: int):
+        return _order(table.formulas[i])
+
+    def world(work: int, goal: int) -> int:
+        work, goal = table.normal(work, goal)
+        w = worlds.get((work, goal))
+        if w is not None:
+            return w
+        if kind[goal] == _BOT and table.classical():    # Glivenko: a classical model of Γ
+            w = new(table.assignment(table.premises(work)))
+        elif kind[goal] == _AND:                # a failed conjunct refutes the ∧
+            w = world(work, right[goal] if provable(work, left[goal]) else left[goal])
+        elif ors := work & table.ors:           # L∨ is invertible: a failed branch
+            i = min(mask_bits(ors), key=by_order)
+            rest = work ^ 1 << i
+            branch = rest | close(left[i])
+            w = world(rest | close(right[i]) if provable(branch, goal) else branch, goal)
+        else:
+            premises = [(work, left[goal]), (work, right[goal])] if kind[goal] == _OR else []
+            for i in sorted(mask_bits(work & table.imp_imps), key=by_order):
+                rest = work ^ 1 << i
+                premise = (rest | close(table.aux[i]), left[i])
+                if provable(*premise):
+                    # the right premise of L→→ is invertible: its world refutes this
+                    w = world(rest | close(right[i]), goal)
+                    break
+                premises.append(premise)
+            else:
+                w = new(table.formulas[i].name for i in mask_bits(work) if kind[i] == _ATOM)
+                for premise in premises:
+                    leq[w] |= leq[world(*premise)]
+        worlds[work, goal] = w
+        return w
+
+    world(work, goal)
+    return leq, val
 
 
 def decide_ipc(assumptions, goal: Formula,
                table: SequentTable | None = None) -> IpcVerdict:
     """Decide ⋀assumptions → goal in IPC; Invalid carries a refuting model.
 
-    The provability test and the countermodel saturation share one table: a
-    fresh one unless a caller shares one across a scope of related queries.
+    The search and the countermodel read off it share one table: a fresh one
+    unless a caller shares one across a scope of related queries.
     """
     ctx = frozenset(assumptions)
     if table is None:
         table = SequentTable()
-    if ipc_provable(ctx, goal, table):
+    work = table.context(ctx)
+    g = table.add_input(goal)
+    if v := table.refuting(work, g):
+        leq, val = [1], dict.fromkeys(table.assignment(v), 1)
+    elif table.provable(work, g):
         return IpcValid()
-    model, root = _build_countermodel(ctx, goal, table)
-    assert not forces(model, root, goal) and all(forces(model, root, f) for f in ctx), \
+    else:
+        leq, val = _read_off(table, work, g)
+    r_succ = [0] * len(leq)                     # IPC models have no ⊏
+    # the root must refute the goal and force every assumption
+    keep = shrink(leq, r_succ, val, 0,
+                  lambda truth: not truth(goal) & 1 and all(truth(f) & 1 for f in ctx),
+                  lambda steps: None)
+    model = model_from_masks(leq, r_succ, val, keep)
+    assert not forces(model, 1, goal) and all(forces(model, 1, f) for f in ctx), \
         "internal error: countermodel failed its own check"
-    return IpcInvalid(model, root)
+    return IpcInvalid(model, 1)
 
 
 def ipc_equiv(a: Formula, b: Formula) -> bool:

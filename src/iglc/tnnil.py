@@ -46,16 +46,25 @@ def tnnil_plus(a: Formula) -> Formula:
     for name in atoms(a):
         if name.startswith("_"):
             raise ValueError(f"atom name {name!r} collides with placeholder names")
+    _check_alphabets(a)
     return _plus(a)
 
 
-def _plus(a: Formula) -> Formula:
+def _check_alphabets(a: Formula) -> None:
+    """Raise AlphabetTooLarge at the first level, in ``_plus``'s visiting
+    order, whose skeleton alphabet exceeds the cap, before any star."""
     dec = modal_decompose(a)
     alphabet = atoms(dec.skeleton)
     if len(alphabet) > DEFAULT_MAX_ATOMS:
         raise AlphabetTooLarge(
             f"skeleton alphabet {sorted(alphabet)} of {render(a)} exceeds the cap "
             f"of {DEFAULT_MAX_ATOMS}")
+    for b in dec.boxed_parts:
+        _check_alphabets(b)
+
+
+def _plus(a: Formula) -> Formula:
+    dec = modal_decompose(a)
     starred = nnil_star(dec.skeleton)
     mapping = {q: Box(_plus(b))
                for q, b in zip(dec.placeholders, dec.boxed_parts)}

@@ -9,10 +9,10 @@ import pytest
 
 from iglc import ipc
 from iglc.formula import (And, Atom, Bottom, Box, Imp, Or, BOT, TOP, Neg, atoms,
-                          parse, subsentences)
+                          parse, render, size, subsentences)
 from iglc.ipc import (IpcInvalid, IpcValid, SequentTable, decide_ipc, ipc_equiv,
                       ipc_provable)
-from iglc.kripke import check_frame, forces, model_to_json
+from iglc.kripke import check_frame, forces, model_from_masks, model_to_json, shrink
 from conftest import random_formula
 
 P, Q = Atom("p"), Atom("q")
@@ -124,7 +124,7 @@ def test_memo_idempotent():
 
 
 # ---------------------------------------------------------------------------
-# The classical screen in front of the countermodel saturation.
+# The classical screen and the countermodels read off the failed search.
 
 def random_sequent(rng, names, max_size):
     ctx = frozenset(random_formula(rng, names, rng.randint(1, max_size), box_prob=0.0)
@@ -139,17 +139,17 @@ def test_classical_screen_rejects_only_unprovable_sequents():
         for _ in range(400):
             ctx, goal = random_sequent(rng, names, 10)
             table = SequentTable()
-            premises = table.premises(table.context(ctx))
-            if ipc._refutes(premises, table.vector(table.add_input(goal))):
+            work, g = table.context(ctx), table.add_input(goal)
+            if table.refuting(work, g):
                 rejected += 1
-                assert not table.derives(ctx, goal), (ctx, goal)
+                assert not table.provable(work, g), (ctx, goal)
             else:
                 passed += 1
     assert rejected > 200 and passed > 200
 
 
-def reference_saturate_set(base, avoid, enum, vec=None, derives=None):
-    """The saturation loop without the screen: every test is a G4ip search."""
+def reference_saturate_set(base, avoid, enum, derives):
+    """The saturation loop of the countermodel builder the read-off replaced."""
     s = set(base)
     changed = True
     while changed:
@@ -157,28 +157,95 @@ def reference_saturate_set(base, avoid, enum, vec=None, derives=None):
         for b in enum:
             if b in s:
                 if isinstance(b, Or) and b.left not in s and b.right not in s:
-                    pick = b.left if not ipc_provable(s | {b.left}, avoid) else b.right
-                    s.add(pick)
+                    s.add(b.right if derives(s | {b.left}, avoid) else b.left)
                     changed = True
-            elif ipc_provable(s, b):
+            elif derives(s, b):
                 s.add(b)
                 if isinstance(b, Or) and b.left not in s and b.right not in s:
-                    pick = b.left if not ipc_provable(s | {b.left}, avoid) else b.right
-                    s.add(pick)
+                    s.add(b.right if derives(s | {b.left}, avoid) else b.left)
                 changed = True
     return frozenset(s)
 
 
-def test_screened_countermodels_equal_unscreened(boxfree_corpus, monkeypatch):
+def reference_countermodel(ctx, goal):
+    """The saturation builder the read-off replaced: worlds are saturated
+    subsets of the subformula closure, grown breadth first from the root's
+    unprovable implications, ordered by inclusion, and shrunk greedily when
+    there are at most 24 of them.  World 1 refutes ctx ⊢ goal."""
+    table = SequentTable()
+    derives = lambda premises, g: ipc_provable(premises, g, table)
+    closure = set(subsentences(goal)).union(*map(subsentences, ctx))
+    enum = sorted(closure, key=lambda f: (size(f), render(f)))
+    sats = [reference_saturate_set(ctx, goal, enum, derives)]
+    for w in sats:                              # grows while walked
+        for f in enum:
+            if isinstance(f, Imp) and f not in w and f.left not in w:
+                child = reference_saturate_set(w | {f.left}, f.right, enum, derives)
+                if child not in sats:
+                    sats.append(child)
+    n = len(sats)
+    leq_succ = [sum(1 << j for j in range(n) if sats[i] <= sats[j]) for i in range(n)]
+    val = {p: sum(1 << i for i, sat in enumerate(sats) if Atom(p) in sat)
+           for p in set().union(*map(atoms, closure))}
+    keep = (1 << n) - 1
+    if n <= 24:
+        keep = shrink(leq_succ, [0] * n, val, 0,
+                      lambda truth: not truth(goal) & 1 and all(truth(f) & 1 for f in ctx),
+                      lambda steps: None)
+    return model_from_masks(leq_succ, [0] * n, val, keep)
+
+
+def refutes_at(model, root, ctx, goal) -> bool:
+    return not forces(model, root, goal) and all(forces(model, root, f) for f in ctx)
+
+
+def test_read_off_agrees_with_the_saturation_builder(boxfree_corpus):
     rng = random.Random(9451)
     cases = [(frozenset(), f) for f in boxfree_corpus]
     cases += [random_sequent(rng, ("p", "q", "r"), 9) for _ in range(300)]
+    memo = {}
+    invalid = 0
+    for ctx, goal in cases:
+        v = decide_ipc(ctx, goal)
+        assert isinstance(v, IpcValid) == reference_search(ctx, goal, memo), (ctx, goal)
+        if isinstance(v, IpcInvalid):
+            invalid += 1
+            assert refutes_at(v.countermodel, v.world, ctx, goal)
+            assert refutes_at(reference_countermodel(ctx, goal), 1, ctx, goal)
+    assert invalid > 3000
+
+
+def test_classically_refuted_queries_get_one_world():
+    rng = random.Random(1995)
+    refuted = 0
+    for _ in range(300):
+        ctx, goal = random_sequent(rng, ("p", "q", "r"), 9)
+        table = SequentTable()
+        if table.refuting(table.context(ctx), table.add_input(goal)):
+            refuted += 1
+            v = decide_ipc(ctx, goal)
+            assert len(v.countermodel.order) == 1 and refutes_at(v.countermodel, 1, ctx, goal)
+    assert refuted > 100
+    # the assignment least in name order, false before true
+    assert model_to_json(decide_ipc((parse("b | a"),), parse("b & c")).countermodel) \
+        == '{"worlds": [1], "leq": [], "r": [], "val": {"b": [1]}}'
+
+
+def test_shared_table_countermodels_equal_fresh_tables():
+    rng = random.Random(2013)
+    cases = [random_sequent(rng, ("p", "q", "r"), 9) for _ in range(700)]
     invalid = [(ctx, goal) for ctx, goal in cases if not ipc_provable(ctx, goal)]
-    screened = [model_to_json(decide_ipc(ctx, goal).countermodel) for ctx, goal in invalid]
-    monkeypatch.setattr(ipc, "_saturate_set", reference_saturate_set)
-    unscreened = [model_to_json(decide_ipc(ctx, goal).countermodel) for ctx, goal in invalid]
-    assert screened == unscreened
-    assert len(invalid) > 3000
+    table = SequentTable()
+    shared = [model_to_json(decide_ipc(ctx, goal, table).countermodel) for ctx, goal in invalid]
+    assert shared == [model_to_json(decide_ipc(ctx, goal).countermodel) for ctx, goal in invalid]
+    assert len(invalid) > 400
+    # a table that indexed ~p | r before p | q still splits on p | q first
+    table = SequentTable()
+    decide_ipc((), parse("~p | r"), table)
+    ctx, goal = {parse("p | q"), parse("~p | r")}, parse("t | ~t")
+    assert (model_to_json(decide_ipc(ctx, goal, table).countermodel)
+            == model_to_json(decide_ipc(ctx, goal).countermodel)
+            == '{"worlds": [1, 2], "leq": [[1, 2]], "r": [], "val": {"p": [1, 2], "r": [1, 2], "t": [2]}}')
 
 
 def test_countermodel_above_the_classical_atom_cap():

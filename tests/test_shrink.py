@@ -53,7 +53,7 @@ def test_ipc_countermodels_are_one_minimal(boxfree_corpus):
     checked = sizes = 0
     for ctx, goal in cases:
         v = decide_ipc(ctx, goal)
-        if not isinstance(v, IpcInvalid) or len(v.countermodel.frame.worlds) > 24:
+        if not isinstance(v, IpcInvalid):
             continue
         checked += 1
         sizes = max(sizes, len(v.countermodel.frame.worlds))

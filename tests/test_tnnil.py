@@ -5,6 +5,7 @@ import pytest
 from iglc.formula import (Atom, Box, Iff, Or, atoms, boxdepth,
                           modal_decompose, parse)
 from iglc.iglc_prover import Valid, decide_iglc
+from iglc import tnnil
 from iglc.nnil import AlphabetTooLarge
 from iglc.tnnil import is_tnnil, tnnil_plus
 from conftest import random_formula
@@ -89,6 +90,22 @@ def test_plus_idempotent_up_to_iglc_sampled():
 def test_plus_alphabet_cap_error():
     with pytest.raises(AlphabetTooLarge):
         tnnil_plus(parse("p & q & r & s"))
+
+
+def test_plus_checks_every_level_alphabet_before_any_star(monkeypatch):
+    # the outer skeleton has two names; the inner one, []false -> ~p -> q | r,
+    # has four, so the input fails before any NNIL table is built
+    mojtahedi = parse("[](([]false) -> (~p -> (q | r))) -> "
+                      "[](([]false) -> ((~p -> q) | (~p -> r)))")
+
+    def no_star(f):
+        raise AssertionError("nnil_star called before every level was checked")
+
+    monkeypatch.setattr(tnnil, "nnil_star", no_star)
+    with pytest.raises(AlphabetTooLarge) as err:
+        tnnil_plus(mojtahedi)
+    assert str(err.value) == ("skeleton alphabet ['_b1', 'p', 'q', 'r'] of "
+                              "[]false -> ~p -> q | r exceeds the cap of 2")
 
 
 def test_plus_rejects_reserved_atom_names():
