@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 
 import pytest
@@ -6,11 +7,13 @@ import pytest
 from iglc import nnil
 from iglc.formula import And, Atom, Box, Imp, Or, BOT, TOP, Neg, parse, render
 from iglc.ipc import ipc_equiv, ipc_provable
-from iglc.kripke import forces, model_from_masks
-from iglc.nnil import (AlphabetTooLarge, enumerate_nnil_classes,
+from iglc.kripke import forces
+from iglc.nnil import (AlphabetTooLarge, DEFAULT_MAX_ATOMS, enumerate_nnil_classes,
                        is_nnil, nnil_star)
 from iglc.tnnil import tnnil_plus
 from conftest import ModelTable, random_formula
+from nnil_reference import DATA_PATH, reference_data, reference_table
+from test_tnnil import level_alphabets_ok
 
 P, Q = Atom("p"), Atom("q")
 
@@ -106,8 +109,35 @@ def test_two_atom_representatives_pinned():
         "f58a2027661561118d58e5ab9a24e9949b709f234fafeec077b998c584e9c490")
 
 
+def test_shipped_tables_equal_the_reference_build():
+    with open(DATA_PATH, encoding="utf-8") as fh:
+        assert json.load(fh) == reference_data()
+    for n in range(DEFAULT_MAX_ATOMS + 1):
+        tbl, ref = nnil._canonical_table(n), reference_table(n)
+        assert tbl.reps == ref.reps
+        assert tbl.model == ref.family.model()
+
+
+def test_loading_a_table_runs_no_prover(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a prover ran while loading a class table")
+    monkeypatch.setattr(nnil, "_tables", {})
+    monkeypatch.setattr(nnil, "ipc_provable", refuse)
+    monkeypatch.setattr(nnil, "decide_ipc", refuse, raising=False)
+    assert len(nnil._canonical_table(2).reps) == 158
+
+
+def test_loading_rejects_non_nnil_or_colliding_representatives():
+    model = nnil._canonical_table(1).model
+    a1 = Atom("a1")
+    with pytest.raises(ValueError, match="not NNIL"):
+        nnil._CanonicalTable(1, [BOT, parse("(a1 -> false) -> false")], model)
+    with pytest.raises(ValueError, match="share a fingerprint"):
+        nnil._CanonicalTable(1, [BOT, a1, And(a1, a1)], model)
+
+
 def test_class_order_confirms_exactly_the_equivalent_meets_and_joins():
-    tbl = nnil._canonical_table(2)
+    tbl = reference_table(2)
     reps = tbl.reps
     rng = random.Random(27)
     pairs = [(rng.randrange(len(reps)), rng.randrange(len(reps))) for _ in range(40)]
@@ -124,15 +154,31 @@ def test_class_order_confirms_exactly_the_equivalent_meets_and_joins():
 
 def test_union_fingerprint_is_forcing_on_the_union_model():
     tbl = nnil._canonical_table(2)
-    fam = tbl.family
-    model = model_from_masks(fam.succ, fam.r_succ, fam.val, fam.full)
+    model = tbl.model
     oracle = ModelTable([model])
-    assert len(fam.succ) == len(model.frame.worlds) > 1 + 9 * 2 + 25 * 3
+    assert len(model.order) == 116 > 1 + 9 * 2 + 25 * 3
     for rep, fp in zip(tbl.reps, tbl.fps):
-        assert fp == fam.eval(rep)
         truth = oracle.truth(rep)[0]
-        for i in range(len(fam.succ)):
-            assert bool(fp >> i & 1) == forces(model, i + 1, rep) == truth[i]
+        for i, w in enumerate(model.order):
+            assert bool(fp >> i & 1) == forces(model, w, rep) == truth[i]
+
+
+def digest(texts) -> str:
+    return hashlib.sha256("".join(t + "\n" for t in texts).encode()).hexdigest()
+
+
+def test_star_outputs_pinned(boxfree_corpus):
+    sample = boxfree_corpus[::10]
+    assert len(sample) == 1146
+    assert digest(render(nnil_star(f)) for f in sample) == (
+        "ebf16315951222ebf0b23e15f02fff177c4b0ec2bfd82d317660fc340e6adb0e")
+
+
+def test_plus_outputs_pinned(modal_corpus):
+    sample = [f for f in modal_corpus if level_alphabets_ok(f, cap=2)][::10]
+    assert len(sample) == 1991
+    assert digest(render(tnnil_plus(f)) for f in sample) == (
+        "a1cbfcffb548f96bb454f1cf47a3cdb1cd3d27c274a4c28bd54ed43cc2c48a00")
 
 
 def test_star_worked_example():
