@@ -102,8 +102,11 @@ def _decide_in_logic(logic: str, f: Formula, budget: int):
 
 def _write_countermodel(path: str, fmt: str, model: KripkeModel) -> None:
     text = model_to_json(model) if fmt == "json" else model_to_dot(model)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    except OSError as e:
+        raise ValueError(f"cannot write {path}: {e}") from None
 
 
 def _cmd_prove(args) -> int:

@@ -4,19 +4,15 @@ iGLC is iK + Löb's axiom □(□A→A)→□A + the completeness principle A→
 theorems are exactly the sentences valid on all finite irreflexive realistic
 frames, which is what the decision core exploits.
 
-Pipeline for decide_iglc, all phases metered by one step budget:
+Pipeline for decide_iglc, three phases metered by one step budget:
 
-1. the small tier of the small-model scan (below): every irreflexive
-   realistic model on one world or a 2-chain over the query's atoms (at most
-   4), which settles most refutable inputs immediately;
+1. the small-model scan (below): every irreflexive realistic model on one
+   world or a 2-chain over the query's atoms (at most 4), which settles most
+   refutable inputs immediately;
 2. a sound validity certifier, a fast path only: the query's modal skeleton
    is an IPC tautology, or follows in IPC, at the level of the skeleton, from
    the instances of K, Löb and completeness over its boxed subformulas;
-3. the large tier of the scan: eight curated 3–5-world frames over at most 3
-   atoms, tried only when the adequate set X of step 4 has more than 24
-   members, where candidate enumeration is the expensive route to a small
-   countermodel;
-4. the complete core: worlds are candidate subsets of the adequate set
+3. the complete core: worlds are candidate subsets of the adequate set
    X = sub(A) ∪ {□B : B ∈ sub(A)}, bit vectors generated member by member
    under closure rules (Hintikka conditions plus derivable box closures, as
    premise masks), ordered by inclusion and the canonical modal relation.
@@ -26,21 +22,22 @@ Pipeline for decide_iglc, all phases metered by one step budget:
    membership disagrees with forcing, are eliminated in rounds to a fixpoint:
    a round meets each live candidate's successors with the refuters of each
    B→C (col[B] ∧ ¬col[C]) and □C (¬col[C]) in X, storing O(n·|X|) bits for n
-   candidates.  Every X-saturated set survives, and membership = forcing on
-   the survivors, so the query is a theorem iff it belongs to every survivor;
-   otherwise the least one omitting it roots a countermodel on its ⊆-cone,
-   whose masks are read off the columns.  Cones of at most 40 worlds are
-   shrunk greedily (``kripke.shrink``: drop worlds while the root still
-   refutes the query), and one validated model is built from the kept worlds.
+   candidates, and costs n·|X| + 1 steps.  Every X-saturated set survives, and
+   membership = forcing on the survivors, so the query is a theorem iff it
+   belongs to every survivor; otherwise the least one omitting it roots a
+   countermodel on its ⊆-cone.  The cone is filtered (selective filtration,
+   ``_Canonical._filter``), then shrunk greedily (``kripke.shrink``: drop
+   worlds while the root still refutes the query), and one validated model
+   is built from the kept worlds, its masks read off the columns.
 
-The scan is one loop over one frame table.  A tier's frames are compiled
-once per alphabet into successor masks under every monotone valuation (one
-model per frame, ⊏ and valuation), each model tried costs one step, and the
-first model refuting the query, rooted at its least refuting world, is the
-answer.  The models of one frame and ⊏ that differ only in the last atom's
-upset are laid side by side as one disjoint-union model, so one
-``kripke.truth_mask`` pass evaluates them together.  A model's validated
-``KripkeModel`` is built the first time it refutes and shared after that.
+The scan is one loop over one frame table.  Its frames are compiled once per
+alphabet into successor masks under every monotone valuation (one model per
+frame, ⊏ and valuation), each model tried costs one step, and the first model
+refuting the query, rooted at its least refuting world, is the answer.  The
+models of one frame and ⊏ that differ only in the last atom's upset are laid
+side by side as one disjoint-union model, so one ``kripke.truth_mask`` pass
+evaluates them together.  A model's validated ``KripkeModel`` is built the
+first time it refutes and shared after that.
 
 Every Invalid answer is machine-checked (the frame flags of the model's
 report, computed when it was built, and refutation at the root, evaluated
@@ -125,35 +122,19 @@ def _machine_check(model: KripkeModel, root: int, query: Formula) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Phases 1 and 3: one small-model scan in two tiers.
+# Phase 1: the small-model scan.
 #
-# The scan's frames in scan order: (worlds 1..n, the strict ⪯ pairs,
-# transitively closed, and the ⊏ relations tried on the frame, None for
-# ⊏ = strict ⪯).  The first two are the 1–2-world shapes of the small tier
-# (one world, a 2-chain), the rest the curated 3–5-world frames of the large
-# tier.  Two incomparable worlds are not a shape: each of their worlds is a
+# The scan's frames in scan order: (worlds 1..n, the strict ⪯ pairs, and the
+# ⊏ relations tried on the frame, None for ⊏ = strict ⪯): one world and a
+# 2-chain.  Two incomparable worlds are not a shape: each of their worlds is a
 # generated submodel the one-world shape has already tried.
 
 _FRAMES = (
     (1, (), [()]),
     (2, ((1, 2),), [(), None]),
-    (3, ((1, 2), (1, 3), (2, 3)), [None, ((1, 2),), ((1, 3),), ((1, 3), (2, 3))]),
-    (3, ((1, 2), (1, 3)), [None, ((1, 2),)]),
-    (4, ((1, 2), (1, 3), (1, 4), (2, 4), (3, 4)),
-     [None, ((1, 4),), ((1, 2), (1, 3), (1, 4))]),
-    (4, ((1, 2), (1, 3), (1, 4)), [None, ((1, 2),)]),
-    (4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4)),
-     [None, ((1, 2),), ((1, 3), (1, 4), (2, 3), (2, 4))]),
-    (4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)), [None, ((1, 2),)]),
-    (5, ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)), [None, ((1, 2),)]),
-    (5, ((1, 2), (1, 3), (1, 4), (1, 5)), [None, ((1, 2),)]),
 )
 
-# (frames, atom cap) of the small tier, which always runs first, and of the
-# large tier, which runs after the certifier and only on large adequate sets,
-# where candidate enumeration would be the expensive route to a small
-# countermodel.
-_TIERS = ((_FRAMES[:2], 4), (_FRAMES[2:], 3))
+_SCAN_ATOM_CAP = 4
 
 
 class _ScanChunk:
@@ -184,12 +165,12 @@ class _ScanChunk:
 
 
 @lru_cache(maxsize=64)
-def _compiled(tier: int, names: tuple[str, ...]) -> tuple[_ScanChunk, ...]:
-    """Every frame, ⊏ and valuation of the tier, in scan order: each name gets
+def _compiled(names: tuple[str, ...]) -> tuple[_ScanChunk, ...]:
+    """Every frame, ⊏ and valuation of the scan, in scan order: each name gets
     an upset in ``upward_closed_sets`` order, the first name varying slowest.
     A chunk holds the valuations that differ only in the last name's upset."""
     chunks = []
-    for n, strict, r_options in _TIERS[tier][0]:
+    for n, strict, r_options in _FRAMES:
         worlds = range(1, n + 1)
         index = {w: w - 1 for w in worlds}
         leq_succ = successor_masks(index, [*strict, *((w, w) for w in worlds)])
@@ -202,13 +183,13 @@ def _compiled(tier: int, names: tuple[str, ...]) -> tuple[_ScanChunk, ...]:
     return tuple(chunks)
 
 
-def _scan(a: Formula, bud: _Budget, tier: int) -> Invalid | None:
-    """The first model of the tier refuting a, rooted at its least refuting
-    world; each model tried costs one step."""
+def _scan(a: Formula, bud: _Budget) -> Invalid | None:
+    """The first scan model refuting a, rooted at its least refuting world;
+    each model tried costs one step."""
     names = tuple(sorted(atoms(a)))
-    if len(names) > _TIERS[tier][1]:
+    if len(names) > _SCAN_ATOM_CAP:
         return None
-    for ch in _compiled(tier, names):
+    for ch in _compiled(names):
         miss = ch.full & ~truth_mask(a, ch.leq_succ, ch.r_succ, ch.val, ch.full, {})
         first = (miss & -miss).bit_length() - 1
         tried = first // ch.n + 1 if miss else len(ch.models)
@@ -253,7 +234,7 @@ def _quick_valid(a: Formula, bud: _Budget) -> Valid | None:
 
 
 # ---------------------------------------------------------------------------
-# Phase 4: canonical saturation fixpoint over the adequate set.
+# Phase 3: canonical saturation fixpoint over the adequate set.
 
 class _Canonical:
     def __init__(self, a: Formula, bud: _Budget):
@@ -393,7 +374,7 @@ class _Canonical:
                  + [(i, 1, ~col[c]) for i, c in self.boxes])
         live = range(len(cands))
         while True:
-            self.bud.charge(len(live) * (len(live) + 1) // 4 + 1)
+            self.bud.charge(len(live) * self.n + 1)
             alive = sum(1 << j for j in live)
             keep = []
             for j in live:
@@ -418,14 +399,34 @@ class _Canonical:
                           "belongs to every coherent candidate world",))
         root_vec = min(bad)
         # the root is the least vector of its cone, so it has index 0
-        cone = sorted(v for v in survivors if root_vec & ~v == 0)
-        leq_succ, r_succ, val = self._masks(cone)
-        keep = (1 << len(cone)) - 1
-        if len(cone) <= 40:
-            query = self.members[qb]
-            keep = shrink(leq_succ, r_succ, val, 0,
-                          lambda truth: not truth(query) & 1, self.bud.charge)
+        kept = self._filter(sorted(v for v in survivors if root_vec & ~v == 0))
+        leq_succ, r_succ, val = self._masks(kept)
+        query = self.members[qb]
+        keep = shrink(leq_succ, r_succ, val, 0,
+                      lambda truth: not truth(query) & 1, self.bud.charge)
         return Invalid(model_from_masks(leq_succ, r_succ, val, keep), 1)
+
+    def _filter(self, cone: list[int]) -> list[int]:
+        """Selective filtration of the cone: its root, and for each kept world
+        and each B→C (□C) of X the world lacks, its lowest-index ⊆-successor
+        holding B and not C (⊏-successor not holding C).  The survivors are
+        coherent, so each such successor exists, and it lies in the cone; by
+        induction on X, membership = forcing on the kept worlds, so the root
+        still refutes the query."""
+        col = self._columns(cone)
+        full = (1 << len(cone)) - 1
+        kept, todo = 1, [0]
+        while todo:
+            w = cone[todo.pop()]
+            leq, r = self._successors(w, col, full)
+            picks = ([leq & col[l] & ~col[c] for i, l, c in self.imps if not w >> i & 1]
+                     + [r & ~col[c] for i, c in self.boxes if not w >> i & 1])
+            for m in picks:
+                low = m & -m
+                if not kept & low:
+                    kept |= low
+                    todo.append(low.bit_length() - 1)
+        return [cone[j] for j in mask_bits(kept)]
 
     def _masks(self, worlds: list[int]):
         """⊆- and ⊏-successor masks and atom masks over a list of candidates."""
@@ -439,17 +440,10 @@ class _Canonical:
 # ---------------------------------------------------------------------------
 # The decision pipeline.
 
-_LARGE_ADEQUATE = 24
-
-
 def _decide(a: Formula, bud: _Budget) -> Verdict:
-    verdict: Verdict | None = _scan(a, bud, 0)
+    verdict: Verdict | None = _scan(a, bud)
     if verdict is None:
         verdict = _quick_valid(a, bud)
-    if verdict is None:
-        subs = subsentences(a)
-        if len(subs | {Box(b) for b in subs}) > _LARGE_ADEQUATE:
-            verdict = _scan(a, bud, 1)
     if verdict is None:
         verdict = _Canonical(a, bud).decide()
     if isinstance(verdict, Invalid):

@@ -69,6 +69,15 @@ def test_prove_dot_countermodel(tmp_path, capsys):
     assert cm.read_text().startswith("digraph")
 
 
+def test_prove_unwritable_countermodel_exit_2(tmp_path, capsys):
+    cm = tmp_path / "missing" / "cm.json"
+    code, out, err = run_captured(
+        capsys, ["prove", "--logic", "iglc", "[]p -> p", "--countermodel", str(cm)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write") and len(err.splitlines()) == 1
+
+
 def test_prove_parse_error_exit_2(capsys):
     code, _, err = run_captured(capsys, ["prove", "--logic", "iglc", "p ->"])
     assert code == 2
