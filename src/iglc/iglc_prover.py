@@ -16,6 +16,9 @@ Pipeline for decide_iglc, three phases metered by one step budget:
    X = sub(A) ∪ {□B : B ∈ sub(A)}, bit vectors generated member by member
    under closure rules (Hintikka conditions plus derivable box closures, as
    premise masks), ordered by inclusion and the canonical modal relation.
+   Generation charges one step per member decided and |X| more per candidate
+   emitted, the bits ``_columns`` transposes, so the budget bounds the
+   candidate list.
    Column ``col[p]`` is the bitset of the candidates holding member p, so the
    ⊆-successors of w are ⋀_{p∈w} col[p] and its ⊏-successors
    ⋀_{□C∈w} col[C] ∧ ⋁_{□B∉w} col[□B].  Incoherent candidates, whose
@@ -63,8 +66,6 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10_000_000
-
-_CANDIDATE_CAP = 250_000
 
 
 @dataclass(frozen=True)
@@ -323,9 +324,8 @@ class _Canonical:
         def rec(p: int, vec: int) -> None:
             charge()
             if p == n:
+                charge(n)                       # the n bits _columns transposes
                 out.append(vec)
-                if len(out) > _CANDIDATE_CAP:
-                    raise BudgetExhausted(self.bud.used)
                 return
             kind = kinds[p]
             if kind is None:

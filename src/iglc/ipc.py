@@ -395,8 +395,9 @@ def decide_ipc(assumptions, goal: Formula,
                   lambda truth: not truth(goal) & 1 and all(truth(f) & 1 for f in ctx),
                   lambda steps: None)
     model = model_from_masks(leq, r_succ, val, keep)
-    assert not forces(model, 1, goal) and all(forces(model, 1, f) for f in ctx), \
-        "internal error: countermodel failed its own check"
+    if forces(model, 1, goal) or not all(forces(model, 1, f) for f in ctx):
+        raise RuntimeError("internal error: countermodel failed its own check "
+                           f"for {render(goal)}")
     return IpcInvalid(model, 1)
 
 

@@ -17,14 +17,25 @@ alphabet size loads that size's table: the model is validated by
 ``model_from_json``, every representative must be NNIL, and their
 fingerprints (truth masks on the model, by ``kripke.truth_mask``) must be
 pairwise distinct, which proves them pairwise IPC-inequivalent without a
-prover call.  The test suite rebuilds the tables and checks the file equals
-them.
+prover call, and closed under ∪, as the table's closure under ∨ requires.
+The test suite rebuilds the tables and checks the file equals them.
 
-star(a) is the disjunction of the implication-maximal class representatives R
-with ⊢ R→a (equivalent to the disjunction over all such R, but small).  A
-representative whose fingerprint is not below a's cannot imply a, so only
-the rest reach the prover; one uncached star is one G4ip search scope, shared
-by its selection and its class-order queries.
+star(a) is the greatest class R with ⊢ R → a, and one scan finds it.  The
+scan visits the representatives in descending order of fingerprint size
+(ties in table order), fixed when the table loads, and returns the first
+whose fingerprint lies inside a's and that the prover shows implies a.  It
+returns the greatest class because:
+
+- ⊥ is class 0 of every table, so S = {i : ⊢ Rᵢ → a} is never empty;
+- the table is closed under ∨, so S has a greatest member M;
+- fingerprints are sound (⊢ R → R' puts R's inside R''s) and pairwise
+  distinct, so every other member of S has a fingerprint that is a proper
+  subset of M's, with fewer bits;
+- M's fingerprint lies inside a's, so the scan reaches M before any other
+  member of S.
+
+The argument does not need the fingerprint order to match the class order.
+One uncached star is one G4ip search scope, usually a single prover call.
 """
 
 from __future__ import annotations
@@ -33,13 +44,13 @@ import json
 import os
 from dataclasses import dataclass
 
-from .formula import (And, Atom, Bottom, Formula, Imp, Or, BOT,
+from .formula import (And, Atom, Bottom, Box, Formula, Imp, Or,
                       atoms, is_box_free, parse, render, substitute)
 from .ipc import SequentTable, ipc_provable
 from .kripke import KripkeModel, model_from_json
 
 __all__ = ["NnilClassTable", "AlphabetTooLarge",
-           "is_nnil", "enumerate_nnil_classes", "nnil_star", "DEFAULT_MAX_ATOMS"]
+           "is_nnil", "is_tnnil", "enumerate_nnil_classes", "nnil_star", "DEFAULT_MAX_ATOMS"]
 
 DEFAULT_MAX_ATOMS = 2
 
@@ -48,23 +59,32 @@ class AlphabetTooLarge(ValueError):
     """More atoms than the alphabet cap."""
 
 
-def _contains_imp(f: Formula) -> bool:
-    if isinstance(f, Imp):
+def _imp_free_outside_box(f: Formula) -> bool:
+    if isinstance(f, (Atom, Bottom, Box)):
         return True
-    if isinstance(f, (And, Or)):
-        return _contains_imp(f.left) or _contains_imp(f.right)
-    return False
+    if isinstance(f, Imp):
+        return False
+    return _imp_free_outside_box(f.left) and _imp_free_outside_box(f.right)
+
+
+def is_tnnil(a: Formula) -> bool:
+    """No implication occurs in an antecedent outside the scope of a □."""
+    if isinstance(a, (Atom, Bottom)):
+        return True
+    if isinstance(a, Box):
+        return is_tnnil(a.inner)
+    if isinstance(a, (And, Or)):
+        return is_tnnil(a.left) and is_tnnil(a.right)
+    return (_imp_free_outside_box(a.left)
+            and is_tnnil(a.left) and is_tnnil(a.right))
 
 
 def is_nnil(a: Formula) -> bool:
-    """No implication occurs in the antecedent of another implication."""
+    """No implication occurs in the antecedent of another implication: TNNIL
+    without boxes."""
     if not is_box_free(a):
         raise ValueError(f"boxed formula not allowed here: {render(a)}")
-    if isinstance(a, (Atom, Bottom)):
-        return True
-    if isinstance(a, (And, Or)):
-        return is_nnil(a.left) and is_nnil(a.right)
-    return not _contains_imp(a.left) and is_nnil(a.right)
+    return is_tnnil(a)
 
 
 # ---------------------------------------------------------------------------
@@ -75,52 +95,38 @@ _DATA_PATH = os.path.join(os.path.dirname(__file__), "nnil_classes.json")
 
 class _CanonicalTable:
     """One arity's table: representatives over a1, a2, … in table order, the
-    fingerprint model, and each representative's fingerprint on it."""
+    fingerprint model, each representative's fingerprint on it, and the
+    star's scan order, by descending fingerprint size."""
 
     def __init__(self, arity: int, reps: list[Formula], model: KripkeModel):
         self.names = tuple(f"a{i + 1}" for i in range(arity))
         self.reps = reps
         self.model = model
-        self.fps = [model.truth(rep) for rep in reps]
+        self.fps = fps = [model.truth(rep) for rep in reps]
         if not all(is_nnil(rep) for rep in reps):
             raise ValueError(f"{_DATA_PATH}: a {arity}-name representative is not NNIL")
-        if len(set(self.fps)) != len(reps):
+        known = set(fps)
+        if len(known) != len(reps):
             raise ValueError(f"{_DATA_PATH}: two {arity}-name representatives "
                              "share a fingerprint")
-        self._leq_memo: dict[tuple[int, int], bool] = {}
+        if any(fps[i] | fps[j] not in known
+               for j in range(len(fps)) for i in range(j)):
+            raise ValueError(f"{_DATA_PATH}: the {arity}-name fingerprints are not "
+                             "closed under union")
+        self.scan = sorted(range(len(reps)), key=lambda i: -fps[i].bit_count())
         self._star_memo: dict[Formula, Formula] = {}
 
-    def leq(self, i: int, j: int, table: SequentTable | None = None) -> bool:
-        """⊢ reps[i] → reps[j], fingerprint-screened and prover-confirmed.
-
-        ``table`` is the caller's G4ip search scope; the memoised answer does
-        not depend on it.
-        """
-        if i == j:
-            return True
-        hit = self._leq_memo.get((i, j))
-        if hit is None:
-            hit = (self.fps[i] & ~self.fps[j] == 0
-                   and ipc_provable((), Imp(self.reps[i], self.reps[j]), table))
-            self._leq_memo[(i, j)] = hit
-        return hit
-
     def star(self, f: Formula) -> Formula:
+        """The greatest class implying f, by the scan of the module docstring."""
         out = self._star_memo.get(f)
-        if out is not None:
-            return out
-        g4ip = SequentTable()
-        target = self.model.truth(f)
-        selected = [i for i in range(len(self.reps))
-                    if self.fps[i] & ~target == 0
-                    and ipc_provable((), Imp(self.reps[i], f), g4ip)]
-        maximal = [i for i in selected
-                   if not any(j != i and self.leq(i, j, g4ip) for j in selected)]
-        result: Formula = BOT
-        for k, i in enumerate(maximal):
-            result = self.reps[i] if k == 0 else Or(result, self.reps[i])
-        self._star_memo[f] = result
-        return result
+        if out is None:
+            g4ip = SequentTable()
+            target = self.model.truth(f)
+            out = next(self.reps[i] for i in self.scan
+                       if self.fps[i] & ~target == 0
+                       and ipc_provable((), Imp(self.reps[i], f), g4ip))
+            self._star_memo[f] = out
+        return out
 
 
 _tables: dict[int, _CanonicalTable] = {}

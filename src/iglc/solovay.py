@@ -10,18 +10,18 @@ only on the core, so every formula's truth set is either finite or all of ℕ.
 Truth sets are computed through a finite horizon H = r + |sub(A)| + 1: the
 tail profiles (sets of subformulas forced at tail worlds) shrink monotonically
 and must repeat within |sub(A)| steps, after which they are constant.  Worlds
-1..H are evaluated as one finite model by ``kripke.truth_mask``, on successor
+0..H are evaluated as one finite model by ``kripke.truth_mask``, on successor
 masks read off ``ExtendedModel.leq`` and ``sqsubset``, the one definition of
-the tail's shape, which on the core read the core's own masks; world 0 is
-evaluated by dedicated clauses against the stabilized profile.
+the tail's shape, which on the core read the core's own masks.  World 0 is one
+more world of that model: every world past H repeats H's profile, so
+truncating its successors at H loses nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formula import (And, Atom, Bottom, Formula, Imp, Or, atoms, render, size,
-                      subsentences)
+from .formula import Formula, atoms, subsentences
 from .kripke import KripkeModel, mask_bits, model_from_masks, truth_mask
 
 __all__ = ["ExtendedModel", "TruthSet", "extend_model", "truth_set", "tail_profiles"]
@@ -114,40 +114,26 @@ def _horizon(m: ExtendedModel, a: Formula) -> int:
 def _truth_table(m: ExtendedModel, a: Formula) -> dict[Formula, int]:
     """Truth mask of every subformula over worlds 0..H: bit i is world i.
 
-    Worlds 1..H are one finite model: the ⪯- and ⊏-successors of each are
-    again among them, so their forcing there is their forcing in the
-    extension.  Its successor and atom masks come from ``m.leq``,
-    ``m.sqsubset`` and ``m.holds_atom``, and one ``truth_mask`` pass with
-    world 0 left out evaluates it.  World 0 comes last, by its dedicated
-    clauses against the stabilized profile at H.
+    Worlds 0..H are one finite model, evaluated by one ``truth_mask`` pass on
+    successor and atom masks from ``m.leq``, ``m.sqsubset`` and
+    ``m.holds_atom``.  The ⪯- and ⊏-successors of worlds 1..H are again among
+    them.  World 0's ⪯-successors are all worlds and its ⊏-successors all
+    positive worlds, and past H every world repeats H's profile, which the
+    stabilization check enforces; so truncating at H is exact for world 0, as
+    for every other world.
     """
     H = _horizon(m, a)
     worlds = range(H + 1)
     leq_succ = [sum(1 << j for j in worlds if m.leq(i, j)) for i in worlds]
     r_succ = [sum(1 << j for j in worlds if m.sqsubset(i, j)) for i in worlds]
     val = {p: sum(1 << i for i in worlds if m.holds_atom(p, i)) for p in atoms(a)}
-    positive = (1 << (H + 1)) - 2
-    subs = sorted(subsentences(a), key=lambda f: (size(f), render(f)))
+    every = (1 << (H + 1)) - 1
     cache: dict[Formula, int] = {}
-    truth = {f: truth_mask(f, leq_succ, r_succ, val, positive, cache) for f in subs}
+    truth = {f: truth_mask(f, leq_succ, r_succ, val, every, cache) for f in subsentences(a)}
 
     last, before = 1 << H, 1 << (H - 1)
     if any(bool(t & last) != bool(t & before) for t in truth.values()):
         raise AssertionError("tail profiles failed to stabilize within the horizon")
-
-    core = (1 << (m.r + 1)) - 2
-    for f in subs:                      # subformulas first, so their bit 0 is set
-        if isinstance(f, (Atom, Bottom)):
-            zero = False
-        elif isinstance(f, And):
-            zero = truth[f.left] & truth[f.right] & 1
-        elif isinstance(f, Or):
-            zero = (truth[f.left] | truth[f.right]) & 1
-        elif isinstance(f, Imp):        # pointwise on 1..H and at 0 itself
-            zero = truth[f.left] & ~truth[f.right] == 0
-        else:
-            zero = bool(truth[f.inner] & last) and truth[f.inner] & core == core
-        truth[f] |= zero
     return truth
 
 

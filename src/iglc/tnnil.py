@@ -1,40 +1,21 @@
-"""TNNIL membership and the plus-transform through the modal decomposition.
+"""The TNNIL plus-transform through the modal decomposition.
 
 TNNIL extends NNIL to the modal language: an implication is admitted when its
-antecedent keeps all of its implications under a □.  The plus-transform
-decomposes a formula as C(p⃗, □B₁, …, □Bₖ), recursively transforms the boxed
-parts, applies the NNIL star to the skeleton with placeholders treated as
-fresh atoms, and substitutes □Bᵢ⁺ back.  Well-definedness rides on box depth
+antecedent keeps all of its implications under a □.  The membership test
+``is_tnnil`` lives in ``nnil``, whose ``is_nnil`` is its box-free case, and is
+re-exported here.  The plus-transform decomposes a formula as
+C(p⃗, □B₁, …, □Bₖ), recursively transforms the boxed parts, applies the NNIL
+star to the skeleton with placeholders treated as fresh atoms, and
+substitutes □Bᵢ⁺ back.  Well-definedness rides on box depth
 strictly decreasing into the parts.
 """
 
 from __future__ import annotations
 
-from .formula import (And, Atom, Bottom, Box, Formula, Imp, Or,
-                      atoms, boxdepth, modal_decompose, render, substitute)
-from .nnil import DEFAULT_MAX_ATOMS, AlphabetTooLarge, nnil_star
+from .formula import Box, Formula, atoms, boxdepth, modal_decompose, render, substitute
+from .nnil import DEFAULT_MAX_ATOMS, AlphabetTooLarge, is_tnnil, nnil_star
 
 __all__ = ["is_tnnil", "tnnil_plus"]
-
-
-def _imp_free_outside_box(f: Formula) -> bool:
-    if isinstance(f, (Atom, Bottom, Box)):
-        return True
-    if isinstance(f, Imp):
-        return False
-    return _imp_free_outside_box(f.left) and _imp_free_outside_box(f.right)
-
-
-def is_tnnil(a: Formula) -> bool:
-    """No implication occurs in an antecedent outside the scope of a □."""
-    if isinstance(a, (Atom, Bottom)):
-        return True
-    if isinstance(a, Box):
-        return is_tnnil(a.inner)
-    if isinstance(a, (And, Or)):
-        return is_tnnil(a.left) and is_tnnil(a.right)
-    return (_imp_free_outside_box(a.left)
-            and is_tnnil(a.left) and is_tnnil(a.right))
 
 
 def tnnil_plus(a: Formula) -> Formula:

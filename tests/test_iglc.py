@@ -8,7 +8,7 @@ from iglc.formula import And, Atom, Bottom, Box, Imp, Or, BOT, Iff, atoms, parse
 from iglc.iglc_prover import (AdequateSet, BudgetExceeded, BudgetExhausted,
                               Invalid, Valid, decide_iglc, derives_iglc,
                               is_saturated, saturate, clear_caches, _Budget,
-                              _CANDIDATE_CAP, _Canonical, _FRAMES, _decide, _scan)
+                              _Canonical, _FRAMES, _decide, _scan)
 from iglc.kripke import (Frame, KripkeModel, check_frame, forces, model_to_json,
                          truth_mask)
 from conftest import ModelTable, random_formula, random_realistic_model
@@ -401,9 +401,8 @@ class ReferenceCanonical(_Canonical):
         def rec(p, vec):
             self.bud.charge()
             if p == self.n:
+                self.bud.charge(self.n)
                 out.append(vec)
-                if len(out) > _CANDIDATE_CAP:
-                    raise BudgetExhausted(self.bud.used)
                 return
             f = members[p]
             if isinstance(f, Bottom):
@@ -541,25 +540,25 @@ def test_filter_keeps_membership_equal_to_forcing():
 # the scan, the certifier (its first charge and its axiom charge), inside
 # _generate, inside the first and later elimination rounds, one step short of
 # a full run (in the shrink for an Invalid) and at a full run; a
-# BudgetExceeded count past its budget is the charge of the round it could not
-# pay.  Full runs: PTP ends in the scan, Löb in the certifier, the others in
+# BudgetExceeded count past its budget is the charge it could not pay: an
+# elimination round's, or in _generate an emitted candidate's |X| steps.  Full runs: PTP ends in the scan, Löb in the certifier, the others in
 # the core.
 BUDGET_CASES = {
-    MOJTAHEDI: [(5, "BudgetExceeded", 6), (425798, "BudgetExceeded", 425799),
-                (425799, "Invalid", None)],
+    MOJTAHEDI: [(5, "BudgetExceeded", 6), (740390, "BudgetExceeded", 740391),
+                (740391, "Invalid", None)],
     PTP: [(5, "BudgetExceeded", 6), (6, "Invalid", None)],
     parse("[]([]p -> p) -> []p"): [
         (0, "BudgetExceeded", 1), (5, "BudgetExceeded", 6), (7, "BudgetExceeded", 8),
         (8, "BudgetExceeded", 9), (9, "BudgetExceeded", 14),
         (13, "BudgetExceeded", 14), (14, "Valid", None)],
     parse("([](p | q) -> ([]p | []q)) | ~~[]r"): [
-        (1915, "BudgetExceeded", 1916), (4705, "BudgetExceeded", 23713),
-        (23714, "BudgetExceeded", 28466), (45726, "BudgetExceeded", 45727),
-        (45727, "Valid", None)],
+        (1915, "BudgetExceeded", 1930), (23713, "BudgetExceeded", 42721),
+        (42722, "BudgetExceeded", 47474), (64734, "BudgetExceeded", 64735),
+        (64735, "Valid", None)],
     parse("(([]p -> []q) -> []r) -> ([](p -> q) | [](q -> r))"): [
-        (4884, "BudgetExceeded", 4885), (13188, "BudgetExceeded", 66962),
-        (66963, "BudgetExceeded", 79337), (94345, "BudgetExceeded", 94346),
-        (94346, "Invalid", None)],
+        (4884, "BudgetExceeded", 4894), (66962, "BudgetExceeded", 120736),
+        (120737, "BudgetExceeded", 133111), (148119, "BudgetExceeded", 148120),
+        (148120, "Invalid", None)],
 }
 
 
@@ -576,8 +575,8 @@ def test_cold_budget_outcomes_match_the_pairwise_core(monkeypatch):
     monkeypatch.setattr(_Canonical, "_successors",
                         lambda self, *args: calls.append(1) or successors(self, *args))
     clear_caches()
-    assert decide_iglc(parse("([](p | q) -> ([]p | []q)) | ~~[]r"), 4705) == \
-        BudgetExceeded(23713)
+    assert decide_iglc(parse("([](p | q) -> ([]p | []q)) | ~~[]r"), 23713) == \
+        BudgetExceeded(42721)
     assert not calls
 
 

@@ -260,6 +260,13 @@ def test_countermodel_above_the_classical_atom_cap():
     assert not forces(v.countermodel, v.world, f)
 
 
+def test_countermodel_check_survives_optimisation(monkeypatch):
+    # the check is a raise, not an assert that ``python -O`` strips
+    monkeypatch.setattr(ipc, "forces", lambda *args: True)
+    with pytest.raises(RuntimeError, match="internal error"):
+        decide_ipc((), parse("p | ~p"))
+
+
 def test_glivenko_bottom_goals_match_plain_search(monkeypatch):
     # Γ ⊢ ⊥ answered by truth tables must agree with G4ip alone, which is what
     # the search does once the classical atom cap admits no alphabet at all

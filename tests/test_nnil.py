@@ -5,8 +5,9 @@ import random
 import pytest
 
 from iglc import nnil
-from iglc.formula import And, Atom, Box, Imp, Or, BOT, TOP, Neg, parse, render
-from iglc.ipc import ipc_equiv, ipc_provable
+from iglc.formula import (And, Atom, Box, Imp, Or, BOT, TOP, Neg, atoms, parse, render,
+                          size)
+from iglc.ipc import SequentTable, ipc_equiv, ipc_provable
 from iglc.kripke import forces
 from iglc.nnil import (AlphabetTooLarge, DEFAULT_MAX_ATOMS, enumerate_nnil_classes,
                        is_nnil, nnil_star)
@@ -134,6 +135,13 @@ def test_loading_rejects_non_nnil_or_colliding_representatives():
         nnil._CanonicalTable(1, [BOT, parse("(a1 -> false) -> false")], model)
     with pytest.raises(ValueError, match="share a fingerprint"):
         nnil._CanonicalTable(1, [BOT, a1, And(a1, a1)], model)
+    # the 2-name table without the class of some r_i ∨ r_j
+    full = nnil._canonical_table(2)
+    fps = full.fps
+    k = next(k for j in range(len(fps)) for i in range(j)
+             for k in [fps.index(fps[i] | fps[j])] if k not in (i, j))
+    with pytest.raises(ValueError, match="not closed under union"):
+        nnil._CanonicalTable(2, full.reps[:k] + full.reps[k + 1:], full.model)
 
 
 def test_class_order_confirms_exactly_the_equivalent_meets_and_joins():
@@ -179,6 +187,39 @@ def test_plus_outputs_pinned(modal_corpus):
     assert len(sample) == 1991
     assert digest(render(tnnil_plus(f)) for f in sample) == (
         "a1cbfcffb548f96bb454f1cf47a3cdb1cd3d27c274a4c28bd54ed43cc2c48a00")
+
+
+def reference_star(reps, a, leq_memo):
+    """The greatest class below a as the join of the maximal representatives
+    the prover shows imply a, maximal by the prover-checked class order."""
+    g4ip = SequentTable()
+    selected = [i for i, r in enumerate(reps) if ipc_provable((), Imp(r, a), g4ip)]
+
+    def leq(i, j):
+        if (i, j) not in leq_memo:
+            leq_memo[i, j] = ipc_provable((), Imp(reps[i], reps[j]), g4ip)
+        return leq_memo[i, j]
+
+    maximal = [i for i in selected if not any(j != i and leq(i, j) for j in selected)]
+    out = reps[maximal[0]]
+    for i in maximal[1:]:
+        out = Or(out, reps[i])
+    return out
+
+
+def test_star_is_the_greatest_class_below():
+    rng = random.Random(1995)
+    reps = enumerate_nnil_classes(["p", "q"]).representatives
+    sample = []
+    while len(sample) < 300:
+        a = random_formula(rng, ("p", "q"), rng.randint(8, 30), box_prob=0.0)
+        if size(a) >= 8 and atoms(a) == {"p", "q"}:   # the pinned corpus stops at 7
+            sample.append(a)
+    leq_memo = {}
+    for a in sample:
+        star = nnil_star(a)
+        assert star == reference_star(reps, a, leq_memo), render(a)
+        assert star in reps, render(a)
 
 
 def test_star_worked_example():
