@@ -23,10 +23,26 @@ class _Node:
     """Interned immutable AST node: equal trees are the same object.
 
     Hash-consing keeps hashing and equality O(1), which the provers rely on
-    (everything downstream keys dictionaries by formulas).
+    (everything downstream keys dictionaries by formulas).  A node class only
+    lists its fields in ``__slots__``; the one constructor looks the tuple of
+    field values up in the class's own table and builds a node on a miss.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._nodes = {}
+
+    def __new__(cls, *fields):
+        f = cls._nodes.get(fields)
+        if f is None:
+            if len(fields) != len(cls.__slots__):
+                raise TypeError(f"{cls.__name__} has fields {cls.__slots__}, got {len(fields)}")
+            f = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields):
+                object.__setattr__(f, name, value)
+            cls._nodes[fields] = f
+        return f
 
     def __setattr__(self, name, value):
         raise AttributeError("formulas are immutable")
@@ -37,82 +53,36 @@ class _Node:
     def __deepcopy__(self, memo):
         return self
 
+    def __repr__(self):
+        fields = ", ".join(repr(getattr(self, name)) for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
 
 class Atom(_Node):
     __slots__ = ("name",)
-    _intern: dict[str, "Atom"] = {}
-
-    def __new__(cls, name: str):
-        f = cls._intern.get(name)
-        if f is None:
-            f = object.__new__(cls)
-            object.__setattr__(f, "name", name)
-            cls._intern[name] = f
-        return f
-
-    def __repr__(self):
-        return f"Atom({self.name!r})"
 
 
 class Bottom(_Node):
     __slots__ = ()
-    _instance: "Bottom | None" = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = object.__new__(cls)
-        return cls._instance
 
     def __repr__(self):
         return "Bottom"
 
 
-class _Binary(_Node):
+class And(_Node):
     __slots__ = ("left", "right")
 
-    def __new__(cls, left: "Formula", right: "Formula"):
-        key = (left, right)
-        f = cls._intern.get(key)
-        if f is None:
-            f = object.__new__(cls)
-            object.__setattr__(f, "left", left)
-            object.__setattr__(f, "right", right)
-            cls._intern[key] = f
-        return f
 
-    def __repr__(self):
-        return f"{type(self).__name__}({self.left!r}, {self.right!r})"
+class Or(_Node):
+    __slots__ = ("left", "right")
 
 
-class And(_Binary):
-    __slots__ = ()
-    _intern: dict = {}
-
-
-class Or(_Binary):
-    __slots__ = ()
-    _intern: dict = {}
-
-
-class Imp(_Binary):
-    __slots__ = ()
-    _intern: dict = {}
+class Imp(_Node):
+    __slots__ = ("left", "right")
 
 
 class Box(_Node):
     __slots__ = ("inner",)
-    _intern: dict = {}
-
-    def __new__(cls, inner: "Formula"):
-        f = cls._intern.get(inner)
-        if f is None:
-            f = object.__new__(cls)
-            object.__setattr__(f, "inner", inner)
-            cls._intern[inner] = f
-        return f
-
-    def __repr__(self):
-        return f"Box({self.inner!r})"
 
 
 Formula = Atom | Bottom | And | Or | Imp | Box
@@ -357,15 +327,11 @@ def substitute(f: Formula, mapping: dict[str, Formula]) -> Formula:
     """Replace atoms by formulas, capture-free (there are no binders)."""
     if isinstance(f, Atom):
         return mapping.get(f.name, f)
+    if isinstance(f, Box):
+        return Box(substitute(f.inner, mapping))
     if isinstance(f, Bottom):
         return f
-    if isinstance(f, And):
-        return And(substitute(f.left, mapping), substitute(f.right, mapping))
-    if isinstance(f, Or):
-        return Or(substitute(f.left, mapping), substitute(f.right, mapping))
-    if isinstance(f, Imp):
-        return Imp(substitute(f.left, mapping), substitute(f.right, mapping))
-    return Box(substitute(f.inner, mapping))
+    return type(f)(substitute(f.left, mapping), substitute(f.right, mapping))
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +375,9 @@ def modal_decompose(f: Formula) -> Decomposition:
                 index[g.inner] = i
                 parts.append(g.inner)
             return Atom(f"{PLACEHOLDER_PREFIX}{i + 1}")
-        if isinstance(g, And):
-            return And(skel(g.left), skel(g.right))
-        if isinstance(g, Or):
-            return Or(skel(g.left), skel(g.right))
-        if isinstance(g, Imp):
-            return Imp(skel(g.left), skel(g.right))
-        return g
+        if isinstance(g, (Atom, Bottom)):
+            return g
+        return type(g)(skel(g.left), skel(g.right))
 
     skeleton = skel(f)
     return Decomposition(skeleton, tuple(parts))

@@ -9,16 +9,18 @@ Pipeline for decide_iglc, three phases metered by one step budget:
 1. the small-model scan (below): every irreflexive realistic model on one
    world or a 2-chain over the query's atoms (at most 4), which settles most
    refutable inputs immediately;
-2. a sound validity certifier, a fast path only: the query's modal skeleton
-   is an IPC tautology, or follows in IPC, at the level of the skeleton, from
-   the instances of K, Löb and completeness over its boxed subformulas;
+2. a sound validity certifier, a fast path only: one IPC question, whether
+   the modal skeleton of ⋀axioms → A is a tautology, for the instances of K,
+   Löb and completeness over A's boxed subformulas; the conjunction is
+   balanced, so its depth grows with the log of the number of axioms;
 3. the complete core: worlds are candidate subsets of the adequate set
    X = sub(A) ∪ {□B : B ∈ sub(A)}, bit vectors generated member by member
    under closure rules (Hintikka conditions plus derivable box closures, as
    premise masks), ordered by inclusion and the canonical modal relation.
-   Generation charges one step per member decided and |X| more per candidate
-   emitted, the bits ``_columns`` transposes, so the budget bounds the
-   candidate list.
+   Generation is depth first on an explicit stack, so a large X does not
+   exhaust the Python stack; it charges one step per member decided and |X|
+   more per candidate emitted, the bits ``_columns`` transposes, so the
+   budget bounds the candidate list.
    Column ``col[p]`` is the bitset of the candidates holding member p, so the
    ⊆-successors of w are ⋀_{p∈w} col[p] and its ⊏-successors
    ⋀_{□C∈w} col[C] ∧ ⋁_{□B∉w} col[□B].  Incoherent candidates, whose
@@ -209,26 +211,26 @@ def _boxed_subformulas(a: Formula) -> list[Formula]:
     return sorted(set(inner), key=lambda f: (size(f), render(f)))
 
 
+def _balanced_and(fs: list[Formula]) -> Formula:
+    """The conjunction of fs, paired off level by level, so its depth is log."""
+    while len(fs) > 1:
+        fs = [And(*fs[i:i + 2]) if i + 1 < len(fs) else fs[i] for i in range(0, len(fs), 2)]
+    return fs[0]
+
+
 def _quick_valid(a: Formula, bud: _Budget) -> Valid | None:
     bud.charge()
-    if ipc_provable((), modal_decompose(a).skeleton):
-        return Valid(("substitution instance of an IPC tautology",))
-    boxes = _boxed_subformulas(a)
-    if not boxes:
-        return None
-    axiom_set: list[Formula] = []
-    for b in boxes:
-        axiom_set.append(Imp(b, Box(b)))                      # completeness
+    axioms: list[Formula] = []
+    for b in _boxed_subformulas(a):
+        axioms.append(Imp(b, Box(b)))                         # completeness
         if isinstance(b, Imp) and isinstance(b.left, Box) and b.left.inner == b.right:
-            axiom_set.append(Imp(Box(b), Box(b.right)))       # Löb
+            axioms.append(Imp(Box(b), Box(b.right)))          # Löb
         if isinstance(b, Imp):                                # K
-            axiom_set.append(Imp(Box(b), Imp(Box(b.left), Box(b.right))))
-    goal = a
-    for ax in axiom_set:
-        goal = Imp(ax, goal)
-    bud.charge(len(axiom_set) + 1)
+            axioms.append(Imp(Box(b), Imp(Box(b.left), Box(b.right))))
+    bud.charge(len(axioms) + 1)
+    goal = Imp(_balanced_and(axioms), a) if axioms else a
     if ipc_provable((), modal_decompose(goal).skeleton):
-        lines = tuple(f"axiom: {render(ax)}" for ax in axiom_set)
+        lines = tuple(f"axiom: {render(ax)}" for ax in axioms)
         return Valid(lines + ("goal is an IPC consequence of the axioms above "
                               "at the level of the modal skeleton",))
     return None
@@ -320,28 +322,37 @@ class _Canonical:
     def _generate(self) -> list[int]:
         n, kinds, rules_at, charge = self.n, self.kinds, self.rules_at, self.bud.charge
         out: list[int] = []
-
-        def rec(p: int, vec: int) -> None:
-            charge()
-            if p == n:
-                charge(n)                       # the n bits _columns transposes
-                out.append(vec)
-                return
-            kind = kinds[p]
-            if kind is None:
-                choices = (vec, vec | 1 << p)
-            else:
-                conj, operands = kind
-                hit = vec & operands
-                choices = (vec | 1 << p if (hit == operands if conj else hit) else vec,)
-            for v in choices:
-                for premises, concl in rules_at[p]:
-                    if v & premises == premises and not v & concl:
-                        break
+        # depth first on an explicit stack: follow the first admissible choice
+        # for member p, push the second to take up when the first's subtree ends
+        stack = [(0, 0)]
+        while stack:
+            p, vec = stack.pop()
+            while True:
+                charge()
+                if p == n:
+                    charge(n)                   # the n bits _columns transposes
+                    out.append(vec)
+                    break
+                kind = kinds[p]
+                if kind is None:
+                    choices = (vec, vec | 1 << p)
                 else:
-                    rec(p + 1, v)
-
-        rec(0, 0)
+                    conj, operands = kind
+                    hit = vec & operands
+                    choices = (vec | 1 << p if (hit == operands if conj else hit) else vec,)
+                follow = None
+                for v in choices:
+                    for premises, concl in rules_at[p]:
+                        if v & premises == premises and not v & concl:
+                            break
+                    else:
+                        if follow is None:
+                            follow = v
+                        else:
+                            stack.append((p + 1, v))
+                if follow is None:
+                    break
+                p, vec = p + 1, follow
         return out
 
     def _columns(self, worlds: list[int]) -> list[int]:
@@ -533,41 +544,32 @@ def is_saturated(s, x: AdequateSet, budget: int = DEFAULT_BUDGET) -> bool:
     return True
 
 
-def _saturate_set(base: frozenset[Formula], avoid: Formula, enum: list[Formula],
-                  derives) -> frozenset[Formula]:
-    """Grow base along enum, cyclically, to a set closed under ``derives``
-    within enum that holds a disjunct of each member disjunction and does not
-    derive avoid; ``derives(premises, goal)`` is the derivability oracle."""
-    s = set(base)
+def saturate(r, a: Formula, x: AdequateSet, budget: int = DEFAULT_BUDGET) -> SaturatedSet:
+    """Extension-construction run: grow r to an x-saturated set not deriving a.
+
+    The enumeration is members of x by (tree size, rendering), repeated
+    cyclically until a full pass adds nothing.  A member joins when the set
+    derives it; each member disjunction gets its left disjunct unless that
+    derives a, else its right one.  Every test is an iGLC oracle call under
+    one budget.
+    """
+    s = set(r)
+    if not s <= x.members:
+        raise ValueError("r must be a subset of the adequate set")
+    bud = _Budget(budget)
+    if _oracle(s, a, bud):
+        raise ValueError("precondition violated: r already derives the goal")
+    enum = sorted(x.members, key=lambda g: (size(g), render(g)))
     changed = True
     while changed:
         changed = False
         for b in enum:
             if b not in s:
-                if not derives(frozenset(s), b):
+                if not _oracle(s, b, bud):
                     continue
                 s.add(b)
                 changed = True
             if isinstance(b, Or) and b.left not in s and b.right not in s:
-                # the left disjunct unless it derives avoid
-                s.add(b.right if derives(frozenset(s | {b.left}), avoid) else b.left)
+                s.add(b.right if _oracle(s | {b.left}, a, bud) else b.left)
                 changed = True
-    return frozenset(s)
-
-
-def saturate(r, a: Formula, x: AdequateSet, budget: int = DEFAULT_BUDGET) -> SaturatedSet:
-    """Extension-construction run: grow r to an x-saturated set not deriving a.
-
-    The enumeration is members of x by (tree size, rendering), repeated
-    cyclically until a full pass adds nothing; every test is an iGLC oracle
-    call under one budget.
-    """
-    base = frozenset(r)
-    if not base <= x.members:
-        raise ValueError("r must be a subset of the adequate set")
-    bud = _Budget(budget)
-    if _oracle(base, a, bud):
-        raise ValueError("precondition violated: r already derives the goal")
-    enum = sorted(x.members, key=lambda g: (size(g), render(g)))
-    return SaturatedSet(_saturate_set(base, a, enum,
-                                      lambda gamma, goal: _oracle(gamma, goal, bud)))
+    return SaturatedSet(frozenset(s))

@@ -3,6 +3,8 @@ import time
 
 from iglc.cli import run
 from iglc.formula import parse
+from iglc.ha import in_selfcompletion_fast_logic
+from iglc.iglc_prover import BudgetExceeded, decide_iglc
 from iglc.kripke import check_frame, forces, model_from_json
 
 
@@ -56,6 +58,22 @@ def test_prove_budget_exit_code(capsys):
            "[](([]false) -> ((~p -> q) | (~p -> r)))")
     code, out, _ = run_captured(
         capsys, ["prove", "--logic", "iglc", moj, "--budget", "5"])
+    assert code == 3
+    assert out.strip() == "BUDGET EXCEEDED"
+
+
+def test_wide_input_exceeds_budget_without_recursion_error(capsys):
+    # (□p0 ∧ … ∧ □p5999, paired off level by level) → □zz: the certifier's
+    # axiom list and the core's adequate set grow with the number of boxes
+    parts = [f"[]p{i}" for i in range(6000)]
+    while len(parts) > 1:
+        parts = [f"({parts[i]} & {parts[i + 1]})" if i + 1 < len(parts) else parts[i]
+                 for i in range(0, len(parts), 2)]
+    wide = parts[0] + " -> []zz"
+    for decide in (decide_iglc, in_selfcompletion_fast_logic):
+        assert isinstance(decide(parse(wide), 100_000), BudgetExceeded)
+    code, out, _ = run_captured(
+        capsys, ["prove", "--logic", "iglc", wide, "--budget", "100000"])
     assert code == 3
     assert out.strip() == "BUDGET EXCEEDED"
 

@@ -118,6 +118,17 @@ def test_interning_identity():
     assert And(P, Q) is And(P, Q)
     assert parse("p -> (q | false)") is parse("p->(q|false)")
     assert TOP is Imp(Bottom(), Bottom())
+    assert Bottom() is BOT
+    assert And(P, Q) is not Or(P, Q)
+    for cls, fields in ((Atom, ("p",)), (Bottom, ()), (And, (P, Q)), (Or, (P, Q)),
+                        (Imp, (P, Q)), (Box, (P,))):
+        assert cls(*fields) is cls(*fields)
+        assert tuple(getattr(cls(*fields), name) for name in cls.__slots__) == fields
+    for cls, fields in ((Box, (P, Q)), (Atom, ()), (Imp, (P,))):
+        with pytest.raises(TypeError):
+            cls(*fields)
+    assert repr(parse("[]p -> (q | ~r) & s")) == (
+        "Imp(Box(Atom('p')), And(Or(Atom('q'), Imp(Atom('r'), Bottom)), Atom('s')))")
 
 
 def test_keyword_prefixed_atom_names():
