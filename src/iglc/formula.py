@@ -324,14 +324,25 @@ def boxdepth(f: Formula) -> int:
 
 
 def substitute(f: Formula, mapping: dict[str, Formula]) -> Formula:
-    """Replace atoms by formulas, capture-free (there are no binders)."""
-    if isinstance(f, Atom):
-        return mapping.get(f.name, f)
-    if isinstance(f, Box):
-        return Box(substitute(f.inner, mapping))
-    if isinstance(f, Bottom):
-        return f
-    return type(f)(substitute(f.left, mapping), substitute(f.right, mapping))
+    """Replace atoms by formulas, capture-free (there are no binders); each
+    distinct subformula is rebuilt once, so shared subtrees cost nothing more."""
+    memo: dict[Formula, Formula] = {}
+
+    def sub(g: Formula) -> Formula:
+        out = memo.get(g)
+        if out is None:
+            if isinstance(g, Atom):
+                out = mapping.get(g.name, g)
+            elif isinstance(g, Box):
+                out = Box(sub(g.inner))
+            elif isinstance(g, Bottom):
+                out = g
+            else:
+                out = type(g)(sub(g.left), sub(g.right))
+            memo[g] = out
+        return out
+
+    return sub(f)
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,8 @@ def in_ha_sigma1_logic(a: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
     return decide_iglc(tnnil_plus(a), budget)
 
 
-def in_ha_fast_sigma1_logic(a: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
-    """The fast Σ1-provability logic of HA has the same criterion: ⊢_iGLC A⁺."""
-    return decide_iglc(tnnil_plus(a), budget)
+# The fast Σ1-provability logic of HA has the same criterion: ⊢_iGLC A⁺.
+in_ha_fast_sigma1_logic = in_ha_sigma1_logic
 
 
 def in_selfcompletion_fast_logic(a: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:

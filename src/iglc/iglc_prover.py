@@ -4,7 +4,8 @@ iGLC is iK + Löb's axiom □(□A→A)→□A + the completeness principle A→
 theorems are exactly the sentences valid on all finite irreflexive realistic
 frames, which is what the decision core exploits.
 
-Pipeline for decide_iglc, three phases metered by one step budget:
+Pipeline for decide_iglc, three phases metered by one step budget, with one
+unmetered pass after the first:
 
 1. the small-model scan (below): every irreflexive realistic model on one
    world or a 2-chain over the query's atoms (at most 4), which settles most
@@ -35,6 +36,19 @@ Pipeline for decide_iglc, three phases metered by one step budget:
    worlds while the root still refutes the query), and one validated model
    is built from the kept worlds, its masks read off the columns.
 
+Between the scan and the certifier, the pure-atom pass (``_pure_atoms``)
+replaces an atom occurring only positively (under an even number of
+implication antecedents; □ keeps polarity) by ⊥, and one occurring only
+negatively by ⊤.  Truth sets grow with a positive atom's valuation and shrink
+with a negative one's (Troelstra and Schwichtenberg, *Basic Proof Theory*),
+so A is valid iff A[σ] is, and a countermodel of A[σ] with V(p) = ∅ for the
+⊥-atoms and V(q) = every world for the ⊤-atoms refutes A at the same root.
+Phases 2 and 3 decide A[σ].  Both valuations are upsets, so a scan model
+refuting A[σ] would have refuted A: A[σ] is scanned only when A had too many
+atoms to be.  The pass is linear in A's distinct subformulas and charges no
+steps; it runs after the scan, which settles most cheap queries on shared,
+cached models before the pass would cost anything.
+
 The scan is one loop over one frame table.  Its frames are compiled once per
 alphabet into successor masks under every monotone valuation (one model per
 frame, ⊏ and valuation), each model tried costs one step, and the first model
@@ -55,8 +69,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .formula import (And, Atom, Bottom, Box, Formula, Imp, Or, BOT,
-                      atoms, modal_decompose, render, size, subsentences)
+from .formula import (And, Atom, Bottom, Box, Formula, Imp, Or, BOT, TOP,
+                      atoms, modal_decompose, render, size, subsentences, substitute)
 from .ipc import ipc_provable
 from .kripke import (KripkeModel, forces, mask_bits, model_from_masks, shrink,
                      successor_masks, truth_mask, upward_closed_sets)
@@ -201,6 +215,32 @@ def _scan(a: Formula, bud: _Budget) -> Invalid | None:
         if miss:
             return Invalid(ch.model(tried - 1), first % ch.n + 1)
     return None
+
+
+# ---------------------------------------------------------------------------
+# The pure-atom pass.
+
+def _pure_atoms(a: Formula) -> dict[str, Formula]:
+    """⊥ for each atom of a occurring only positively, ⊤ for each occurring
+    only negatively: one walk over the distinct (subformula, sign) pairs."""
+    signs: dict[str, int] = {}      # bit 0: occurs positively, bit 1: negatively
+    seen: set[tuple[Formula, int]] = set()
+    stack = [(a, 1)]
+    while stack:
+        f, sign = item = stack.pop()
+        if item in seen:
+            continue
+        seen.add(item)
+        t = type(f)
+        if t is Atom:
+            signs[f.name] = signs.get(f.name, 0) | sign
+        elif t is Box:
+            stack.append((f.inner, sign))
+        elif t is Imp:
+            stack += ((f.left, 3 - sign), (f.right, sign))
+        elif t is not Bottom:
+            stack += ((f.left, sign), (f.right, sign))
+    return {p: BOT if s == 1 else TOP for p, s in signs.items() if s != 3}
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +494,22 @@ class _Canonical:
 def _decide(a: Formula, bud: _Budget) -> Verdict:
     verdict: Verdict | None = _scan(a, bud)
     if verdict is None:
-        verdict = _quick_valid(a, bud)
-    if verdict is None:
-        verdict = _Canonical(a, bud).decide()
+        sigma = _pure_atoms(a)
+        b = substitute(a, sigma) if sigma else a
+        if sigma and len(atoms(a)) > _SCAN_ATOM_CAP:
+            verdict = _scan(b, bud)
+        if verdict is None:
+            verdict = _quick_valid(b, bud)
+        if verdict is None:
+            verdict = _Canonical(b, bud).decide()
+        tops = [p for p, c in sigma.items() if c is TOP]
+        if sigma and isinstance(verdict, Valid):
+            pure = ", ".join(f"{p} := {'⊤' if p in tops else '⊥'}" for p in sorted(sigma))
+            verdict = Valid((f"pure atoms: {pure}",) + verdict.witness)
+        elif tops and isinstance(verdict, Invalid):
+            m = verdict.countermodel    # scan models are shared: build a new one
+            val = {**m.val, **dict.fromkeys(tops, m.full)}
+            verdict = Invalid(model_from_masks(m.leq_succ, m.r_succ, val, m.full), verdict.root)
     if isinstance(verdict, Invalid):
         _machine_check(verdict.countermodel, verdict.root, a)
     return verdict

@@ -11,10 +11,11 @@ Truth sets are computed through a finite horizon H = r + |sub(A)| + 1: the
 tail profiles (sets of subformulas forced at tail worlds) shrink monotonically
 and must repeat within |sub(A)| steps, after which they are constant.  Worlds
 0..H are evaluated as one finite model by ``kripke.truth_mask``, on successor
-masks read off ``ExtendedModel.leq`` and ``sqsubset``, the one definition of
-the tail's shape, which on the core read the core's own masks.  World 0 is one
-more world of that model: every world past H repeats H's profile, so
-truncating its successors at H loses nothing.
+masks written in closed form: the core's own masks shifted by one, and for
+tail world i the masks of {1..i} and {1..i-1}.  ``ExtendedModel.leq`` and
+``sqsubset`` state the same shape pair by pair.  World 0 is one more world of
+that model: every world past H repeats H's profile, so truncating its
+successors at H loses nothing.
 """
 
 from __future__ import annotations
@@ -114,20 +115,20 @@ def _horizon(m: ExtendedModel, a: Formula) -> int:
 def _truth_table(m: ExtendedModel, a: Formula) -> dict[Formula, int]:
     """Truth mask of every subformula over worlds 0..H: bit i is world i.
 
-    Worlds 0..H are one finite model, evaluated by one ``truth_mask`` pass on
-    successor and atom masks from ``m.leq``, ``m.sqsubset`` and
-    ``m.holds_atom``.  The ⪯- and ⊏-successors of worlds 1..H are again among
-    them.  World 0's ⪯-successors are all worlds and its ⊏-successors all
-    positive worlds, and past H every world repeats H's profile, which the
-    stabilization check enforces; so truncating at H is exact for world 0, as
-    for every other world.
+    Worlds 0..H are one finite model, evaluated by one ``truth_mask`` pass.
+    Core world i keeps its masks, shifted by one; tail world i has
+    ⪯-successors {1..i} and ⊏-successors {1..i-1}, again among worlds 1..H;
+    atoms hold only on the core.  World 0's ⪯-successors are all worlds and
+    its ⊏-successors all positive worlds, and past H every world repeats H's
+    profile, which the stabilization check enforces; so truncating at H is
+    exact for world 0, as for every other world.
     """
     H = _horizon(m, a)
-    worlds = range(H + 1)
-    leq_succ = [sum(1 << j for j in worlds if m.leq(i, j)) for i in worlds]
-    r_succ = [sum(1 << j for j in worlds if m.sqsubset(i, j)) for i in worlds]
-    val = {p: sum(1 << i for i in worlds if m.holds_atom(p, i)) for p in atoms(a)}
     every = (1 << (H + 1)) - 1
+    core, tail = m.core, range(m.r + 1, H + 1)
+    leq_succ = [every] + [s << 1 for s in core.leq_succ] + [(1 << i + 1) - 2 for i in tail]
+    r_succ = [every - 1] + [s << 1 for s in core.r_succ] + [(1 << i) - 2 for i in tail]
+    val = {p: core.val.get(p, 0) << 1 for p in atoms(a)}
     cache: dict[Formula, int] = {}
     truth = {f: truth_mask(f, leq_succ, r_succ, val, every, cache) for f in subsentences(a)}
 

@@ -541,8 +541,10 @@ def test_filter_keeps_membership_equal_to_forcing():
 # _generate, inside the first and later elimination rounds, one step short of
 # a full run (in the shrink for an Invalid) and at a full run; a
 # BudgetExceeded count past its budget is the charge it could not pay: an
-# elimination round's, or in _generate an emitted candidate's |X| steps.  Full runs: PTP ends in the scan, Löb in the certifier, the others in
-# the core.
+# elimination round's, or in _generate an emitted candidate's |X| steps.
+# Full runs: PTP ends in the scan, Löb in the certifier, the others in the
+# core.  The last two formulas have a pure atom (r positive, p negative), so
+# their certifier and core run on the formula with r := ⊥ (p := ⊤).
 BUDGET_CASES = {
     MOJTAHEDI: [(5, "BudgetExceeded", 6), (740390, "BudgetExceeded", 740391),
                 (740391, "Invalid", None)],
@@ -552,13 +554,13 @@ BUDGET_CASES = {
         (8, "BudgetExceeded", 9), (9, "BudgetExceeded", 14),
         (13, "BudgetExceeded", 14), (14, "Valid", None)],
     parse("([](p | q) -> ([]p | []q)) | ~~[]r"): [
-        (1915, "BudgetExceeded", 1930), (23713, "BudgetExceeded", 42721),
-        (42722, "BudgetExceeded", 47474), (64734, "BudgetExceeded", 64735),
-        (64735, "Valid", None)],
+        (1915, "BudgetExceeded", 1930), (12875, "BudgetExceeded", 22995),
+        (22996, "BudgetExceeded", 25658), (33010, "BudgetExceeded", 33011),
+        (33011, "Valid", None)],
     parse("(([]p -> []q) -> []r) -> ([](p -> q) | [](q -> r))"): [
-        (4884, "BudgetExceeded", 4894), (66962, "BudgetExceeded", 120736),
-        (120737, "BudgetExceeded", 133111), (148119, "BudgetExceeded", 148120),
-        (148120, "Invalid", None)],
+        (4884, "BudgetExceeded", 4903), (12107, "BudgetExceeded", 21932),
+        (21933, "BudgetExceeded", 23858), (25086, "BudgetExceeded", 25087),
+        (25087, "Invalid", None)],
 }
 
 
@@ -575,8 +577,8 @@ def test_cold_budget_outcomes_match_the_pairwise_core(monkeypatch):
     monkeypatch.setattr(_Canonical, "_successors",
                         lambda self, *args: calls.append(1) or successors(self, *args))
     clear_caches()
-    assert decide_iglc(parse("([](p | q) -> ([]p | []q)) | ~~[]r"), 23713) == \
-        BudgetExceeded(42721)
+    assert decide_iglc(parse("([](p | q) -> ([]p | []q)) | ~~[]r"), 12875) == \
+        BudgetExceeded(22995)
     assert not calls
 
 
