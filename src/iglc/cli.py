@@ -29,6 +29,12 @@ EXIT_BUDGET = 3
 EXIT_MODEL = 4
 
 
+def _budget(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {text}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="iglc",
                                   description="decision procedures for "
@@ -38,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     prove = sub.add_parser("prove", help="decide a formula in a logic")
     prove.add_argument("--logic", choices=LOGIC_NAMES, required=True)
     prove.add_argument("formula")
-    prove.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    prove.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     prove.add_argument("--countermodel", metavar="PATH",
                        help="write the countermodel here when invalid")
     prove.add_argument("--format", choices=("json", "dot"), default="json",
@@ -76,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     corpus_sub = corpus.add_subparsers(dest="subcommand", required=True)
     crun = corpus_sub.add_parser("run", help="run a corpus TSV file")
     crun.add_argument("path")
-    crun.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    crun.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     crun.add_argument("--json", action="store_true", dest="as_json")
     return top
 

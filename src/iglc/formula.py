@@ -15,7 +15,7 @@ __all__ = [
     "Formula", "Atom", "Bottom", "And", "Or", "Imp", "Box",
     "BOT", "TOP", "Neg", "Iff", "ParseError", "Decomposition",
     "parse", "render", "subsentences", "modal_decompose", "boxdepth",
-    "atoms", "substitute", "is_box_free", "size",
+    "atoms", "substitute", "is_box_free", "size", "order_key",
 ]
 
 
@@ -313,6 +313,11 @@ def is_box_free(f: Formula) -> bool:
 def size(f: Formula) -> int:
     """Number of AST nodes."""
     return 1 + sum(size(c) for c in children(f))
+
+
+def order_key(f: Formula) -> tuple[int, str]:
+    """The deciders' one formula order: by tree size, then rendering."""
+    return size(f), render(f)
 
 
 @lru_cache(maxsize=None)

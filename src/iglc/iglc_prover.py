@@ -31,10 +31,7 @@ unmetered pass after the first:
    candidates, and costs n·|X| + 1 steps.  Every X-saturated set survives, and
    membership = forcing on the survivors, so the query is a theorem iff it
    belongs to every survivor; otherwise the least one omitting it roots a
-   countermodel on its ⊆-cone.  The cone is filtered (selective filtration,
-   ``_Canonical._filter``), then shrunk greedily (``kripke.shrink``: drop
-   worlds while the root still refutes the query), and one validated model
-   is built from the kept worlds, its masks read off the columns.
+   countermodel on its ⊆-cone, filtered and shrunk by ``kripke.countermodel``.
 
 Between the scan and the certifier, the pure-atom pass (``_pure_atoms``)
 replaces an atom occurring only positively (under an even number of
@@ -70,9 +67,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .formula import (And, Atom, Bottom, Box, Formula, Imp, Or, BOT, TOP,
-                      atoms, modal_decompose, render, size, subsentences, substitute)
+                      atoms, modal_decompose, order_key, render, subsentences, substitute)
 from .ipc import ipc_provable
-from .kripke import (KripkeModel, forces, mask_bits, model_from_masks, shrink,
+from .kripke import (KripkeModel, countermodel, forces, mask_bits, model_from_masks,
                      successor_masks, truth_mask, upward_closed_sets)
 
 __all__ = [
@@ -248,7 +245,7 @@ def _pure_atoms(a: Formula) -> dict[str, Formula]:
 
 def _boxed_subformulas(a: Formula) -> list[Formula]:
     inner = [g.inner for g in subsentences(a) if isinstance(g, Box)]
-    return sorted(set(inner), key=lambda f: (size(f), render(f)))
+    return sorted(set(inner), key=order_key)
 
 
 def _balanced_and(fs: list[Formula]) -> Formula:
@@ -282,7 +279,7 @@ def _quick_valid(a: Formula, bud: _Budget) -> Valid | None:
 class _Canonical:
     def __init__(self, a: Formula, bud: _Budget):
         self.bud = bud
-        subs = sorted(subsentences(a), key=lambda f: (size(f), render(f)))
+        subs = sorted(subsentences(a), key=order_key)
         members = list(subs)
         seen = set(subs)
         for s in subs:
@@ -290,7 +287,7 @@ class _Canonical:
             if b not in seen:
                 members.append(b)
                 seen.add(b)
-        members.sort(key=lambda f: (size(f), render(f)))
+        members.sort(key=order_key)
         self.members = members
         self.index = {f: i for i, f in enumerate(members)}
         self.n = len(members)
@@ -450,34 +447,9 @@ class _Canonical:
                           "belongs to every coherent candidate world",))
         root_vec = min(bad)
         # the root is the least vector of its cone, so it has index 0
-        kept = self._filter(sorted(v for v in survivors if root_vec & ~v == 0))
-        leq_succ, r_succ, val = self._masks(kept)
-        query = self.members[qb]
-        keep = shrink(leq_succ, r_succ, val, 0,
-                      lambda truth: not truth(query) & 1, self.bud.charge)
-        return Invalid(model_from_masks(leq_succ, r_succ, val, keep), 1)
-
-    def _filter(self, cone: list[int]) -> list[int]:
-        """Selective filtration of the cone: its root, and for each kept world
-        and each B→C (□C) of X the world lacks, its lowest-index ⊆-successor
-        holding B and not C (⊏-successor not holding C).  The survivors are
-        coherent, so each such successor exists, and it lies in the cone; by
-        induction on X, membership = forcing on the kept worlds, so the root
-        still refutes the query."""
-        col = self._columns(cone)
-        full = (1 << len(cone)) - 1
-        kept, todo = 1, [0]
-        while todo:
-            w = cone[todo.pop()]
-            leq, r = self._successors(w, col, full)
-            picks = ([leq & col[l] & ~col[c] for i, l, c in self.imps if not w >> i & 1]
-                     + [r & ~col[c] for i, c in self.boxes if not w >> i & 1])
-            for m in picks:
-                low = m & -m
-                if not kept & low:
-                    kept |= low
-                    todo.append(low.bit_length() - 1)
-        return [cone[j] for j in mask_bits(kept)]
+        cone = sorted(v for v in survivors if root_vec & ~v == 0)
+        return Invalid(countermodel(*self._masks(cone), (), (self.members[qb],),
+                                    self.bud.charge), 1)
 
     def _masks(self, worlds: list[int]):
         """⊆- and ⊏-successor masks and atom masks over a list of candidates."""
@@ -524,7 +496,7 @@ def decide_iglc(a: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
 
 
 def _conjunction(gamma) -> Formula | None:
-    ordered = sorted(set(gamma), key=lambda f: (size(f), render(f)))
+    ordered = sorted(set(gamma), key=order_key)
     if not ordered:
         return None
     conj = ordered[0]
@@ -588,7 +560,7 @@ def is_saturated(s, x: AdequateSet, budget: int = DEFAULT_BUDGET) -> bool:
     bud = _Budget(budget)
     if _oracle(members, BOT, bud):
         return False
-    for f in sorted(x.members, key=lambda g: (size(g), render(g))):
+    for f in sorted(x.members, key=order_key):
         if f not in members and _oracle(members, f, bud):
             return False
     for f in members:
@@ -612,7 +584,7 @@ def saturate(r, a: Formula, x: AdequateSet, budget: int = DEFAULT_BUDGET) -> Sat
     bud = _Budget(budget)
     if _oracle(s, a, bud):
         raise ValueError("precondition violated: r already derives the goal")
-    enum = sorted(x.members, key=lambda g: (size(g), render(g)))
+    enum = sorted(x.members, key=order_key)
     changed = True
     while changed:
         changed = False

@@ -18,7 +18,7 @@ of counter-models for intuitionistic propositional logic, 1995) and the
 countermodels Ferrari, Fiorentini and Fiorino read off failed derivations
 (JAR 2013).  A query the classical filter refutes gets one world; otherwise
 each failed sequent is a world or reuses the world of a failed premise.
-``kripke.shrink`` then drops worlds greedily before one model is validated.
+``kripke.countermodel`` then filters the model and shrinks it greedily.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .formula import And, Atom, Bottom, Formula, Imp, Or, TOP, render, size
-from .kripke import KripkeModel, forces, mask_bits, model_from_masks, shrink
+from .formula import And, Atom, Bottom, Formula, Imp, Or, TOP, order_key, render
+from .kripke import KripkeModel, countermodel, forces, mask_bits
 
 __all__ = ["IpcValid", "IpcInvalid", "IpcVerdict", "SequentTable", "decide_ipc",
            "ipc_provable", "ipc_equiv"]
@@ -49,10 +49,6 @@ class IpcInvalid:
 
 
 IpcVerdict = IpcValid | IpcInvalid
-
-
-def _order(f: Formula) -> tuple[int, str]:
-    return size(f), render(f)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +164,7 @@ class SequentTable:
                 new.append(f)
             else:
                 work |= self.close(i)
-        for f in sorted(new, key=_order):
+        for f in sorted(new, key=order_key):
             work |= self.close(self.add_input(f))
         return work
 
@@ -334,7 +330,7 @@ def _read_off(table: SequentTable, work: int, goal: int) -> tuple[list[int], dic
         return w
 
     def by_order(i: int):
-        return _order(table.formulas[i])
+        return order_key(table.formulas[i])
 
     def world(work: int, goal: int) -> int:
         work, goal = table.normal(work, goal)
@@ -389,12 +385,7 @@ def decide_ipc(assumptions, goal: Formula,
         return IpcValid()
     else:
         leq, val = _read_off(table, work, g)
-    r_succ = [0] * len(leq)                     # IPC models have no ⊏
-    # the root must refute the goal and force every assumption
-    keep = shrink(leq, r_succ, val, 0,
-                  lambda truth: not truth(goal) & 1 and all(truth(f) & 1 for f in ctx),
-                  lambda steps: None)
-    model = model_from_masks(leq, r_succ, val, keep)
+    model = countermodel(leq, [0] * len(leq), val, ctx, (goal,), lambda steps: None)
     if forces(model, 1, goal) or not all(forces(model, 1, f) for f in ctx):
         raise RuntimeError("internal error: countermodel failed its own check "
                            f"for {render(goal)}")

@@ -10,9 +10,9 @@ A ``KripkeModel`` keeps only the masks it is validated on (``_report``) and
 its ``FrameReport``.  ``truth_mask``, the one evaluator, reads masks, also on
 a submodel given by a mask of kept worlds: ``forces``, the deciders' machine
 checks, the tail extension, the NNIL fingerprint family and the iGLC scan
-each make one pass per question.  ``shrink``, the one greedy countermodel
-shrinker of the iGLC and IPC deciders, drops worlds from a mask, and
-``model_from_masks`` validates the kept worlds' masks as the result's model.
+each make one pass per question.  ``countermodel``, the one countermodel
+finisher of the iGLC and IPC deciders, filters a model, shrinks it greedily,
+and validates the kept worlds' masks as one model (``model_from_masks``).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ __all__ = [
     "check_frame", "forces", "valid_on_model", "valid_on_frame",
     "model_to_json", "model_from_json", "frame_from_json", "model_to_dot",
     "upward_closed_sets",
-    "successor_masks", "mask_bits", "truth_mask", "shrink", "model_from_masks",
+    "successor_masks", "mask_bits", "truth_mask", "countermodel", "model_from_masks",
 ]
 
 VALID_ON_FRAME_WORLD_LIMIT = 8
@@ -259,42 +259,68 @@ def truth_mask(f: Formula, leq_succ, r_succ, val: dict[str, int], keep: int,
     return m
 
 
-def shrink(leq_succ, r_succ, val: dict[str, int], root: int, refutes, charge) -> int:
-    """Greedily drop worlds while ``refutes`` still holds; returns the kept mask.
+def _restrict(leq_succ, r_succ, val: dict[str, int], keep: int):
+    """The masks of the submodel on ``keep``, its worlds renumbered 0, 1, … in order."""
+    if keep == (1 << len(leq_succ)) - 1:
+        return leq_succ, r_succ, val
+    pos = {j: k for k, j in enumerate(mask_bits(keep))}
+    def gather(m: int) -> int:
+        return sum(1 << pos[j] for j in mask_bits(m & keep))
+    return ([gather(leq_succ[j]) for j in pos], [gather(r_succ[j]) for j in pos],
+            {p: gather(m) for p, m in val.items()})
 
-    ``refutes(truth)`` gets ``truth(f)``, the truth mask of f on a trial's
-    kept worlds (see ``truth_mask``).  Each pass visits the kept worlds from
-    the highest index down, skipping the root (so at least one world stays),
-    charges the trial's world count, and drops a world when the trial still
-    refutes.  Passes repeat until one drops nothing, so no single world of
-    the result can be dropped.
-    """
-    keep = (1 << len(leq_succ)) - 1
-    changed = True
+
+def _filtration(leq_succ, r_succ, val: dict[str, int], fs) -> int:
+    """The worlds a selective filtration keeps (Segerberg 1971; Chagrov and
+    Zakharyaschev, *Modal Logic*, 1997): world 0 and, for each kept world and
+    each B→C (□C) of sub(fs) it does not force, its lowest-index ⪯-successor
+    forcing B and not C (⊏-successor not forcing C).  By induction on sub(fs),
+    forcing of sub(fs) at the kept worlds is as in the whole model."""
+    cache: dict[Formula, int] = {}
+    for f in fs:
+        truth_mask(f, leq_succ, r_succ, val, (1 << len(leq_succ)) - 1, cache)
+    tests = [(leq_succ, cache[f.left] & ~cache[f.right], m) if type(f) is Imp
+             else (r_succ, ~cache[f.inner], m)
+             for f, m in cache.items() if type(f) is Imp or type(f) is Box]
+    kept, todo = 1, [0]
+    while todo:
+        w = todo.pop()
+        for succ, bad, forced in tests:
+            m = 0 if forced >> w & 1 else succ[w] & bad
+            low = m & -m
+            if low & ~kept:
+                kept |= low
+                todo.append(low.bit_length() - 1)
+    return kept
+
+
+def countermodel(leq_succ, r_succ, val: dict[str, int], holds, fails, charge) -> KripkeModel:
+    """The model cut down around world 0, which forces each of ``holds`` and
+    none of ``fails``: filtered over sub(holds ∪ fails), then shrunk by greedy
+    passes that visit the kept worlds from the highest index down, skipping
+    world 0, charge each trial's world count and drop a world while world 0
+    still forces ``holds`` and refutes ``fails``.  Passes repeat until one
+    drops nothing; world 0 becomes world 1 of the validated result."""
+    if len(leq_succ) > 1:               # one world is its own filtration
+        kept = _filtration(leq_succ, r_succ, val, (*holds, *fails))
+        leq_succ, r_succ, val = _restrict(leq_succ, r_succ, val, kept)
+    keep, changed = (1 << len(leq_succ)) - 1, True
     while changed:
         changed = False
-        for i in reversed(range(len(leq_succ))):
-            if i == root or not keep >> i & 1:
-                continue
-            trial = keep & ~(1 << i)
+        for i in sorted(mask_bits(keep & ~1), reverse=True):
+            trial, cache = keep & ~(1 << i), {}
             charge(trial.bit_count())
-            cache: dict[Formula, int] = {}
-            if refutes(lambda f: truth_mask(f, leq_succ, r_succ, val, trial, cache)):
-                keep = trial
-                changed = True
-    return keep
+            truth = lambda f: truth_mask(f, leq_succ, r_succ, val, trial, cache) & 1
+            if not any(map(truth, fails)) and all(map(truth, holds)):
+                keep, changed = trial, True
+    return model_from_masks(leq_succ, r_succ, val, keep)
 
 
 def model_from_masks(leq_succ, r_succ, val: dict[str, int], keep: int) -> KripkeModel:
     """The validated submodel on ``keep``; kept indices become worlds 1, 2, … in order."""
     if not keep:
         raise ModelError("empty world set")
-    if keep != (1 << len(leq_succ)) - 1:
-        pos = {j: k for k, j in enumerate(mask_bits(keep))}
-        def gather(m: int) -> int:
-            return sum(1 << pos[j] for j in mask_bits(m & keep))
-        leq_succ, r_succ = ([gather(succ[j]) for j in pos] for succ in (leq_succ, r_succ))
-        val = {p: gather(m) for p, m in val.items()}
+    leq_succ, r_succ, val = _restrict(leq_succ, r_succ, val, keep)
     model = KripkeModel.__new__(KripkeModel)
     model._validate(list(range(1, len(leq_succ) + 1)), list(leq_succ), list(r_succ))
     for p, m in val.items():

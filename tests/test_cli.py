@@ -237,6 +237,20 @@ def test_corpus_run(tmp_path, capsys):
     assert "5 entries, 5 ok, 0 mismatched, 0 budget-exceeded" in out
 
 
+def test_negative_budget_is_a_usage_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("valid\tiglc\tp -> []p\n")
+    for argv in (["prove", "--logic", "iglc", "p -> []p", "--budget", "-1"],
+                 ["corpus", "run", str(corpus), "--budget", "-1"]):
+        code, out, err = run_captured(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert "--budget: must not be negative: -1" in err
+    assert run_captured(capsys, ["prove", "--logic", "iglc", "p", "--budget", "x"])[0] == 2
+    # budget 0 is still a budget: the scan's first model costs one step
+    assert run_captured(capsys, ["prove", "--logic", "iglc", "p", "--budget", "0"])[:2] == \
+        (3, "BUDGET EXCEEDED\n")
+
+
 def test_corpus_run_mismatch_exit_1(tmp_path, capsys):
     corpus = tmp_path / "corpus.tsv"
     corpus.write_text("valid\tiglc\t[]p -> p\n")

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,8 @@ from iglc.formula import (And, Atom, Bottom, Box, Imp, Or, BOT, TOP, Neg, atoms,
                           parse, render, size, subsentences)
 from iglc.ipc import (IpcInvalid, IpcValid, SequentTable, decide_ipc, ipc_equiv,
                       ipc_provable)
-from iglc.kripke import check_frame, forces, model_from_masks, model_to_json, shrink
+from iglc.kripke import (check_frame, countermodel, forces, model_from_masks,
+                         model_to_json)
 from conftest import random_formula
 
 P, Q = Atom("p"), Atom("q")
@@ -170,8 +172,9 @@ def reference_saturate_set(base, avoid, enum, derives):
 def reference_countermodel(ctx, goal):
     """The saturation builder the read-off replaced: worlds are saturated
     subsets of the subformula closure, grown breadth first from the root's
-    unprovable implications, ordered by inclusion, and shrunk greedily when
-    there are at most 24 of them.  World 1 refutes ctx ⊢ goal."""
+    unprovable implications, ordered by inclusion, and filtered and shrunk by
+    ``kripke.countermodel`` when there are at most 24 of them.  World 1
+    refutes ctx ⊢ goal."""
     table = SequentTable()
     derives = lambda premises, g: ipc_provable(premises, g, table)
     closure = set(subsentences(goal)).union(*map(subsentences, ctx))
@@ -187,12 +190,9 @@ def reference_countermodel(ctx, goal):
     leq_succ = [sum(1 << j for j in range(n) if sats[i] <= sats[j]) for i in range(n)]
     val = {p: sum(1 << i for i, sat in enumerate(sats) if Atom(p) in sat)
            for p in set().union(*map(atoms, closure))}
-    keep = (1 << n) - 1
     if n <= 24:
-        keep = shrink(leq_succ, [0] * n, val, 0,
-                      lambda truth: not truth(goal) & 1 and all(truth(f) & 1 for f in ctx),
-                      lambda steps: None)
-    return model_from_masks(leq_succ, [0] * n, val, keep)
+        return countermodel(leq_succ, [0] * n, val, ctx, (goal,), lambda steps: None)
+    return model_from_masks(leq_succ, [0] * n, val, (1 << n) - 1)
 
 
 def refutes_at(model, root, ctx, goal) -> bool:
@@ -258,6 +258,26 @@ def test_countermodel_above_the_classical_atom_cap():
     v = decide_ipc((), f)
     assert isinstance(v, IpcInvalid)
     assert not forces(v.countermodel, v.world, f)
+
+
+def balanced(op, fs):
+    return fs[0] if len(fs) == 1 else op(balanced(op, fs[:len(fs) // 2]),
+                                         balanced(op, fs[len(fs) // 2:]))
+
+
+def test_wide_mixed_input_is_filtered_before_the_shrink():
+    # ⋀((qᵢ→rᵢ)→bᵢ) → ⋁[z ∨ ~z, qᵢ ∧ (~rᵢ ∧ bᵢ)…], every atom mixed and 25 of
+    # them, so the classical screen is off; the read-off has thousands of
+    # worlds, and a greedy shrink over all of them is cubic in their number
+    n = 8
+    q, r, b = ([Atom(f"{c}{i}") for i in range(n)] for c in "qrb")
+    f = Imp(balanced(And, [Imp(Imp(q[i], r[i]), b[i]) for i in range(n)]),
+            balanced(Or, [parse("z | ~z")] + [And(q[i], And(Neg(r[i]), b[i]))
+                                               for i in range(n)]))
+    start = time.perf_counter()
+    v = decide_ipc((), f)
+    assert time.perf_counter() - start < 3
+    assert isinstance(v, IpcInvalid) and not forces(v.countermodel, v.world, f)
 
 
 def test_countermodel_check_survives_optimisation(monkeypatch):

@@ -1,13 +1,14 @@
-"""Countermodel shrinking and the shared mask evaluator, checked against the
-slow path: models rebuilt by ``KripkeModel.make`` on restricted world sets
-and evaluated with ``forces``."""
+"""Countermodel filtering and shrinking and the shared mask evaluator,
+checked against the slow path: models rebuilt by ``KripkeModel.make`` on
+restricted world sets and evaluated with ``forces``."""
 
 import random
 
 from iglc.iglc_prover import Invalid, decide_iglc
 from iglc.ipc import IpcInvalid, decide_ipc
-from iglc.formula import parse
-from iglc.kripke import KripkeModel, forces, shrink, truth_mask
+from iglc.formula import parse, render
+from iglc.kripke import (KripkeModel, _filtration, countermodel, forces, model_to_json,
+                         truth_mask)
 from conftest import random_formula, random_realistic_model
 from test_iglc import MOJTAHEDI, PTP
 
@@ -89,12 +90,37 @@ def test_truth_mask_agrees_with_forces_on_submodels():
                 assert mask == expected, (keep, f)
 
 
+def test_filtration_keeps_forcing():
+    # on the kept worlds every subformula is forced exactly where it is in
+    # the whole model; a dropped witness would leave some □C or B→C forced
+    # at a kept world that refutes it in the whole model
+    rng = random.Random(3307)
+    filtered = 0
+    for _ in range(600):
+        model = random_realistic_model(rng, 7, PQR, rooted=rng.random() < 0.8)
+        leq_succ, r_succ, val = model.leq_succ, model.r_succ, model.val
+        fs = [random_formula(rng, PQR, rng.randint(2, 14)) for _ in range(rng.randint(1, 3))]
+        kept = _filtration(leq_succ, r_succ, val, fs)
+        cache = {}
+        for f in fs:
+            truth_mask(f, leq_succ, r_succ, val, model.full, cache)
+        assert kept & 1 and kept & ~leq_succ[0] == 0
+        filtered += kept != leq_succ[0]
+        sub = {}
+        for g, m in cache.items():
+            assert truth_mask(g, leq_succ, r_succ, val, kept, sub) == m & kept, render(g)
+    assert filtered > 400
+
+
 def test_shrink_visit_order_and_charges():
-    # root 0 below worlds 1 (p) and 2 (q); the root refutes ¬(p ∨ q) while
-    # either successor stays, so the highest index goes first and 1 stays
-    f = parse("~(p | q)")
+    # root 0 below worlds 1 (p), 2 (p, r) and 3 (r); the root refutes
+    # (p → q) ∨ (r → q).  The filter keeps the lowest witnesses, 1 and 2, so
+    # 3 never costs a trial; the greedy pass tries the highest index first:
+    # 2 stays, 1 goes, and a second pass drops nothing
     charges = []
-    keep = shrink([0b111, 0b010, 0b100], [0, 0, 0], {"p": 0b010, "q": 0b100}, 0,
-                  lambda truth: not truth(f) & 1, charges.append)
-    assert keep == 0b011
-    assert charges == [2, 1, 1]     # pass 1 tries 2 then 1; pass 2 drops nothing
+    model = countermodel([0b1111, 0b0010, 0b0100, 0b1000], [0] * 4,
+                         {"p": 0b0110, "r": 0b1100}, (), (parse("(p -> q) | (r -> q)"),),
+                         charges.append)
+    assert model_to_json(model) == \
+        '{"worlds": [1, 2], "leq": [[1, 2]], "r": [], "val": {"p": [2], "r": [2]}}'
+    assert charges == [2, 2, 1]
