@@ -28,7 +28,9 @@ unmetered pass after the first:
    membership disagrees with forcing, are eliminated in rounds to a fixpoint:
    a round meets each live candidate's successors with the refuters of each
    B→C (col[B] ∧ ¬col[C]) and □C (¬col[C]) in X, storing O(n·|X|) bits for n
-   candidates, and costs n·|X| + 1 steps.  Every X-saturated set survives, and
+   candidates, and costs n·|X| + 1 steps.  Successor masks are computed once,
+   when round 1 is paid, and later rounds recheck only the candidates that
+   lost a successor in the round before.  Every X-saturated set survives, and
    membership = forcing on the survivors, so the query is a theorem iff it
    belongs to every survivor; otherwise the least one omitting it roots a
    countermodel on its ⊆-cone, filtered and shrunk by ``kripke.countermodel``.
@@ -46,14 +48,15 @@ atoms to be.  The pass is linear in A's distinct subformulas and charges no
 steps; it runs after the scan, which settles most cheap queries on shared,
 cached models before the pass would cost anything.
 
-The scan is one loop over one frame table.  Its frames are compiled once per
-alphabet into successor masks under every monotone valuation (one model per
-frame, ⊏ and valuation), each model tried costs one step, and the first model
-refuting the query, rooted at its least refuting world, is the answer.  The
-models of one frame and ⊏ that differ only in the last atom's upset are laid
-side by side as one disjoint-union model, so one ``kripke.truth_mask`` pass
-evaluates them together.  A model's validated ``KripkeModel`` is built the
-first time it refutes and shared after that.
+The scan is one pass over one model.  For each alphabet, every model of the
+frame table (one per frame, ⊏ and monotone valuation) is laid side by side,
+in scan order, as one disjoint-union model whose ⪯ and ⊏ are in
+``kripke.truth_mask``'s offset form, so one pass evaluates the query on all
+of them with a few big-int operations per node.  The first refuting model
+holds the lowest set bit of the miss mask, and that bit's place in its copy
+is the root, its least refuting world.  Each model tried costs one step.  A
+model's validated ``KripkeModel`` is built the first time it refutes and
+shared after that.
 
 Every Invalid answer is machine-checked (the frame flags of the model's
 report, computed when it was built, and refutation at the root, evaluated
@@ -151,50 +154,44 @@ _FRAMES = (
 _SCAN_ATOM_CAP = 4
 
 
-class _ScanChunk:
-    """Consecutive scan models of one n-world frame and ⊏, laid side by side
-    as one disjoint-union model: copy j holds the j-th model on worlds
-    j·n … j·n + n − 1.  ``models[j]`` is copy j's validated ``KripkeModel``,
-    built the first time it refutes a query and shared from then on."""
+class _ScanUnion:
+    """Every scan model, in scan order, laid side by side as one disjoint-union
+    model whose ⪯ and ⊏ are in offset form (``kripke.truth_mask``), so that
+    one pass decides a query on all of them.  Each name gets an upset in
+    ``upward_closed_sets`` order, the first name varying slowest.  A block is
+    one frame and ⊏: its first world bit, its first model number, its world
+    count and one copy's successor masks.  ``models[j]`` is model j's
+    validated ``KripkeModel``, built the first time it refutes a query and
+    shared from then on."""
 
-    __slots__ = ("n", "leq_succ", "r_succ", "val", "full", "models")
+    __slots__ = ("leq", "r", "val", "full", "count", "blocks", "models")
 
-    def __init__(self, leq_succ: list[int], r_succ: list[int], names: tuple[str, ...],
-                 vals: list[tuple[int, ...]]):
-        n = len(leq_succ)
-        shifts = range(0, n * len(vals), n)
-        self.n = n
-        self.leq_succ = [m << s for s in shifts for m in leq_succ]
-        self.r_succ = [m << s for s in shifts for m in r_succ]
-        self.val = {p: sum(v[i] << s for v, s in zip(vals, shifts))
-                    for i, p in enumerate(names)}
-        self.full = (1 << n * len(vals)) - 1
-        self.models: list[KripkeModel | None] = [None] * len(vals)
+    def __init__(self, names: tuple[str, ...]):
+        self.leq, self.r, self.val = {}, {}, dict.fromkeys(names, 0)
+        self.blocks, self.models = [], {}
+        bit = count = 0
+        for n, strict, r_options in _FRAMES:
+            worlds = range(1, n + 1)
+            index = {w: w - 1 for w in worlds}
+            leq_succ = successor_masks(index, [*strict, *((w, w) for w in worlds)])
+            ups = [sum(1 << index[w] for w in up) for up in upward_closed_sets(worlds, strict)]
+            vals = list(itertools.product(ups, repeat=len(names)))
+            for r in r_options:
+                r_succ = successor_masks(index, strict if r is None else r)
+                self.blocks.append((bit, count, n, leq_succ, r_succ))
+                for v in vals:
+                    for succ, rel in ((leq_succ, self.leq), (r_succ, self.r)):
+                        for i, s in enumerate(succ):
+                            for j in mask_bits(s):
+                                rel[j - i] = rel.get(j - i, 0) | 1 << bit + i
+                    for p, m in zip(names, v):
+                        self.val[p] |= m << bit
+                    bit += n
+                count += len(vals)
+        self.full, self.count = (1 << bit) - 1, count
 
-    def model(self, j: int) -> KripkeModel:
-        if self.models[j] is None:
-            copy = ((1 << self.n) - 1) << j * self.n
-            self.models[j] = model_from_masks(self.leq_succ, self.r_succ, self.val, copy)
-        return self.models[j]
 
-
-@lru_cache(maxsize=64)
-def _compiled(names: tuple[str, ...]) -> tuple[_ScanChunk, ...]:
-    """Every frame, ⊏ and valuation of the scan, in scan order: each name gets
-    an upset in ``upward_closed_sets`` order, the first name varying slowest.
-    A chunk holds the valuations that differ only in the last name's upset."""
-    chunks = []
-    for n, strict, r_options in _FRAMES:
-        worlds = range(1, n + 1)
-        index = {w: w - 1 for w in worlds}
-        leq_succ = successor_masks(index, [*strict, *((w, w) for w in worlds)])
-        ups = [sum(1 << index[w] for w in up) for up in upward_closed_sets(worlds, strict)]
-        vals = list(itertools.product(ups, repeat=len(names)))
-        for r in r_options:
-            r_succ = successor_masks(index, strict if r is None else r)
-            for i in range(0, len(vals), len(ups)):
-                chunks.append(_ScanChunk(leq_succ, r_succ, names, vals[i:i + len(ups)]))
-    return tuple(chunks)
+_compiled = lru_cache(maxsize=64)(_ScanUnion)
 
 
 def _scan(a: Formula, bud: _Budget) -> Invalid | None:
@@ -203,15 +200,20 @@ def _scan(a: Formula, bud: _Budget) -> Invalid | None:
     names = tuple(sorted(atoms(a)))
     if len(names) > _SCAN_ATOM_CAP:
         return None
-    for ch in _compiled(names):
-        miss = ch.full & ~truth_mask(a, ch.leq_succ, ch.r_succ, ch.val, ch.full, {})
-        first = (miss & -miss).bit_length() - 1
-        tried = first // ch.n + 1 if miss else len(ch.models)
-        for _ in range(tried):
-            bud.charge()
-        if miss:
-            return Invalid(ch.model(tried - 1), first % ch.n + 1)
-    return None
+    scan = _compiled(names)
+    miss = scan.full & ~truth_mask(a, scan.leq, scan.r, scan.val, scan.full, {})
+    if not miss:
+        bud.charge(min(scan.count, bud.limit + 1 - bud.used))   # raises at limit + 1
+        return None
+    bit = (miss & -miss).bit_length() - 1
+    start, j, n, leq_succ, r_succ = next(b for b in reversed(scan.blocks) if b[0] <= bit)
+    copy, world = divmod(bit - start, n)
+    j += copy
+    bud.charge(min(j + 1, bud.limit + 1 - bud.used))
+    if j not in scan.models:
+        val = {p: m >> bit - world & (1 << n) - 1 for p, m in scan.val.items()}
+        scan.models[j] = model_from_masks(leq_succ, r_succ, val, (1 << n) - 1)
+    return Invalid(scan.models[j], world + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -420,14 +422,20 @@ class _Canonical:
         # holds exactly the imps and boxes that none of its successors refutes.
         tests = ([(i, 0, col[l] & ~col[r]) for i, l, r in self.imps]
                  + [(i, 1, ~col[c]) for i, c in self.boxes])
+        # each candidate's successors, computed once; a round rechecks only the
+        # candidates with a successor in ``gone`` (in round 1 all, as w ⊆ w)
         live = range(len(cands))
+        alive = gone = (1 << len(cands)) - 1
+        self.bud.charge(len(live) * self.n + 1)
+        succs = [self._successors(w, col, alive) for w in cands]
         while True:
-            self.bud.charge(len(live) * self.n + 1)
-            alive = sum(1 << j for j in live)
             keep = []
             for j in live:
-                w = cands[j]
-                succ = self._successors(w, col, alive)
+                leq, r = succs[j]
+                if not (leq | r) & gone:
+                    keep.append(j)
+                    continue
+                w, succ = cands[j], (leq & alive, r & alive)
                 for i, side, refuting in tests:
                     if w >> i & 1 == bool(succ[side] & refuting):
                         break
@@ -436,6 +444,9 @@ class _Canonical:
             if len(keep) == len(live):
                 return [cands[j] for j in keep]
             live = keep
+            gone = alive & ~sum(1 << j for j in keep)
+            alive ^= gone
+            self.bud.charge(len(live) * self.n + 1)
 
     def decide(self) -> Verdict:
         cands = self._generate()

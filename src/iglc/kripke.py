@@ -7,12 +7,14 @@ appear only at the edges: a ``Frame`` is compiled to masks once, and a model's
 ``frame`` and ``valuation`` are views of its masks, for export.
 
 A ``KripkeModel`` keeps only the masks it is validated on (``_report``) and
-its ``FrameReport``.  ``truth_mask``, the one evaluator, reads masks, also on
-a submodel given by a mask of kept worlds: ``forces``, the deciders' machine
-checks, the tail extension, the NNIL fingerprint family and the iGLC scan
-each make one pass per question.  ``countermodel``, the one countermodel
-finisher of the iGLC and IPC deciders, filters a model, shrinks it greedily,
-and validates the kept worlds' masks as one model (``model_from_masks``).
+its ``FrameReport``.  ``truth_mask``, the one evaluator, reads per-world
+masks or masks in offset form (one per index distance, for models laid side
+by side), also on a submodel given by a mask of kept worlds: ``forces``, the
+deciders' machine checks, the tail extension, the NNIL fingerprint family and
+the iGLC scan each make one pass per question.  ``countermodel``, the one
+countermodel finisher of the iGLC and IPC deciders, filters a model, shrinks
+it greedily, and validates the kept worlds' masks as one model
+(``model_from_masks``).
 """
 
 from __future__ import annotations
@@ -221,10 +223,11 @@ def truth_mask(f: Formula, leq_succ, r_succ, val: dict[str, int], keep: int,
                cache: dict[Formula, int]) -> int:
     """Bitmask of the worlds in ``keep`` forcing f, in the submodel on ``keep``.
 
-    World i has ⪯-successors ``leq_succ[i]`` and ⊏-successors ``r_succ[i]``;
-    atom p holds on ``val[p]``.  Worlds outside ``keep`` are ignored, so a
-    trial removal of world i is ``keep & ~(1 << i)``.  ``cache`` memoises
-    subformula masks and belongs to one ``keep``.
+    World i has ⪯-successors ``leq_succ[i]`` and ⊏-successors ``r_succ[i]``,
+    or a relation is in offset form, {d ≥ 0: mask of the worlds i whose world
+    i + d is a successor}; atom p holds on ``val[p]``.  Worlds outside
+    ``keep`` are ignored, so a trial removal of world i is ``keep & ~(1 << i)``.
+    ``cache`` memoises subformula masks and belongs to one ``keep``.
     """
     m = cache.get(f)
     if m is not None:
@@ -251,9 +254,14 @@ def truth_mask(f: Formula, leq_succ, r_succ, val: dict[str, int], keep: int,
         else:
             raise TypeError(f"not a formula: {f!r}")
         m = 0
-        for i, s in enumerate(succ):
-            if s & bad == 0:
-                m |= 1 << i
+        if type(succ) is dict:
+            for d, src in succ.items():
+                m |= bad >> d & src
+            m = ~m
+        else:
+            for i, s in enumerate(succ):
+                if s & bad == 0:
+                    m |= 1 << i
         m &= keep
     cache[f] = m
     return m

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import types
 
 import pytest
 
@@ -299,6 +300,7 @@ def assert_scan_matches(a):
         assert isinstance(v, Invalid), render(a)
         assert (v.countermodel, v.root) == hit, render(a)
         assert model_to_json(v.countermodel) == model_to_json(hit[0])
+    return hit is not None
 
 
 def test_small_tier_matches_reference_scan(modal_corpus):
@@ -311,6 +313,15 @@ def test_small_tier_matches_reference_scan(modal_corpus):
             sample.append(f)
     for f in sample + [MOJTAHEDI]:
         assert_scan_matches(f)
+    # 4-atom formulas: all 178 models of the scan
+    rng = random.Random(4404)
+    four = []
+    while len(four) < 150:
+        f = random_formula(rng, ("p", "q", "r", "s"), rng.randint(12, 22), box_prob=0.25)
+        if len(atoms(f)) == 4:
+            four.append(f)
+    refuted = sum(assert_scan_matches(f) for f in four)
+    assert 50 < refuted < 150
 
 
 def test_scan_builds_one_model_per_compiled_entry():
@@ -506,6 +517,26 @@ def test_core_matches_pairwise_reference(modal_corpus):
     sample += [MOJTAHEDI] + [parse(t) for t in CORE_HAND_CASES]
     for f in sample:
         assert core_trace(_Canonical, f, 100_000) == core_trace(ReferenceCanonical, f, 100_000), render(f)
+
+
+def test_eliminate_computes_each_candidates_successors_once(monkeypatch):
+    calls = []
+    successors = _Canonical._successors
+    monkeypatch.setattr(_Canonical, "_successors",
+                        lambda self, *args: calls.append(1) or successors(self, *args))
+    rng = random.Random(4419)
+    most_rounds = 0
+    for _ in range(150):
+        f = random_formula(rng, ("p", "q", "r"), rng.randint(14, 22), box_prob=0.25)
+        core = _Canonical(f, _Budget(10**9))
+        cands = core._generate()
+        rounds = []                     # one charge per elimination round
+        core.bud = types.SimpleNamespace(charge=rounds.append)
+        calls.clear()
+        core._eliminate(cands)
+        assert len(calls) == len(cands), render(f)
+        most_rounds = max(most_rounds, len(rounds))
+    assert most_rounds >= 3
 
 
 def test_core_countermodels_have_at_most_ten_worlds():

@@ -6,7 +6,7 @@ import pytest
 from iglc.formula import Atom, Box, TOP, atoms, parse
 from iglc.kripke import (Frame, FrameReport, KripkeModel, ModelError, check_frame,
                          forces, mask_bits, model_from_json, model_from_masks,
-                         model_to_dot, model_to_json, successor_masks,
+                         model_to_dot, model_to_json, successor_masks, truth_mask,
                          upward_closed_sets, valid_on_frame, valid_on_model)
 from conftest import (enumerate_iml_frames, random_formula,
                       random_realistic_model)
@@ -164,6 +164,34 @@ def test_model_table_oracle_matches_forces():
         for i, m in enumerate(models):
             for j, w in enumerate(table.world_order[i]):
                 assert bool(truth[i, j]) == forces(m, w, f)
+
+
+def test_offset_form_matches_per_world_masks():
+    # disjoint unions of random models, their relations given both as
+    # per-world masks and in offset form, evaluated on random submodels
+    rng = random.Random(61)
+    names = ("p", "q", "r")
+    for trial in range(300):
+        copies = [random_realistic_model(rng, 4, names, rooted=rng.random() < 0.5)
+                  for _ in range(rng.randint(1, 6))]
+        per_world, offsets, val, bases = ([], []), ({}, {}), dict.fromkeys(names, 0), []
+        for m in copies:
+            bases.append(base := len(per_world[0]))
+            for succ, out, off in zip((m.leq_succ, m.r_succ), per_world, offsets):
+                for i, s in enumerate(succ):
+                    out.append(s << base)
+                    for j in mask_bits(s):
+                        off[j - i] = off.get(j - i, 0) | 1 << base + i
+            for p in names:
+                val[p] |= m.val[p] << base
+        full = (1 << len(per_world[0])) - 1
+        keep = full if trial % 4 == 0 else rng.randint(1, full)
+        for _ in range(10):
+            f = random_formula(rng, names, rng.randint(1, 16), box_prob=0.3)
+            want = truth_mask(f, *per_world, val, keep, {})
+            assert truth_mask(f, *offsets, val, keep, {}) == want
+            if keep == full:
+                assert want == sum(m.truth(f) << b for m, b in zip(copies, bases))
 
 
 def test_model_json_roundtrip():
