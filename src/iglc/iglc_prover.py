@@ -281,16 +281,8 @@ def _quick_valid(a: Formula, bud: _Budget) -> Valid | None:
 class _Canonical:
     def __init__(self, a: Formula, bud: _Budget):
         self.bud = bud
-        subs = sorted(subsentences(a), key=order_key)
-        members = list(subs)
-        seen = set(subs)
-        for s in subs:
-            b = Box(s)
-            if b not in seen:
-                members.append(b)
-                seen.add(b)
-        members.sort(key=order_key)
-        self.members = members
+        subs = subsentences(a)
+        self.members = members = sorted(subs | {Box(s) for s in subs}, key=order_key)
         self.index = {f: i for i, f in enumerate(members)}
         self.n = len(members)
         self.query_bit = self.index[a]
@@ -508,12 +500,7 @@ def decide_iglc(a: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
 
 def _conjunction(gamma) -> Formula | None:
     ordered = sorted(set(gamma), key=order_key)
-    if not ordered:
-        return None
-    conj = ordered[0]
-    for f in ordered[1:]:
-        conj = And(conj, f)
-    return conj
+    return _balanced_and(ordered) if ordered else None
 
 
 def derives_iglc(gamma, a: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:

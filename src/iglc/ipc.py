@@ -7,10 +7,11 @@ lives as long as one search scope: a ``decide_ipc`` call, a bare
 ``ipc_provable`` call or an NNIL class-table build.  Per index it keeps, as a
 mask, what the context-free invertible rules (∧L, ⊥→, ⊤→, A→A, (C∧D)→B,
 (C∨D)→B) make of the formula, so saturation is a mask union plus L0→ passes.
-The search's choices run in index order.  Per-index classical truth-table
-vectors (up to ``_CLASSICAL_ATOM_CAP`` atoms) give a sound refutation filter
-at the root and answer a goal ⊥ exactly: by Glivenko's theorem Γ ⊢ ⊥ holds in
-IPC iff Γ is classically unsatisfiable.
+The search's choices run in index order.  Up to ``_CLASSICAL_ATOM_CAP`` atoms,
+``kripke.truth_mask`` on the truth table as a Kripke model (a world per
+assignment, its own only ⪯-successor) gives a sound refutation filter at the
+root and answers a goal ⊥ exactly: by Glivenko's theorem Γ ⊢ ⊥ holds in IPC
+iff Γ is classically unsatisfiable.
 
 Countermodels are read off the failed search (``_read_off``), after the
 refutation calculus Pinto and Dyckhoff pair with G4ip (Loop-free construction
@@ -27,7 +28,7 @@ import sys
 from dataclasses import dataclass
 
 from .formula import And, Atom, Bottom, Formula, Imp, Or, TOP, order_key, render
-from .kripke import KripkeModel, countermodel, forces, mask_bits
+from .kripke import KripkeModel, countermodel, forces, mask_bits, truth_mask
 
 __all__ = ["IpcValid", "IpcInvalid", "IpcVerdict", "SequentTable", "decide_ipc",
            "ipc_provable", "ipc_equiv"]
@@ -86,7 +87,9 @@ class SequentTable:
         self.atom_imps = 0                      # p→B
         self.imp_imps = 0                       # (C→D)→B
         self.names: list[str] = []              # the atoms in index order
-        self.vectors: list[int | None] = []     # classical vectors, lazily
+        self.val: dict[str, int] = {}           # world k makes names[t] true iff bit t of k
+        self.full = 1                           # the worlds, each its own ⪯-successor
+        self.cache: dict[Formula, int] = {}     # truth_mask's memo
         self.memo: dict[tuple[int, int], bool] = {}
 
     # -- indexing -------------------------------------------------------------
@@ -109,10 +112,14 @@ class SequentTable:
         self.right.append(right)
         self.closure.append(None)
         self.aux.append(-1)
-        self.vectors.append(None)
-        if kind == _ATOM:                       # a new atom changes every vector's width
+        if kind == _ATOM:
             self.names.append(f.name)
-            self.vectors = [None] * len(self.formulas)
+            if self.classical():                # double the assignments
+                half = self.full.bit_length()
+                self.val = {p: m | m << half for p, m in self.val.items()}
+                self.val[f.name] = self.full << half
+                self.full |= self.full << half
+                self.cache.clear()
         elif kind == _BOT:
             self.bottom = 1 << i
         return i
@@ -173,34 +180,13 @@ class SequentTable:
     def classical(self) -> bool:
         return len(self.names) <= _CLASSICAL_ATOM_CAP
 
-    def full(self) -> int:
-        return (1 << (1 << len(self.names))) - 1
-
     def vector(self, i: int) -> int:
         """Formula i's truth value under each assignment to the table's atoms."""
-        v = self.vectors[i]
-        if v is None:
-            kind = self.kind[i]
-            if kind == _ATOM:
-                n, p = len(self.names), self.names.index(self.formulas[i].name)
-                block = (1 << (1 << p)) - 1
-                v = 0
-                for hi in range(1 << (n - p - 1)):
-                    v |= block << ((2 * hi + 1) << p)
-            elif kind == _BOT:
-                v = 0
-            elif kind == _AND:
-                v = self.vector(self.left[i]) & self.vector(self.right[i])
-            elif kind == _OR:
-                v = self.vector(self.left[i]) | self.vector(self.right[i])
-            else:
-                v = (~self.vector(self.left[i]) | self.vector(self.right[i])) & self.full()
-            self.vectors[i] = v
-        return v
+        return truth_mask(self.formulas[i], {0: self.full}, (), self.val, self.full, self.cache)
 
     def premises(self, work: int) -> int:
         """The assignments that make every formula of the context true."""
-        v = self.full()
+        v = self.full
         while work and v:
             low = work & -work
             work ^= low
@@ -280,7 +266,7 @@ class SequentTable:
         atoms are read in name order, false before true."""
         true = []
         for name in sorted(self.names):
-            p = self.vector(self.index[Atom(name)])
+            p = self.val[name]
             if v & ~p:
                 v &= ~p
             else:

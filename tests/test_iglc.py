@@ -5,6 +5,7 @@ import types
 
 import pytest
 
+from iglc import iglc_prover
 from iglc.formula import And, Atom, Bottom, Box, Imp, Or, BOT, Iff, atoms, parse, render
 from iglc.iglc_prover import (AdequateSet, BudgetExceeded, BudgetExhausted,
                               Invalid, Valid, decide_iglc, derives_iglc,
@@ -38,6 +39,13 @@ def test_reflection_invalid_one_world():
     v = decide_iglc(f)
     assert_verified_invalid(v, f)
     assert len(v.countermodel.frame.worlds) == 1
+
+
+def test_machine_check_survives_optimisation(monkeypatch):
+    # the check is a raise, not an assert that ``python -O`` strips
+    monkeypatch.setattr(iglc_prover, "forces", lambda *args: True)
+    with pytest.raises(RuntimeError, match="internal error"):
+        decide_iglc(parse("[]p -> p"))
 
 
 def test_ptp_invalid():

@@ -20,21 +20,22 @@ from conftest import random_formula
 P, Q = Atom("p"), Atom("q")
 
 
+def classical_value(g, assign) -> bool:
+    """g's truth value under one assignment, a dict from atom names to bools."""
+    if isinstance(g, Atom):
+        return assign[g.name]
+    if isinstance(g, Bottom):
+        return False
+    if isinstance(g, And):
+        return classical_value(g.left, assign) and classical_value(g.right, assign)
+    if isinstance(g, Or):
+        return classical_value(g.left, assign) or classical_value(g.right, assign)
+    return not classical_value(g.left, assign) or classical_value(g.right, assign)
+
+
 def classical_tautology(f) -> bool:
     names = sorted(atoms(f))
-
-    def ev(g, assign):
-        if isinstance(g, Atom):
-            return assign[g.name]
-        if isinstance(g, Bottom):
-            return False
-        if isinstance(g, And):
-            return ev(g.left, assign) and ev(g.right, assign)
-        if isinstance(g, Or):
-            return ev(g.left, assign) or ev(g.right, assign)
-        return not ev(g.left, assign) or ev(g.right, assign)
-
-    return all(ev(f, dict(zip(names, bits)))
+    return all(classical_value(f, dict(zip(names, bits)))
                for bits in itertools.product((False, True), repeat=len(names)))
 
 
@@ -148,6 +149,33 @@ def test_classical_screen_rejects_only_unprovable_sequents():
             else:
                 passed += 1
     assert rejected > 200 and passed > 200
+
+
+def test_screen_matches_a_truth_table_built_assignment_by_assignment():
+    # one shared table meets its atoms in random order, one more every 25
+    # formulas, after masks over fewer atoms are cached: each must re-double them
+    rng = random.Random(1992)
+    pool = [f"a{i}" for i in range(6)]
+    order = rng.sample(pool, 6)
+    table = SequentTable()
+    for n in range(150):
+        names = rng.sample(order[:1 + n // 25], rng.randint(1, 1 + n // 25))
+        table.vector(table.add_input(random_formula(rng, names, rng.randint(1, 12), 0.0)))
+    assert table.classical() and len(table.names) == 6
+    worlds = [{p: bool(k >> t & 1) for t, p in enumerate(table.names)} for k in range(64)]
+    for i, f in enumerate(table.formulas):
+        assert table.vector(i) == sum(1 << k for k, w in enumerate(worlds)
+                                      if classical_value(f, w)), render(f)
+    for k, w in enumerate(worlds):
+        assert table.assignment(1 << k) == sorted(p for p in pool if w[p])
+    # past the cap the screen is off, and the table decides as a fresh one does
+    wide = parse(" & ".join(f"b{i}" for i in range(ipc._CLASSICAL_ATOM_CAP)))
+    table.add_input(wide)
+    assert not table.classical() and table.full.bit_length() == 1 << ipc._CLASSICAL_ATOM_CAP
+    for _ in range(200):
+        ctx, goal = random_sequent(rng, pool, 9)
+        assert not table.refuting(table.context(ctx), table.add_input(goal))
+        assert ipc_provable(ctx, goal, table) == ipc_provable(ctx, goal), (ctx, goal)
 
 
 def reference_saturate_set(base, avoid, enum, derives):
