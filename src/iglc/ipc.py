@@ -7,11 +7,14 @@ lives as long as one search scope: a ``decide_ipc`` call, a bare
 ``ipc_provable`` call or an NNIL class-table build.  Per index it keeps, as a
 mask, what the context-free invertible rules (∧L, ⊥→, ⊤→, A→A, (C∧D)→B,
 (C∨D)→B) make of the formula, so saturation is a mask union plus L0→ passes.
-The search's choices run in index order.  Up to ``_CLASSICAL_ATOM_CAP`` atoms,
-``kripke.truth_mask`` on the truth table as a Kripke model (a world per
-assignment, its own only ⪯-successor) gives a sound refutation filter at the
-root and answers a goal ⊥ exactly: by Glivenko's theorem Γ ⊢ ⊥ holds in IPC
-iff Γ is classically unsatisfiable.
+The search's choices run in index order.  A leaf, a sequent whose saturated
+context holds only atoms and p→B with p absent, admits no left rule, and ∧R, ∨R
+keep its context: its goal's ∧/∨ skeleton decides it, an atom or ⊥ by
+membership (for ⊥ so does Glivenko: the context's atoms alone true satisfy it).
+Up to ``_CLASSICAL_ATOM_CAP`` atoms, ``kripke.truth_mask`` on the truth table
+as a Kripke model (a world per assignment, its own only ⪯-successor) gives a
+sound refutation filter at the root and answers a goal ⊥ exactly: by Glivenko's
+theorem Γ ⊢ ⊥ holds in IPC iff Γ is classically unsatisfiable.
 
 Countermodels are read off the failed search (``_read_off``), after the
 refutation calculus Pinto and Dyckhoff pair with G4ip (Loop-free construction
@@ -65,7 +68,7 @@ class _BoxFound(Exception):
 
 class SequentTable:
     """The formulas of one search scope by index, their rule masks, and the
-    memo of its saturated sequents.
+    memo of its saturated sequents, one entry per leaf, none for its ∧/∨ subgoals.
 
     ``closure[i]`` is the context that formula i alone saturates to under the
     context-free invertible rules, computed when the formula first enters a
@@ -232,9 +235,11 @@ class SequentTable:
             return hit
         self.memo[key] = False  # cycle guard; G4ip terminates, this is belt and braces
         # The goal is an atom, ⊥, ∧ or ∨ here; the context holds atoms, ∨,
-        # p→B with p absent and (C→D)→B.
+        # p→B with p absent and (C→D)→B: a leaf, memoised whole, without those.
         provable = self.provable
-        if kind[goal] == _AND:
+        if not work & (self.ors | self.imp_imps):
+            result = self.leaf(work, goal)
+        elif kind[goal] == _AND:
             result = provable(work, left[goal]) and provable(work, right[goal])
         elif m := work & self.ors:              # L∨ is invertible: split on the first
             low = m & -m
@@ -255,6 +260,16 @@ class SequentTable:
                           and provable(rest | close(right[i]), goal))
         self.memo[key] = result
         return result
+
+    def leaf(self, work: int, goal: int) -> bool:
+        """Decide (work ⊢ goal) by ∧R and ∨R alone, for a leaf context."""
+        kind = self.kind[goal]
+        if kind == _AND:
+            return self.leaf(work, self.left[goal]) and self.leaf(work, self.right[goal])
+        if kind == _OR:                         # the context holds no ∧ and no ∨
+            return self.leaf(work, self.left[goal]) or self.leaf(work, self.right[goal])
+        # R→ changes the context, so a →-goal is searched anew; an atom or ⊥ holds by membership
+        return kind == _IMP and self.provable(work, goal) or bool(work >> goal & 1)
 
     def refuting(self, work: int, goal: int) -> int:
         """The assignments that satisfy the context and falsify the goal, 0

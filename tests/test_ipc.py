@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import random
@@ -424,6 +425,70 @@ def test_engine_matches_frozenset_reference(boxfree_corpus):
     random_answers = answers[len(boxfree_corpus):]
     assert len(random_answers) >= 2000
     assert 300 < sum(random_answers) < len(random_answers) - 300
+
+
+def random_leaf_sequent(rng, names):
+    """Atoms plus p→B with p absent, and a goal that mixes ∧, ∨, ⊥, atoms and
+    →-subgoals, whose antecedents may bring ∨ and (C→D)→B back in."""
+    true = rng.sample(names, rng.randint(0, len(names) // 2))
+    absent = [p for p in names if p not in true]
+    ctx = frozenset([Atom(p) for p in true]
+                    + [Imp(Atom(rng.choice(absent)),
+                           random_formula(rng, names, rng.randint(1, 7), box_prob=0.0))
+                       for _ in range(rng.randint(0, 3))])
+
+    def goal(depth):
+        roll = rng.random()
+        if depth and roll < 0.5:
+            return rng.choice((And, Or))(goal(depth - 1), goal(depth - 1))
+        if roll < 0.7:
+            return Atom(rng.choice(names))
+        if roll < 0.8:
+            return BOT
+        return Imp(random_formula(rng, names, rng.randint(1, 6), box_prob=0.0),
+                   random_formula(rng, names, rng.randint(1, 6), box_prob=0.0))
+
+    return ctx, rng.choice((And, Or))(goal(3), goal(3))
+
+
+def test_leaf_sequents_match_frozenset_reference():
+    # over 12 names the table is past the classical atom cap: no Glivenko answers
+    rng = random.Random(1992)
+    for names in (("p", "q", "r"), tuple(f"a{i}" for i in range(12))):
+        answers = []
+        for _ in range(400):
+            ctx, goal = random_leaf_sequent(rng, names)
+            table = SequentTable()
+            for p in names:
+                table.add_input(Atom(p))
+            assert table.classical() == (len(names) <= ipc._CLASSICAL_ATOM_CAP)
+            work, g = table.context(ctx), table.add_input(goal)
+            assert not table.normal(work, g)[0] & (table.ors | table.imp_imps)
+            answers.append(table.provable(work, g))
+            assert answers[-1] == reference_search(ctx, goal, {}), (ctx, goal)
+        assert 80 < sum(answers) < len(answers) - 80
+
+
+def pigeonhole(n):
+    """PHP_n, nested to the left: n+1 pigeons in n holes force two pigeons
+    into one hole."""
+    def p(i, j):
+        return Atom(f"p{i}_{j}")
+
+    pigeons, holes = range(1, n + 2), range(1, n + 1)
+    placed = functools.reduce(And, [functools.reduce(Or, [p(i, j) for j in holes])
+                                    for i in pigeons])
+    clash = functools.reduce(Or, [And(p(i, j), p(k, j)) for j in holes
+                                  for i in pigeons for k in pigeons if i < k])
+    return Imp(placed, clash)
+
+
+@pytest.mark.parametrize("n, leaves", [(3, 161), (4, 2047)])
+def test_pigeonhole_memo_holds_one_entry_per_leaf(n, leaves):
+    # a memo entry per ∧/∨ subgoal of a leaf would give 2,402 and 63,281 entries
+    table = SequentTable()
+    assert isinstance(decide_ipc((), pigeonhole(n), table), IpcValid)
+    assert len(table.memo) <= leaves
 
 
 def test_shared_table_answers_like_fresh_tables():
