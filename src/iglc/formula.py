@@ -23,12 +23,14 @@ class _Node:
     """Interned immutable AST node: equal trees are the same object.
 
     Hash-consing keeps hashing and equality O(1), which the provers rely on
-    (everything downstream keys dictionaries by formulas).  A node class only
-    lists its fields in ``__slots__``; the one constructor looks the tuple of
-    field values up in the class's own table and builds a node on a miss.
+    (everything downstream keys dictionaries by formulas), and makes a
+    formula a DAG: every walk below visits each distinct subformula once.
+    A node class only lists its fields in ``__slots__``; the one constructor
+    looks the tuple of field values up in the class's own table and, on a
+    miss, builds a node that stores its tree ``size`` and ``boxdepth``.
     """
 
-    __slots__ = ()
+    __slots__ = ("size", "boxdepth")
 
     def __init_subclass__(cls):
         cls._nodes = {}
@@ -39,8 +41,14 @@ class _Node:
             if len(fields) != len(cls.__slots__):
                 raise TypeError(f"{cls.__name__} has fields {cls.__slots__}, got {len(fields)}")
             f = object.__new__(cls)
+            n, depth = 1, 0
             for name, value in zip(cls.__slots__, fields):
                 object.__setattr__(f, name, value)
+                if cls is not Atom:
+                    n += value.size
+                    depth = max(depth, value.boxdepth)
+            object.__setattr__(f, "size", n)
+            object.__setattr__(f, "boxdepth", depth + (cls is Box))
             cls._nodes[fields] = f
         return f
 
@@ -241,35 +249,40 @@ def parse(text: str) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Printing.  Precedence levels: 0 imp, 1 or, 2 and, 3 unary/atom.
+# Printing.  ``render`` builds the text of each distinct subformula once, from
+# its operands' texts; an operand goes in parentheses when it binds looser than
+# its slot: → binds 0, ∨ 1, ∧ 2, and atoms, false, true, ~A and []A 3.
+# → nests to the right, ∨ and ∧ to the left.
 
-def _render(f: Formula, level: int) -> str:
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Bottom):
-        return "false"
-    if f == TOP:
-        return "true"
-    if isinstance(f, Imp) and f.right == BOT:
-        return "~" + _render(f.left, 3)
-    if isinstance(f, Imp):
-        s = _render(f.left, 1) + " -> " + _render(f.right, 0)
-        return f"({s})" if level > 0 else s
-    if isinstance(f, Or):
-        s = _render(f.left, 1) + " | " + _render(f.right, 2)
-        return f"({s})" if level > 1 else s
-    if isinstance(f, And):
-        s = _render(f.left, 2) + " & " + _render(f.right, 3)
-        return f"({s})" if level > 2 else s
-    if isinstance(f, Box):
-        return "[]" + _render(f.inner, 3)
-    raise TypeError(f"not a formula: {f!r}")
+_BINDING = {Imp: 0, Or: 1, And: 2}
+_INFIX = (" -> ", " | ", " & ")
+
+
+def _binding(f: Formula) -> int:
+    return 3 if isinstance(f, Imp) and f.right is BOT else _BINDING.get(type(f), 3)
+
+
+def _operand(f: Formula, slot: int) -> str:
+    s = render(f)
+    return f"({s})" if _binding(f) < slot else s
 
 
 @lru_cache(maxsize=None)
 def render(f: Formula) -> str:
     """Print a formula; the output reparses to a node-identical tree."""
-    return _render(f, 0)
+    if isinstance(f, Atom):
+        return f.name
+    if isinstance(f, Bottom):
+        return "false"
+    if f is TOP:
+        return "true"
+    if isinstance(f, Box):
+        return "[]" + _operand(f.inner, 3)
+    b = _binding(f)
+    if b == 3:
+        return "~" + _operand(f.left, 3)
+    left, right = (1, 0) if b == 0 else (b, b + 1)
+    return _operand(f.left, left) + _INFIX[b] + _operand(f.right, right)
 
 
 # ---------------------------------------------------------------------------
@@ -302,52 +315,45 @@ def atoms(f: Formula) -> frozenset[str]:
     return out
 
 
-@lru_cache(maxsize=None)
 def is_box_free(f: Formula) -> bool:
-    if isinstance(f, Box):
-        return False
-    return all(is_box_free(c) for c in children(f))
+    return f.boxdepth == 0
 
 
-@lru_cache(maxsize=None)
 def size(f: Formula) -> int:
-    """Number of AST nodes."""
-    return 1 + sum(size(c) for c in children(f))
+    """Number of nodes of the formula's tree."""
+    return f.size
 
 
 def order_key(f: Formula) -> tuple[int, str]:
     """The deciders' one formula order: by tree size, then rendering."""
-    return size(f), render(f)
+    return f.size, render(f)
 
 
-@lru_cache(maxsize=None)
 def boxdepth(f: Formula) -> int:
     """Maximal nesting depth of □; 0 for box-free formulas."""
-    if isinstance(f, Box):
-        return 1 + boxdepth(f.inner)
-    return max((boxdepth(c) for c in children(f)), default=0)
+    return f.boxdepth
+
+
+def _rebuild(f: Formula, memo: dict[Formula, Formula], box=None) -> Formula:
+    """f rebuilt bottom-up, left before right, each distinct subformula once:
+    one in ``memo`` becomes its value there, a □ ``box(g)`` if given."""
+
+    def go(g: Formula) -> Formula:
+        out = memo.get(g)
+        if out is None:
+            t = type(g)
+            if t is Atom or t is Bottom:
+                return g
+            out = memo[g] = (t(go(g.left), go(g.right)) if t is not Box
+                             else box(g) if box else Box(go(g.inner)))
+        return out
+
+    return go(f)
 
 
 def substitute(f: Formula, mapping: dict[str, Formula]) -> Formula:
-    """Replace atoms by formulas, capture-free (there are no binders); each
-    distinct subformula is rebuilt once, so shared subtrees cost nothing more."""
-    memo: dict[Formula, Formula] = {}
-
-    def sub(g: Formula) -> Formula:
-        out = memo.get(g)
-        if out is None:
-            if isinstance(g, Atom):
-                out = mapping.get(g.name, g)
-            elif isinstance(g, Box):
-                out = Box(sub(g.inner))
-            elif isinstance(g, Bottom):
-                out = g
-            else:
-                out = type(g)(sub(g.left), sub(g.right))
-            memo[g] = out
-        return out
-
-    return sub(f)
+    """Replace atoms by formulas, capture-free (there are no binders)."""
+    return _rebuild(f, {Atom(name): g for name, g in mapping.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -381,19 +387,9 @@ class Decomposition:
 def modal_decompose(f: Formula) -> Decomposition:
     """Split f into its box-free skeleton and maximal boxed subformulas."""
     parts: list[Formula] = []
-    index: dict[Formula, int] = {}
 
-    def skel(g: Formula) -> Formula:
-        if isinstance(g, Box):
-            i = index.get(g.inner)
-            if i is None:
-                i = len(parts)
-                index[g.inner] = i
-                parts.append(g.inner)
-            return Atom(f"{PLACEHOLDER_PREFIX}{i + 1}")
-        if isinstance(g, (Atom, Bottom)):
-            return g
-        return type(g)(skel(g.left), skel(g.right))
+    def placeholder(g: Box) -> Atom:
+        parts.append(g.inner)                   # once per distinct box: a new part
+        return Atom(f"{PLACEHOLDER_PREFIX}{len(parts)}")
 
-    skeleton = skel(f)
-    return Decomposition(skeleton, tuple(parts))
+    return Decomposition(_rebuild(f, {}, placeholder), tuple(parts))

@@ -30,7 +30,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .formula import And, Atom, Bottom, Formula, Imp, Or, TOP, order_key, render
+from .formula import And, Atom, Bottom, Formula, Imp, Or, TOP, is_box_free, order_key, render
 from .kripke import KripkeModel, countermodel, forces, mask_bits, truth_mask
 
 __all__ = ["IpcValid", "IpcInvalid", "IpcVerdict", "SequentTable", "decide_ipc",
@@ -60,10 +60,6 @@ IpcVerdict = IpcValid | IpcInvalid
 
 _ATOM, _BOT, _AND, _OR, _IMP = range(5)
 _KINDS = {Atom: _ATOM, Bottom: _BOT, And: _AND, Or: _OR, Imp: _IMP}
-
-
-class _BoxFound(Exception):
-    pass
 
 
 class SequentTable:
@@ -101,9 +97,7 @@ class SequentTable:
         i = self.index.get(f)
         if i is not None:
             return i
-        kind = _KINDS.get(type(f))
-        if kind is None:                        # a box: not IPC input
-            raise _BoxFound
+        kind = _KINDS[type(f)]
         left = right = -1
         if kind >= _AND:
             left, right = self.add(f.left), self.add(f.right)
@@ -158,10 +152,9 @@ class SequentTable:
         return c
 
     def add_input(self, f: Formula) -> int:
-        try:
-            return self.add(f)
-        except _BoxFound:
-            raise ValueError(f"boxed formula not allowed here: {render(f)}") from None
+        if not is_box_free(f):
+            raise ValueError(f"boxed formula not allowed here: {render(f)}")
+        return self.add(f)
 
     def context(self, fs) -> int:
         """The context mask of a set of formulas.  New ones are indexed in

@@ -44,8 +44,8 @@ import json
 import os
 from dataclasses import dataclass
 
-from .formula import (And, Atom, Bottom, Box, Formula, Imp, Or,
-                      atoms, is_box_free, parse, render, substitute)
+from .formula import (Atom, Bottom, Box, Formula, Imp, atoms, is_box_free, parse,
+                      render, subsentences, substitute)
 from .ipc import SequentTable, ipc_provable
 from .kripke import KripkeModel, model_from_json
 
@@ -59,24 +59,23 @@ class AlphabetTooLarge(ValueError):
     """More atoms than the alphabet cap."""
 
 
-def _imp_free_outside_box(f: Formula) -> bool:
-    if isinstance(f, (Atom, Bottom, Box)):
-        return True
-    if isinstance(f, Imp):
-        return False
-    return _imp_free_outside_box(f.left) and _imp_free_outside_box(f.right)
-
-
 def is_tnnil(a: Formula) -> bool:
     """No implication occurs in an antecedent outside the scope of a □."""
-    if isinstance(a, (Atom, Bottom)):
+    free: set[Formula] = set()          # known free of → outside boxes
+
+    def imp_free(f: Formula) -> bool:
+        stack = [f]
+        while stack:
+            g = stack.pop()
+            if g in free or isinstance(g, (Atom, Bottom, Box)):
+                continue
+            if isinstance(g, Imp):
+                return False
+            free.add(g)                 # early: were it wrong, the answer is already False
+            stack += (g.left, g.right)
         return True
-    if isinstance(a, Box):
-        return is_tnnil(a.inner)
-    if isinstance(a, (And, Or)):
-        return is_tnnil(a.left) and is_tnnil(a.right)
-    return (_imp_free_outside_box(a.left)
-            and is_tnnil(a.left) and is_tnnil(a.right))
+
+    return all(imp_free(g.left) for g in subsentences(a) if isinstance(g, Imp))
 
 
 def is_nnil(a: Formula) -> bool:

@@ -14,7 +14,7 @@ try:
 except ImportError:
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from iglc.formula import And, Atom, Bottom, Box, Formula, Imp, Or, BOT, boxdepth
+from iglc.formula import And, Atom, Bottom, Box, Formula, Imp, Or, BOT, TOP, Neg, boxdepth
 from iglc.kripke import KripkeModel, upward_closed_sets
 
 PQ = ("p", "q")
@@ -67,6 +67,47 @@ def random_formula(rng: random.Random, atom_names, max_size: int,
     left = random_formula(rng, atom_names, left_size, box_prob)
     right = random_formula(rng, atom_names, max_size - 1 - left_size, box_prob)
     return rng.choice((And, Or, Imp))(left, right)
+
+
+def deep_population_formulas() -> list[Formula]:
+    """The iglc_deep benchmark population (perfbench/workloads.py)."""
+    rng = random.Random(1804)
+    return [random_formula(rng, ("p", "q", "r"), rng.randint(14, 22), box_prob=0.25)
+            for _ in range(1000)]
+
+
+def random_sugared_formula(rng: random.Random, max_size: int) -> Formula:
+    """Like random_formula, with ``true`` among the leaves and ``~`` among the
+    connectives."""
+    if max_size <= 1:
+        return rng.choice((Atom("p"), Atom("q"), Atom("r"), BOT, TOP))
+    op = rng.choice((Neg, Box, And, Or, Imp))
+    if op in (Neg, Box):
+        return op(random_sugared_formula(rng, max_size - 1))
+    left_size = rng.randint(1, max_size - 1)
+    return op(random_sugared_formula(rng, left_size),
+              random_sugared_formula(rng, max_size - left_size))
+
+
+def connective_pairings() -> list[Formula]:
+    """→, ∨ and ∧ over every pair of operands, and ~ and [] of each such
+    formula; an operand is p, false, true, p → q, p ∨ q or p ∧ q, or ~ or []
+    of one of these."""
+    p, q = Atom("p"), Atom("q")
+    base = [p, BOT, TOP, Imp(p, q), Or(p, q), And(p, q)]
+    units = base + [Neg(u) for u in base] + [Box(u) for u in base]
+    pairs = [op(a, b) for op in (Imp, Or, And) for a in units for b in units]
+    return pairs + [Neg(f) for f in pairs] + [Box(f) for f in pairs]
+
+
+def doubling_dag(k: int) -> Formula:
+    """h₀ = p → □p, hₖ₊₁ = hₖ ∧ (□hₖ ∨ hₖ): 3k + 3 distinct subformulas, and
+    a tree that triples with each level (26 million nodes at k = 14)."""
+    p = Atom("p")
+    h = Imp(p, Box(p))
+    for _ in range(k):
+        h = And(h, Or(Box(h), h))
+    return h
 
 
 # ---------------------------------------------------------------------------

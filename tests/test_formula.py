@@ -1,11 +1,13 @@
 import random
+import time
 
 import pytest
 
 from iglc.formula import (And, Atom, Bottom, Box, Imp, Or, BOT, TOP, Neg,
-                          ParseError, boxdepth, modal_decompose, parse, render,
-                          subsentences, substitute)
-from conftest import random_formula
+                          ParseError, boxdepth, is_box_free, modal_decompose, order_key,
+                          parse, render, size, subsentences, substitute)
+from conftest import (connective_pairings, deep_population_formulas, doubling_dag,
+                      random_formula, random_sugared_formula)
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 
@@ -59,6 +61,68 @@ def test_render_examples():
     assert render(Imp(P, Box(P))) == "p -> []p"
     assert render(BOT) == "false"
     assert render(And(P, Or(Q, R))) == "p & (q | r)"
+
+
+def reference_render(f, level: int) -> str:
+    """The printer as a tree recursion, kept to pin the memoised one's text."""
+    if isinstance(f, Atom):
+        return f.name
+    if isinstance(f, Bottom):
+        return "false"
+    if f == TOP:
+        return "true"
+    if isinstance(f, Imp) and f.right == BOT:
+        return "~" + reference_render(f.left, 3)
+    if isinstance(f, Imp):
+        s = reference_render(f.left, 1) + " -> " + reference_render(f.right, 0)
+        return f"({s})" if level > 0 else s
+    if isinstance(f, Or):
+        s = reference_render(f.left, 1) + " | " + reference_render(f.right, 2)
+        return f"({s})" if level > 1 else s
+    if isinstance(f, And):
+        s = reference_render(f.left, 2) + " & " + reference_render(f.right, 3)
+        return f"({s})" if level > 2 else s
+    if isinstance(f, Box):
+        return "[]" + reference_render(f.inner, 3)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def test_render_equals_reference(modal_corpus):
+    rng = random.Random(21)
+    sugared = [random_sugared_formula(rng, rng.randint(1, 16)) for _ in range(5000)]
+    for f in modal_corpus + deep_population_formulas() + connective_pairings() + sugared:
+        assert render(f) == reference_render(f, 0)
+        assert parse(render(f)) is f
+
+
+def test_node_facts_of_a_deep_chain():
+    f, q = Atom("p"), Box(Atom("q"))
+    for _ in range(20_000):
+        f = And(f, q)
+    assert (size(f), boxdepth(f), is_box_free(f)) == (60_001, 1, False)
+    assert order_key(q) == (2, "[]q")
+
+
+def test_node_facts_match_the_tree(modal_corpus):
+    def tree_size(f):
+        return 1 + sum(tree_size(getattr(f, name)) for name in f.__slots__
+                       if name != "name")
+
+    for f in modal_corpus[::7]:
+        assert size(f) == tree_size(f)
+        assert is_box_free(f) == (boxdepth(f) == 0) == ("[]" not in render(f))
+
+
+def test_decompose_a_dag_in_one_visit():
+    h = doubling_dag(20)
+    start = time.perf_counter()
+    dec = modal_decompose(h)
+    assert time.perf_counter() - start < 0.1
+    # bare booleans: pytest would print the tree of a failed comparison
+    same = dec.recompose() is h
+    assert same
+    in_preorder = dec.boxed_parts == (Atom("p"),) + tuple(map(doubling_dag, range(20)))
+    assert in_preorder
 
 
 def test_subsentences_examples():

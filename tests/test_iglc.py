@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import time
 import types
 
 import pytest
@@ -12,7 +13,7 @@ from iglc.iglc_prover import (AdequateSet, BudgetExceeded, BudgetExhausted,
                               is_saturated, saturate, clear_caches, _Budget,
                               _Canonical, _FRAMES, _decide, _scan)
 from iglc.kripke import Frame, KripkeModel, check_frame, forces, model_to_json
-from conftest import ModelTable, random_formula, random_realistic_model
+from conftest import ModelTable, doubling_dag, random_formula, random_realistic_model
 
 P, Q = Atom("p"), Atom("q")
 PTP = parse("[]p -> (q | (q -> p))")
@@ -629,3 +630,15 @@ def test_budget_verdicts_do_not_depend_on_cache_state(modal_corpus):
         decide_iglc(f)
     moved = [render(f) for f in costs if kinds(f, False) != cold[f]]
     assert not moved, moved
+
+
+def test_dag_input_is_decided_per_distinct_subformula():
+    # h₁₄ has 45 distinct subformulas and a tree of 26 million nodes
+    start = time.perf_counter()
+    verdict = decide_iglc(doubling_dag(14), budget=10**5)
+    elapsed = time.perf_counter() - start
+    valid = isinstance(verdict, Valid)
+    del verdict
+    render.cache_clear()                        # its witness text is 73 MB
+    assert valid
+    assert elapsed < 2

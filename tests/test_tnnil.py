@@ -1,14 +1,16 @@
 import random
+import time
 
 import pytest
 
-from iglc.formula import (Atom, Box, Iff, Or, atoms, boxdepth,
+from iglc.formula import (And, Atom, Bottom, Box, Iff, Imp, Or, atoms, boxdepth,
                           modal_decompose, parse)
 from iglc.iglc_prover import Valid, decide_iglc
 from iglc import tnnil
 from iglc.nnil import AlphabetTooLarge
 from iglc.tnnil import is_tnnil, tnnil_plus
-from conftest import random_formula
+from conftest import (connective_pairings, deep_population_formulas, doubling_dag,
+                      random_formula, random_sugared_formula)
 
 P, Q = Atom("p"), Atom("q")
 
@@ -37,6 +39,44 @@ def test_is_tnnil_examples():
 def test_is_tnnil_recurses_under_boxes():
     assert not is_tnnil(Box(parse("(p -> q) -> q")))
     assert is_tnnil(Box(parse("p -> (q -> false)")))
+
+
+def reference_imp_free_outside_box(f) -> bool:
+    if isinstance(f, (Atom, Bottom, Box)):
+        return True
+    if isinstance(f, Imp):
+        return False
+    return reference_imp_free_outside_box(f.left) and reference_imp_free_outside_box(f.right)
+
+
+def reference_is_tnnil(a) -> bool:
+    """The TNNIL test as a tree recursion, kept to pin the one-pass test."""
+    if isinstance(a, (Atom, Bottom)):
+        return True
+    if isinstance(a, Box):
+        return reference_is_tnnil(a.inner)
+    if isinstance(a, (And, Or)):
+        return reference_is_tnnil(a.left) and reference_is_tnnil(a.right)
+    return (reference_imp_free_outside_box(a.left)
+            and reference_is_tnnil(a.left) and reference_is_tnnil(a.right))
+
+
+def test_is_tnnil_equals_reference(modal_corpus):
+    rng = random.Random(22)
+    sugared = [random_sugared_formula(rng, rng.randint(1, 16)) for _ in range(5000)]
+    verdicts = set()
+    for f in modal_corpus + deep_population_formulas() + connective_pairings() + sugared:
+        verdicts.add(is_tnnil(f))
+        assert is_tnnil(f) == reference_is_tnnil(f)
+    assert verdicts == {False, True}
+
+
+def test_is_tnnil_on_a_dag_in_one_visit():
+    h = doubling_dag(20)
+    start = time.perf_counter()
+    assert is_tnnil(h)
+    assert not is_tnnil(Imp(Or(h, Imp(h, h)), h))
+    assert time.perf_counter() - start < 0.1
 
 
 def test_plus_fixed_point_shape():
