@@ -12,8 +12,8 @@ import json
 import sys
 
 from .formula import Formula, ParseError, parse, render
-from .ipc import IpcValid, decide_ipc
-from .iglc_prover import DEFAULT_BUDGET, Invalid, Valid, decide_iglc
+from .ipc import BudgetExceeded, Invalid, Valid, Verdict, decide_ipc
+from .iglc_prover import DEFAULT_BUDGET, decide_iglc
 from .ha import (LOGIC_NAMES, in_ha_fast_sigma1_logic, in_ha_sigma1_logic,
                  in_selfcompletion_fast_logic)
 from .kripke import (KripkeModel, ModelError, check_frame, frame_from_json,
@@ -27,6 +27,11 @@ EXIT_INVALID = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_MODEL = 4
+
+# Each verdict class's word (in JSON and corpus rows), heading and exit code.
+_OUTCOMES = {Valid: ("valid", "VALID", EXIT_VALID),
+             Invalid: ("invalid", "INVALID", EXIT_INVALID),
+             BudgetExceeded: ("budget-exceeded", "BUDGET EXCEEDED", EXIT_BUDGET)}
 
 
 def _budget(text: str) -> int:
@@ -44,7 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
     prove = sub.add_parser("prove", help="decide a formula in a logic")
     prove.add_argument("--logic", choices=LOGIC_NAMES, required=True)
     prove.add_argument("formula")
-    prove.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
+    prove.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
+                       help="step budget; --logic ipc is not metered yet")
     prove.add_argument("--countermodel", metavar="PATH",
                        help="write the countermodel here when invalid")
     prove.add_argument("--format", choices=("json", "dot"), default="json",
@@ -87,23 +93,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _decide_in_logic(logic: str, f: Formula, budget: int):
-    """Return (verdict_word, countermodel, root, witness)."""
-    if logic == "ipc":
-        v = decide_ipc((), f)
-        if isinstance(v, IpcValid):
-            return "valid", None, None, ()
-        return "invalid", v.countermodel, v.world, ()
-    decider = {"iglc": decide_iglc,
+def _decide_in_logic(logic: str, f: Formula, budget: int) -> Verdict:
+    # Built per call, so that a decider rebound on this module is the one called.
+    decider = {"ipc": lambda a, _budget: decide_ipc((), a),    # not metered yet
+               "iglc": decide_iglc,
                "ha-sigma1": in_ha_sigma1_logic,
                "ha-fast-sigma1": in_ha_fast_sigma1_logic,
                "ustar-fast": in_selfcompletion_fast_logic}[logic]
-    v = decider(f, budget)
-    if isinstance(v, Valid):
-        return "valid", None, None, v.witness
-    if isinstance(v, Invalid):
-        return "invalid", v.countermodel, v.root, ()
-    return "budget-exceeded", None, None, ()
+    return decider(f, budget)
 
 
 def _write_countermodel(path: str, fmt: str, model: KripkeModel) -> None:
@@ -117,22 +114,22 @@ def _write_countermodel(path: str, fmt: str, model: KripkeModel) -> None:
 
 def _cmd_prove(args) -> int:
     f = parse(args.formula)
-    word, model, root, witness = _decide_in_logic(args.logic, f, args.budget)
+    v = _decide_in_logic(args.logic, f, args.budget)
+    word, heading, code = _OUTCOMES[type(v)]
+    model = v.countermodel if isinstance(v, Invalid) else None
     if model is not None and args.countermodel:
         _write_countermodel(args.countermodel, args.format, model)
     if args.as_json:
         payload = {"formula": render(f), "logic": args.logic, "verdict": word,
-                   "countermodel": None if model is None
-                   else json.loads(model_to_json(model)),
-                   "root": root, "witness": list(witness)}
+                   "countermodel": None, "root": None, "witness": list(getattr(v, "witness", ()))}
+        if model is not None:
+            payload.update(countermodel=json.loads(model_to_json(model)), root=v.root)
         print(json.dumps(payload, sort_keys=True))
     else:
-        print({"valid": "VALID", "invalid": "INVALID",
-               "budget-exceeded": "BUDGET EXCEEDED"}[word])
+        print(heading)
         if model is not None:
-            print(f"refuted at world {root} of {model_to_json(model)}")
-    return {"valid": EXIT_VALID, "invalid": EXIT_INVALID,
-            "budget-exceeded": EXIT_BUDGET}[word]
+            print(f"refuted at world {v.root} of {model_to_json(model)}")
+    return code
 
 
 def _cmd_transform(args) -> int:
@@ -208,7 +205,7 @@ def _corpus_verdict(parts: list[str], budget: int) -> str:
         f = parse(text)
     except ParseError as e:
         raise ValueError(f"formula: {e}") from None
-    return _decide_in_logic(logic, f, budget)[0]
+    return _OUTCOMES[type(_decide_in_logic(logic, f, budget))][0]
 
 
 def _cmd_corpus_run(args) -> int:

@@ -71,7 +71,7 @@ from functools import lru_cache
 
 from .formula import (And, Atom, Bottom, Box, Formula, Imp, Or, BOT, TOP,
                       atoms, modal_decompose, order_key, render, subsentences, substitute)
-from .ipc import ipc_provable
+from .ipc import BudgetExceeded, Invalid, Valid, Verdict, ipc_provable
 from .kripke import (KripkeModel, countermodel, forces, mask_bits, model_from_masks,
                      successor_masks, truth_mask, upward_closed_sets)
 
@@ -82,25 +82,6 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10_000_000
-
-
-@dataclass(frozen=True)
-class Valid:
-    witness: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class Invalid:
-    countermodel: KripkeModel
-    root: int
-
-
-@dataclass(frozen=True)
-class BudgetExceeded:
-    steps_used: int
-
-
-Verdict = Valid | Invalid | BudgetExceeded
 
 
 class BudgetExhausted(RuntimeError):
@@ -498,15 +479,15 @@ def decide_iglc(a: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
         return BudgetExceeded(e.steps_used)
 
 
-def _conjunction(gamma) -> Formula | None:
+def _query(gamma, a: Formula) -> Formula:
+    """⋀Γ → a with Γ in (size, rendering) order; a itself for empty Γ."""
     ordered = sorted(set(gamma), key=order_key)
-    return _balanced_and(ordered) if ordered else None
+    return Imp(_balanced_and(ordered), a) if ordered else a
 
 
 def derives_iglc(gamma, a: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Decide Γ ⊢_iGLC a via ⋀Γ → a (empty Γ is ⊤)."""
-    conj = _conjunction(gamma)
-    return decide_iglc(a if conj is None else Imp(conj, a), budget)
+    return decide_iglc(_query(gamma, a), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -544,10 +525,7 @@ class SaturatedSet:
 
 def _oracle(gamma, goal: Formula, bud: _Budget) -> bool:
     """Γ ⊢_iGLC goal, raising BudgetExhausted on a blown budget."""
-    conj = _conjunction(gamma)
-    query = goal if conj is None else Imp(conj, goal)
-    verdict = _decide(query, bud)
-    return isinstance(verdict, Valid)
+    return isinstance(_decide(_query(gamma, goal), bud), Valid)
 
 
 def is_saturated(s, x: AdequateSet, budget: int = DEFAULT_BUDGET) -> bool:

@@ -33,26 +33,37 @@ from dataclasses import dataclass
 from .formula import And, Atom, Bottom, Formula, Imp, Or, TOP, is_box_free, order_key, render
 from .kripke import KripkeModel, countermodel, forces, mask_bits, truth_mask
 
-__all__ = ["IpcValid", "IpcInvalid", "IpcVerdict", "SequentTable", "decide_ipc",
-           "ipc_provable", "ipc_equiv"]
+__all__ = ["Valid", "Invalid", "BudgetExceeded", "Verdict", "IpcValid", "IpcInvalid",
+           "IpcVerdict", "SequentTable", "decide_ipc", "ipc_provable", "ipc_equiv"]
 
 if sys.getrecursionlimit() < 20000:
     sys.setrecursionlimit(20000)
 
 _CLASSICAL_ATOM_CAP = 10
 
+# The verdicts of every decider, re-exported by ``iglc_prover``.  The ``Ipc*``
+# names are former names of IPC's verdicts, kept for callers that import them.
+
 @dataclass(frozen=True)
-class IpcValid:
-    pass
+class Valid:
+    witness: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
-class IpcInvalid:
+class Invalid:
     countermodel: KripkeModel
-    world: int
+    root: int
 
 
-IpcVerdict = IpcValid | IpcInvalid
+@dataclass(frozen=True)
+class BudgetExceeded:
+    steps_used: int
+
+
+Verdict = Valid | Invalid | BudgetExceeded
+IpcValid = Valid
+IpcInvalid = Invalid
+IpcVerdict = Verdict
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +373,7 @@ def _read_off(table: SequentTable, work: int, goal: int) -> tuple[list[int], dic
 
 
 def decide_ipc(assumptions, goal: Formula,
-               table: SequentTable | None = None) -> IpcVerdict:
+               table: SequentTable | None = None) -> Verdict:
     """Decide ⋀assumptions → goal in IPC; Invalid carries a refuting model.
 
     The search and the countermodel read off it share one table: a fresh one
@@ -376,14 +387,14 @@ def decide_ipc(assumptions, goal: Formula,
     if v := table.refuting(work, g):
         leq, val = [1], dict.fromkeys(table.assignment(v), 1)
     elif table.provable(work, g):
-        return IpcValid()
+        return Valid()
     else:
         leq, val = _read_off(table, work, g)
     model = countermodel(leq, [0] * len(leq), val, ctx, (goal,), lambda steps: None)
     if forces(model, 1, goal) or not all(forces(model, 1, f) for f in ctx):
         raise RuntimeError("internal error: countermodel failed its own check "
                            f"for {render(goal)}")
-    return IpcInvalid(model, 1)
+    return Invalid(model, 1)
 
 
 def ipc_equiv(a: Formula, b: Formula) -> bool:

@@ -150,8 +150,8 @@ class KripkeModel:
     there, ``leq_succ[i]`` and ``r_succ[i]`` are the ⪯- and ⊏-successor masks
     of world ``order[i]``, ``val[p]`` is the mask of worlds where p holds,
     ``full`` the mask of all worlds and ``report`` the frame's
-    ``FrameReport``.  Equality and hashing compare the masks; ``frame`` and
-    ``valuation`` are pair-set views of them for export, built on each read.
+    ``FrameReport``.  Equality and hashing compare the masks but skip atoms
+    true nowhere; ``frame`` and ``valuation`` are pair-set views for export.
     """
 
     __slots__ = ("order", "index", "leq_succ", "r_succ", "val", "full", "report")
@@ -198,14 +198,16 @@ class KripkeModel:
     def valuation(self) -> dict[str, frozenset[int]]:
         return {p: frozenset(self.order[i] for i in mask_bits(m)) for p, m in self.val.items()}
 
+    def _held(self) -> frozenset[tuple[str, int]]:
+        return frozenset((p, m) for p, m in self.val.items() if m)
+
     def __hash__(self):
-        return hash((tuple(self.order), tuple(self.leq_succ), tuple(self.r_succ),
-                     frozenset(self.val.items())))
+        return hash((tuple(self.order), tuple(self.leq_succ), tuple(self.r_succ), self._held()))
 
     def __eq__(self, other):
         return (isinstance(other, KripkeModel) and self.order == other.order
                 and self.leq_succ == other.leq_succ and self.r_succ == other.r_succ
-                and self.val == other.val)
+                and self._held() == other._held())
 
     def __repr__(self):
         return f"KripkeModel({self.frame!r}, {self.valuation!r})"

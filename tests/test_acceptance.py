@@ -354,7 +354,7 @@ def test_criterion_8_ipc_and_suite_time(boxfree_corpus, small_model_oracle):
 
     peirce = parse("((p -> q) -> p) -> p")
     v = decide_ipc((), peirce)
-    if not isinstance(v, IpcInvalid) or forces(v.countermodel, v.world, peirce):
+    if not isinstance(v, IpcInvalid) or forces(v.countermodel, v.root, peirce):
         problems.append("Peirce refutation not verified")
 
     elapsed = time.time() - _MODULE_T0

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from iglc import ipc
+import iglc
+from iglc import iglc_prover, ipc
 from iglc.formula import (And, Atom, Bottom, Box, Imp, Or, BOT, TOP, Neg, atoms,
                           parse, render, size, subsentences)
 from iglc.ipc import (IpcInvalid, IpcValid, SequentTable, decide_ipc, ipc_equiv,
@@ -47,7 +48,7 @@ def test_axiom_shape_valid():
 def test_peirce_invalid_with_verified_countermodel():
     v = decide_ipc((), parse("((p -> q) -> p) -> p"))
     assert isinstance(v, IpcInvalid)
-    assert not forces(v.countermodel, v.world, parse("((p -> q) -> p) -> p"))
+    assert not forces(v.countermodel, v.root, parse("((p -> q) -> p) -> p"))
     rep = check_frame(v.countermodel.frame)
     assert rep.is_poset and not v.countermodel.frame.r
     assert len(v.countermodel.frame.worlds) == 2  # the classic refutation
@@ -55,6 +56,18 @@ def test_peirce_invalid_with_verified_countermodel():
 
 def test_double_negated_lem_valid():
     assert isinstance(decide_ipc((), parse("~~(p | ~p)")), IpcValid)
+
+
+def test_ipc_answers_with_the_verdicts_of_every_decider():
+    v = decide_ipc((), parse("p | ~p"))
+    assert isinstance(v, iglc.Invalid) and v.root == 1
+    assert decide_ipc((), parse("p -> p")) == iglc.Valid()
+    assert repr(iglc.Valid()) == "Valid(witness=())"
+    for name in ("Valid", "Invalid", "BudgetExceeded", "Verdict"):
+        assert getattr(iglc_prover, name) is getattr(ipc, name) is getattr(iglc, name)
+    assert iglc.IpcInvalid is iglc.Invalid and ipc.IpcInvalid is iglc.Invalid
+    assert iglc.IpcValid is iglc.Valid and ipc.IpcValid is iglc.Valid
+    assert iglc.IpcVerdict is iglc.Verdict and ipc.IpcVerdict is iglc.Verdict
 
 
 def test_rejects_boxed_input():
@@ -76,8 +89,8 @@ def test_assumptions():
     assert isinstance(decide_ipc((P, Imp(P, Q)), Q), IpcValid)
     v = decide_ipc((Imp(P, Q),), P)
     assert isinstance(v, IpcInvalid)
-    assert forces(v.countermodel, v.world, Imp(P, Q))
-    assert not forces(v.countermodel, v.world, P)
+    assert forces(v.countermodel, v.root, Imp(P, Q))
+    assert not forces(v.countermodel, v.root, P)
 
 
 def test_ipc_equiv_examples():
@@ -92,7 +105,7 @@ def test_invalid_countermodels_always_verify():
         f = random_formula(rng, ("p", "q"), rng.randint(1, 7), box_prob=0.0)
         v = decide_ipc((), f)
         if isinstance(v, IpcInvalid):
-            assert not forces(v.countermodel, v.world, f)
+            assert not forces(v.countermodel, v.root, f)
 
 
 def test_classical_necessity():
@@ -239,7 +252,7 @@ def test_read_off_agrees_with_the_saturation_builder(boxfree_corpus):
         assert isinstance(v, IpcValid) == reference_search(ctx, goal, memo), (ctx, goal)
         if isinstance(v, IpcInvalid):
             invalid += 1
-            assert refutes_at(v.countermodel, v.world, ctx, goal)
+            assert refutes_at(v.countermodel, v.root, ctx, goal)
             assert refutes_at(reference_countermodel(ctx, goal), 1, ctx, goal)
     assert invalid > 3000
 
@@ -286,7 +299,7 @@ def test_countermodel_above_the_classical_atom_cap():
     assert not table.classical()
     v = decide_ipc((), f)
     assert isinstance(v, IpcInvalid)
-    assert not forces(v.countermodel, v.world, f)
+    assert not forces(v.countermodel, v.root, f)
 
 
 def balanced(op, fs):
@@ -306,7 +319,7 @@ def test_wide_mixed_input_is_filtered_before_the_shrink():
     start = time.perf_counter()
     v = decide_ipc((), f)
     assert time.perf_counter() - start < 3
-    assert isinstance(v, IpcInvalid) and not forces(v.countermodel, v.world, f)
+    assert isinstance(v, IpcInvalid) and not forces(v.countermodel, v.root, f)
 
 
 def test_countermodel_check_survives_optimisation(monkeypatch):
@@ -514,7 +527,7 @@ for i in range(200):
     table = SequentTable()
     v = decide_ipc(ctx, f, table)
     memo += len(table.memo)
-    print(f"I{v.world}{model_to_json(v.countermodel)}" if isinstance(v, IpcInvalid) else "V")
+    print(f"I{v.root}{model_to_json(v.countermodel)}" if isinstance(v, IpcInvalid) else "V")
 print("memo", memo)
 """
 

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from iglc.formula import Atom, Box, TOP, atoms, parse
+from iglc.iglc_prover import decide_iglc
 from iglc.kripke import (Frame, FrameReport, KripkeModel, ModelError, check_frame,
                          forces, mask_bits, model_from_json, model_from_masks,
                          model_to_dot, model_to_json, successor_masks, truth_mask,
@@ -199,6 +200,16 @@ def test_model_json_roundtrip():
                          [(1, 2)], {"p": [2], "q": [2, 3]})
     again = model_from_json(model_to_json(m))
     assert again == m
+
+
+def test_model_equality_ignores_atoms_true_nowhere():
+    m = KripkeModel.make([1], [(1, 1)], [], {"p": []})
+    again = model_from_json(model_to_json(m))
+    assert again == m and hash(again) == hash(m)
+    assert set(m.val) == {"p"} and set(again.val) == set()
+    assert m != KripkeModel.make([1], [(1, 1)], [], {"p": [1]})
+    cm = decide_iglc(parse("[]p -> (q | (q -> p))")).countermodel
+    assert 0 in cm.val.values() and model_from_json(model_to_json(cm)) == cm
 
 
 def test_model_json_reflexive_pairs_added():

@@ -59,11 +59,11 @@ def test_ipc_countermodels_are_one_minimal(boxfree_corpus):
         checked += 1
         sizes = max(sizes, len(v.countermodel.frame.worlds))
 
-        def refutes(m, root=v.world, ctx=ctx, goal=goal):
+        def refutes(m, root=v.root, ctx=ctx, goal=goal):
             return not forces(m, root, goal) and all(forces(m, root, g) for g in ctx)
 
         assert refutes(v.countermodel)
-        assert droppable(v.countermodel, v.world, refutes) == []
+        assert droppable(v.countermodel, v.root, refutes) == []
     assert checked > 5000 and sizes >= 3
 
 
