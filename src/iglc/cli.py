@@ -8,19 +8,15 @@ Exit codes: 0 valid/in-logic, 1 invalid, 2 usage or formula parse error,
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 
+# Each command imports the other modules it uses when it runs.
 from .formula import Formula, ParseError, parse, render
-from .ipc import BudgetExceeded, Invalid, Valid, Verdict, decide_ipc
-from .iglc_prover import DEFAULT_BUDGET, decide_iglc
-from .ha import (LOGIC_NAMES, in_ha_fast_sigma1_logic, in_ha_sigma1_logic,
-                 in_selfcompletion_fast_logic)
+from .ipc import DEFAULT_BUDGET, BudgetExceeded, Invalid, Valid, Verdict
 from .kripke import (KripkeModel, ModelError, check_frame, frame_from_json,
                      model_from_json, model_to_dot, model_to_json)
-from .nnil import nnil_star
-from .solovay import extend_model, truth_set
-from .tnnil import tnnil_plus
 
 EXIT_VALID = 0
 EXIT_INVALID = 1
@@ -32,6 +28,13 @@ EXIT_MODEL = 4
 _OUTCOMES = {Valid: ("valid", "VALID", EXIT_VALID),
              Invalid: ("invalid", "INVALID", EXIT_INVALID),
              BudgetExceeded: ("budget-exceeded", "BUDGET EXCEEDED", EXIT_BUDGET)}
+
+# Each logic's decider, as its module and function name: imported on first use.
+_DECIDERS = {"ipc": ("ipc", "decide_ipc"), "iglc": ("iglc_prover", "decide_iglc"),
+             "ha-sigma1": ("ha", "in_ha_sigma1_logic"),
+             "ha-fast-sigma1": ("ha", "in_ha_fast_sigma1_logic"),
+             "ustar-fast": ("ha", "in_selfcompletion_fast_logic")}
+LOGIC_NAMES = tuple(_DECIDERS)
 
 
 def _budget(text: str) -> int:
@@ -94,13 +97,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _decide_in_logic(logic: str, f: Formula, budget: int) -> Verdict:
-    # Built per call, so that a decider rebound on this module is the one called.
-    decider = {"ipc": lambda a, _budget: decide_ipc((), a),    # not metered yet
-               "iglc": decide_iglc,
-               "ha-sigma1": in_ha_sigma1_logic,
-               "ha-fast-sigma1": in_ha_fast_sigma1_logic,
-               "ustar-fast": in_selfcompletion_fast_logic}[logic]
-    return decider(f, budget)
+    # Looked up per call, so that a decider rebound on its module is the one called.
+    module, name = _DECIDERS[logic]
+    decider = getattr(importlib.import_module(f".{module}", __package__), name)
+    return decider((), f) if logic == "ipc" else decider(f, budget)   # ipc: not metered yet
 
 
 def _write_countermodel(path: str, fmt: str, model: KripkeModel) -> None:
@@ -134,7 +134,11 @@ def _cmd_prove(args) -> int:
 
 def _cmd_transform(args) -> int:
     f = parse(args.formula)
-    out = nnil_star(f) if args.op == "nnil" else tnnil_plus(f)
+    if args.op == "nnil":
+        from .nnil import nnil_star as transform
+    else:
+        from .tnnil import tnnil_plus as transform
+    out = transform(f)
     if args.as_json:
         print(json.dumps({"input": render(f), "op": args.op,
                           "output": render(out)}, sort_keys=True))
@@ -177,6 +181,7 @@ def _cmd_frame_report(args) -> int:
 
 
 def _cmd_solovay_truthset(args) -> int:
+    from .solovay import extend_model, truth_set
     model = model_from_json(_read(args.path))
     f = parse(args.formula)
     try:
@@ -257,17 +262,10 @@ def run(argv: list[str]) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
-        if args.command == "prove":
-            return _cmd_prove(args)
-        if args.command == "transform":
-            return _cmd_transform(args)
-        if args.command == "model":
-            return _cmd_model_check(args)
-        if args.command == "frame":
-            return _cmd_frame_report(args)
-        if args.command == "solovay":
-            return _cmd_solovay_truthset(args)
-        return _cmd_corpus_run(args)
+        command = {"prove": _cmd_prove, "transform": _cmd_transform,
+                   "model": _cmd_model_check, "frame": _cmd_frame_report,
+                   "solovay": _cmd_solovay_truthset, "corpus": _cmd_corpus_run}[args.command]
+        return command(args)
     except ParseError as e:
         print(f"error: formula: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -8,7 +8,7 @@ verum are surface sugar only: ``~A`` parses to ``A -> false`` and ``true`` to
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import sys
 from functools import lru_cache
 
 __all__ = [
@@ -17,6 +17,48 @@ __all__ = [
     "parse", "render", "subsentences", "modal_decompose", "boxdepth",
     "atoms", "substitute", "is_box_free", "size", "order_key",
 ]
+
+# The walkers recurse per nesting level; formulas built in code may nest thousands deep.
+if sys.getrecursionlimit() < 20000:
+    sys.setrecursionlimit(20000)
+
+
+class Record:
+    """Immutable value record: fields in ``__slots__``, set positionally (``_defaults``
+    fills trailing ones left out); equal and hashed by value in its class, pickled by value."""
+
+    __slots__ = ()
+    _defaults = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            values += self._defaults[len(values) - len(self.__slots__):]
+            if len(values) != len(self.__slots__):
+                raise TypeError(f"{type(self).__name__} has fields {self.__slots__}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 class _Node:
@@ -55,11 +97,11 @@ class _Node:
     def __setattr__(self, name, value):
         raise AttributeError("formulas are immutable")
 
-    def __copy__(self):
-        return self
-
     def __deepcopy__(self, memo):
         return self
+
+    def __reduce__(self):                   # copied and unpickled through the constructor
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     def __repr__(self):
         fields = ", ".join(repr(getattr(self, name)) for name in self.__slots__)
@@ -363,8 +405,7 @@ def substitute(f: Formula, mapping: dict[str, Formula]) -> Formula:
 PLACEHOLDER_PREFIX = "_b"
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """Box-free skeleton over fresh placeholder atoms, plus the boxed parts.
 
     ``boxed_parts[i]`` corresponds to the placeholder ``placeholders[i]``;
@@ -372,8 +413,7 @@ class Decomposition:
     which makes the decomposition deterministic.
     """
 
-    skeleton: Formula
-    boxed_parts: tuple[Formula, ...]
+    __slots__ = ("skeleton", "boxed_parts")
 
     @property
     def placeholders(self) -> tuple[str, ...]:

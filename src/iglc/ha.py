@@ -11,10 +11,7 @@ from .formula import Formula
 from .iglc_prover import DEFAULT_BUDGET, Verdict, decide_iglc
 from .tnnil import tnnil_plus
 
-__all__ = ["in_ha_sigma1_logic", "in_ha_fast_sigma1_logic",
-           "in_selfcompletion_fast_logic", "LOGIC_NAMES"]
-
-LOGIC_NAMES = ("ipc", "iglc", "ha-sigma1", "ha-fast-sigma1", "ustar-fast")
+__all__ = ["in_ha_sigma1_logic", "in_ha_fast_sigma1_logic", "in_selfcompletion_fast_logic"]
 
 
 def in_ha_sigma1_logic(a: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:

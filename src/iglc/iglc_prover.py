@@ -66,12 +66,11 @@ from scratch) before being returned.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .formula import (And, Atom, Bottom, Box, Formula, Imp, Or, BOT, TOP,
+from .formula import (And, Atom, Bottom, Box, Formula, Imp, Or, BOT, TOP, Record,
                       atoms, modal_decompose, order_key, render, subsentences, substitute)
-from .ipc import BudgetExceeded, Invalid, Valid, Verdict, ipc_provable
+from .ipc import DEFAULT_BUDGET, BudgetExceeded, Invalid, Valid, Verdict, ipc_provable
 from .kripke import (KripkeModel, countermodel, forces, mask_bits, model_from_masks,
                      successor_masks, truth_mask, upward_closed_sets)
 
@@ -80,8 +79,6 @@ __all__ = [
     "AdequateSet", "SaturatedSet", "DEFAULT_BUDGET",
     "decide_iglc", "derives_iglc", "is_saturated", "saturate", "clear_caches",
 ]
-
-DEFAULT_BUDGET = 10_000_000
 
 
 class BudgetExhausted(RuntimeError):
@@ -493,16 +490,16 @@ def derives_iglc(gamma, a: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
 # ---------------------------------------------------------------------------
 # Adequate sets, saturation, and the extension construction.
 
-@dataclass(frozen=True)
-class AdequateSet:
+class AdequateSet(Record):
     """A finite set of formulas closed under subsentences."""
 
-    members: frozenset[Formula]
+    __slots__ = ("members",)
 
-    def __post_init__(self):
-        for f in self.members:
-            if not subsentences(f) <= self.members:
+    def __init__(self, members: frozenset[Formula]):
+        for f in members:
+            if not subsentences(f) <= members:
                 raise ValueError(f"not closed under subsentences at {render(f)}")
+        super().__init__(members)
 
     @staticmethod
     def standard(a: Formula) -> "AdequateSet":
@@ -518,9 +515,8 @@ class AdequateSet:
         return AdequateSet(frozenset(out))
 
 
-@dataclass(frozen=True)
-class SaturatedSet:
-    members: frozenset[Formula]
+class SaturatedSet(Record):
+    __slots__ = ("members",)
 
 
 def _oracle(gamma, goal: Formula, bud: _Budget) -> bool:

@@ -27,37 +27,32 @@ each failed sequent is a world or reuses the world of a failed premise.
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass
-
-from .formula import And, Atom, Bottom, Formula, Imp, Or, TOP, is_box_free, order_key, render
-from .kripke import KripkeModel, countermodel, forces, mask_bits, truth_mask
+from .formula import (And, Atom, Bottom, Formula, Imp, Or, Record, TOP, is_box_free,
+                      order_key, render)
+from .kripke import countermodel, forces, mask_bits, truth_mask
 
 __all__ = ["Valid", "Invalid", "BudgetExceeded", "Verdict", "IpcValid", "IpcInvalid",
-           "IpcVerdict", "SequentTable", "decide_ipc", "ipc_provable", "ipc_equiv"]
-
-if sys.getrecursionlimit() < 20000:
-    sys.setrecursionlimit(20000)
+           "IpcVerdict", "DEFAULT_BUDGET", "SequentTable", "decide_ipc", "ipc_provable",
+           "ipc_equiv"]
 
 _CLASSICAL_ATOM_CAP = 10
 
-# The verdicts of every decider, re-exported by ``iglc_prover``.  The ``Ipc*``
-# names are former names of IPC's verdicts, kept for callers that import them.
-
-@dataclass(frozen=True)
-class Valid:
-    witness: tuple[str, ...] = ()
+# Every decider's verdicts and default step budget, re-exported by ``iglc_prover``;
+# the ``Ipc*`` names are former names of IPC's verdicts, kept for old callers.
+DEFAULT_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class Invalid:
-    countermodel: KripkeModel
-    root: int
+class Valid(Record):
+    __slots__ = ("witness",)
+    _defaults = ((),)
 
 
-@dataclass(frozen=True)
-class BudgetExceeded:
-    steps_used: int
+class Invalid(Record):
+    __slots__ = ("countermodel", "root")
+
+
+class BudgetExceeded(Record):
+    __slots__ = ("steps_used",)
 
 
 Verdict = Valid | Invalid | BudgetExceeded

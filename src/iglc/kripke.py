@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
-from .formula import And, Atom, Bottom, Box, Formula, Imp, Or, atoms
+from .formula import And, Atom, Bottom, Box, Formula, Imp, Or, Record, atoms
 
 __all__ = [
     "Frame", "KripkeModel", "FrameReport", "ModelError",
@@ -39,13 +38,10 @@ class ModelError(ValueError):
     """Raised on malformed or invariant-violating model data."""
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(Record):
     """Raw frame data; invariants are reported by check_frame, not enforced here."""
 
-    worlds: frozenset[int]
-    leq: frozenset[tuple[int, int]]
-    r: frozenset[tuple[int, int]]
+    __slots__ = ("worlds", "leq", "r")
 
     @staticmethod
     def make(worlds, leq, r) -> "Frame":
@@ -54,18 +50,12 @@ class Frame:
                      frozenset((int(a), int(b)) for a, b in r))
 
 
-@dataclass(frozen=True)
-class FrameReport:
-    is_poset: bool
-    has_model_property: bool
-    irreflexive: bool
-    transitive: bool
-    semi_transitive: bool
-    realistic: bool
-    conversely_well_founded: bool
+class FrameReport(Record):
+    __slots__ = ("is_poset", "has_model_property", "irreflexive", "transitive",
+                 "semi_transitive", "realistic", "conversely_well_founded")
 
     def as_dict(self) -> dict[str, bool]:
-        return dict(self.__dict__)
+        return dict(zip(self.__slots__, self._values()))
 
 
 def successor_masks(index: dict[int, int], pairs) -> list[int]:

@@ -42,9 +42,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 
-from .formula import (Atom, Bottom, Box, Formula, Imp, atoms, is_box_free, parse,
+from .formula import (Atom, Bottom, Box, Formula, Imp, Record, atoms, is_box_free, parse,
                       render, subsentences, substitute)
 from .ipc import SequentTable, ipc_provable
 from .kripke import KripkeModel, model_from_json
@@ -145,13 +144,11 @@ def _canonical_table(arity: int) -> _CanonicalTable:
 # ---------------------------------------------------------------------------
 # Public surface.
 
-@dataclass(frozen=True)
-class NnilClassTable:
+class NnilClassTable(Record):
     """Pairwise IPC-inequivalent NNIL representatives over a finite alphabet,
     one per class, in the shipped table's order."""
 
-    atoms: tuple[str, ...]
-    representatives: tuple[Formula, ...]
+    __slots__ = ("atoms", "representatives")
 
 
 def enumerate_nnil_classes(atom_names) -> NnilClassTable:

@@ -20,20 +20,17 @@ successors at H loses nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .formula import Formula, atoms, subsentences
+from .formula import Formula, Record, atoms, subsentences
 from .kripke import KripkeModel, mask_bits, model_from_masks, truth_mask
 
 __all__ = ["ExtendedModel", "TruthSet", "extend_model", "truth_set", "tail_profiles"]
 
 
-@dataclass(frozen=True)
-class TruthSet:
+class TruthSet(Record):
     """Either a finite set of worlds of the extended model, or all of ℕ."""
 
-    all_worlds: bool
-    worlds: frozenset[int] = frozenset()
+    __slots__ = ("all_worlds", "worlds")
+    _defaults = (frozenset(),)
 
     @staticmethod
     def every() -> "TruthSet":
