@@ -376,9 +376,10 @@ def boxdepth(f: Formula) -> int:
     return f.boxdepth
 
 
-def _rebuild(f: Formula, memo: dict[Formula, Formula], box=None) -> Formula:
+def _rebuild(f: Formula, memo: dict[Formula, Formula], box=None, node=_Node.__new__) -> Formula:
     """f rebuilt bottom-up, left before right, each distinct subformula once:
-    one in ``memo`` becomes its value there, a □ ``box(g)`` if given."""
+    one in ``memo`` becomes its value there, a □ ``box(g)`` if given, any other
+    compound g ``node(type(g), *rebuilt operands)``, by default the constructor."""
 
     def go(g: Formula) -> Formula:
         out = memo.get(g)
@@ -386,8 +387,8 @@ def _rebuild(f: Formula, memo: dict[Formula, Formula], box=None) -> Formula:
             t = type(g)
             if t is Atom or t is Bottom:
                 return g
-            out = memo[g] = (t(go(g.left), go(g.right)) if t is not Box
-                             else box(g) if box else Box(go(g.inner)))
+            out = memo[g] = (node(t, go(g.left), go(g.right)) if t is not Box
+                             else box(g) if box else node(Box, go(g.inner)))
         return out
 
     return go(f)

@@ -42,11 +42,16 @@ negatively by ⊤.  Truth sets grow with a positive atom's valuation and shrink
 with a negative one's (Troelstra and Schwichtenberg, *Basic Proof Theory*),
 so A is valid iff A[σ] is, and a countermodel of A[σ] with V(p) = ∅ for the
 ⊥-atoms and V(q) = every world for the ⊤-atoms refutes A at the same root.
-Phases 2 and 3 decide A[σ].  Both valuations are upsets, so a scan model
-refuting A[σ] would have refuted A: A[σ] is scanned only when A had too many
-atoms to be.  The pass is linear in A's distinct subformulas and charges no
-steps; it runs after the scan, which settles most cheap queries on shared,
-cached models before the pass would cost anything.
+The substitution folds ⊥ and ⊤ out bottom-up by laws of persistent models
+(``_fold_node``: ⊤∧B = B, ⊥→B = ⊤, □⊤ = ⊤ and the like), which can make a
+mixed atom pure, so pass and fold run in rounds until no atom is pure, σ
+gathering every round's atoms.  Phases 2 and 3 decide A[σ].  Both valuations
+are upsets, so a scan model refuting A[σ] would have refuted A: A[σ] is
+scanned only when A had too many atoms to be.  A round is linear in the
+distinct subformulas.  The first charges no steps: it runs after the scan,
+which settles most cheap queries on shared, cached models before the pass
+would cost anything.  Each later round charges the (subformula, sign) pairs
+it visits, so a chain that frees one atom a round is metered.
 
 The scan is one pass over one model.  For each alphabet, every model of the
 frame table (one per frame, ⊏ and monotone valuation) is laid side by side,
@@ -68,8 +73,8 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .formula import (And, Atom, Bottom, Box, Formula, Imp, Or, BOT, TOP, Record,
-                      atoms, modal_decompose, order_key, render, subsentences, substitute)
+from .formula import (And, Atom, Bottom, Box, Formula, Imp, Or, BOT, TOP, Record, _rebuild,
+                      atoms, modal_decompose, order_key, render, subsentences)
 from .ipc import DEFAULT_BUDGET, BudgetExceeded, Invalid, Valid, Verdict, ipc_provable
 from .kripke import (KripkeModel, countermodel, forces, mask_bits, model_from_masks,
                      successor_masks, truth_mask, upward_closed_sets)
@@ -197,9 +202,10 @@ def _scan(a: Formula, bud: _Budget) -> Invalid | None:
 # ---------------------------------------------------------------------------
 # The pure-atom pass.
 
-def _pure_atoms(a: Formula) -> dict[str, Formula]:
+def _pure_atoms(a: Formula, bud: _Budget | None = None) -> dict[str, Formula]:
     """⊥ for each atom of a occurring only positively, ⊤ for each occurring
-    only negatively: one walk over the distinct (subformula, sign) pairs."""
+    only negatively: one walk over the distinct (subformula, sign) pairs, charged
+    to ``bud`` if given."""
     signs: dict[str, int] = {}      # bit 0: occurs positively, bit 1: negatively
     seen: set[tuple[Formula, int]] = set()
     stack = [(a, 1)]
@@ -217,7 +223,21 @@ def _pure_atoms(a: Formula) -> dict[str, Formula]:
             stack += ((f.left, 3 - sign), (f.right, sign))
         elif t is not Bottom:
             stack += ((f.left, sign), (f.right, sign))
+    if bud:
+        bud.charge(len(seen))
     return {p: BOT if s == 1 else TOP for p, s in signs.items() if s != 3}
+
+
+def _fold_node(t: type, *ops: Formula) -> Formula:
+    """t(*ops), or what it equals in every persistent model by ⊥∧B = ⊥, ⊤∧B = B,
+    ⊥∨B = B, ⊤∨B = ⊤ (either way round), ⊥→B = B→⊤ = B→B = ⊤, ⊤→B = B or □⊤ = ⊤."""
+    if t is Box:
+        return TOP if ops[0] is TOP else t(*ops)
+    left, right = ops
+    if t is Imp:
+        return TOP if left in (BOT, right) or right is TOP else right if left is TOP else t(*ops)
+    unit, zero = (TOP, BOT) if t is And else (BOT, TOP)
+    return zero if zero in ops else right if left is unit else left if right is unit else t(*ops)
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +467,11 @@ class _Canonical:
 def _decide(a: Formula, bud: _Budget) -> Verdict:
     verdict: Verdict | None = _scan(a, bud)
     if verdict is None:
-        sigma = _pure_atoms(a)
-        b = substitute(a, sigma) if sigma else a
+        sigma, b, step = {}, a, _pure_atoms(a)
+        while step:                     # folding can make a mixed atom pure
+            sigma |= step
+            b = _rebuild(b, {Atom(p): c for p, c in step.items()}, node=_fold_node)
+            step = _pure_atoms(b, bud)  # the rounds after the first are charged
         if sigma and len(atoms(a)) > _SCAN_ATOM_CAP:
             verdict = _scan(b, bud)
         if verdict is None:

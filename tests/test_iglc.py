@@ -565,7 +565,9 @@ def test_core_countermodels_have_at_most_ten_worlds():
 # elimination round's, or in _generate an emitted candidate's |X| steps.
 # Full runs: PTP ends in the scan, Löb in the certifier, the others in the
 # core.  The last two formulas have a pure atom (r positive, p negative), so
-# their certifier and core run on the formula with r := ⊥ (p := ⊤).
+# their certifier and core run on the formula with r := ⊥ (p := ⊤, folded to
+# (□q → □r) → (□q ∨ □(q → r))), after a second pass finds no pure atom and
+# charges the 16 (11) (subformula, sign) pairs it visits.
 BUDGET_CASES = {
     MOJTAHEDI: [(5, "BudgetExceeded", 6), (740301, "BudgetExceeded", 740302),
                 (740302, "Invalid", None)],
@@ -575,13 +577,13 @@ BUDGET_CASES = {
         (8, "BudgetExceeded", 9), (9, "BudgetExceeded", 14),
         (13, "BudgetExceeded", 14), (14, "Valid", None)],
     parse("([](p | q) -> ([]p | []q)) | ~~[]r"): [
-        (1915, "BudgetExceeded", 1930), (12875, "BudgetExceeded", 22995),
-        (22996, "BudgetExceeded", 25658), (33010, "BudgetExceeded", 33011),
-        (33011, "Valid", None)],
+        (1931, "BudgetExceeded", 1946), (12891, "BudgetExceeded", 23011),
+        (23012, "BudgetExceeded", 25674), (33026, "BudgetExceeded", 33027),
+        (33027, "Valid", None)],
     parse("(([]p -> []q) -> []r) -> ([](p -> q) | [](q -> r))"): [
-        (4884, "BudgetExceeded", 4903), (12107, "BudgetExceeded", 21932),
-        (21933, "BudgetExceeded", 23858), (25072, "BudgetExceeded", 25073),
-        (25073, "Invalid", None)],
+        (1050, "BudgetExceeded", 1064), (2524, "BudgetExceeded", 4324),
+        (4325, "BudgetExceeded", 5135), (5830, "BudgetExceeded", 5831),
+        (5831, "Invalid", None)],
 }
 
 
@@ -598,8 +600,8 @@ def test_cold_budget_outcomes_match_the_pairwise_core(monkeypatch):
     monkeypatch.setattr(_Canonical, "_successors",
                         lambda self, *args: calls.append(1) or successors(self, *args))
     clear_caches()
-    assert decide_iglc(parse("([](p | q) -> ([]p | []q)) | ~~[]r"), 12875) == \
-        BudgetExceeded(22995)
+    assert decide_iglc(parse("([](p | q) -> ([]p | []q)) | ~~[]r"), 12891) == \
+        BudgetExceeded(23011)
     assert not calls
 
 
