@@ -192,10 +192,8 @@ def _cmd_solovay_truthset(args) -> int:
     if args.as_json:
         print(json.dumps({"formula": render(f), "all": ts.all_worlds,
                           "worlds": sorted(ts.worlds)}, sort_keys=True))
-    elif ts.all_worlds:
-        print("ALL")
     else:
-        print(" ".join(map(str, sorted(ts.worlds))) or "(empty)")
+        print(ts)
     return EXIT_VALID
 
 

@@ -208,13 +208,6 @@ class _Parser:
     def pos(self) -> int:
         return self.tokens[self.i][1] if self.i < len(self.tokens) else len(self.text)
 
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", len(self.text))
-        self.i += 1
-        return tok
-
     def expect(self, tok: str) -> None:
         if self.peek() != tok:
             raise ParseError(f"expected {tok!r}", self.pos())
@@ -270,13 +263,13 @@ class _Parser:
             self.depth -= 1
             return f
         if tok == "false":
-            self.take()
+            self.i += 1
             return BOT
         if tok == "true":
-            self.take()
+            self.i += 1
             return TOP
         if tok is not None and _IDENT_RE.match(tok):
-            self.take()
+            self.i += 1
             return Atom(tok)
         raise ParseError("expected an atom, 'false', 'true' or '('", self.pos())
 

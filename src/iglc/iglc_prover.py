@@ -16,12 +16,14 @@ unmetered pass after the first:
    balanced, so its depth grows with the log of the number of axioms;
 3. the complete core: worlds are candidate subsets of the adequate set
    X = sub(A) ∪ {□B : B ∈ sub(A)}, bit vectors generated member by member
-   under closure rules (Hintikka conditions plus derivable box closures, as
-   premise masks), ordered by inclusion and the canonical modal relation.
-   Generation is depth first on an explicit stack, so a large X does not
-   exhaust the Python stack; it charges one step per member decided and |X|
-   more per candidate emitted, the bits ``_columns`` transposes, so the
-   budget bounds the candidate list.
+   under one table of closure rules, each a premises mask and a conclusions
+   mask (the Hintikka conditions for ∧, ∨, → and ⊥, plus derivable box
+   closures), ordered by inclusion and the canonical modal relation.  Each
+   member tries both values against the rules filed under it; ∧, ∨ and ⊥
+   admit one.  Generation is depth first on an explicit stack, so a large X
+   does not exhaust the Python stack; it charges one step per member decided
+   and |X| more per candidate emitted, the bits ``_columns`` transposes, so
+   the budget bounds the candidate list.
    Column ``col[p]`` is the bitset of the candidates holding member p, so the
    ⊆-successors of w are ⋀_{p∈w} col[p] and its ⊏-successors
    ⋀_{□C∈w} col[C] ∧ ⋁_{□B∉w} col[□B].  Incoherent candidates, whose
@@ -281,78 +283,61 @@ class _Canonical:
         self.bud = bud
         subs = subsentences(a)
         self.members = members = sorted(subs | {Box(s) for s in subs}, key=order_key)
-        self.index = {f: i for i, f in enumerate(members)}
+        self.index = index = {f: i for i, f in enumerate(members)}
         self.n = len(members)
-        self.query_bit = self.index[a]
+        self.query_bit = index[a]
 
         self.imps: list[tuple[int, int, int]] = []
         self.boxes: list[tuple[int, int]] = []
         self.atom_positions: dict[str, int] = {}
-        # each member's choice in _generate: None when free, else (∧?, the mask
-        # of its operands), with ⊥ the empty ∨
-        self.kinds: list[tuple[bool, int] | None] = [None] * len(members)
-        for i, f in enumerate(members):
-            if isinstance(f, Imp):
-                self.imps.append((i, self.index[f.left], self.index[f.right]))
-            elif isinstance(f, Box):
-                self.boxes.append((i, self.index[f.inner]))
-            elif isinstance(f, Atom):
-                self.atom_positions[f.name] = i
-            elif isinstance(f, (And, Or)):
-                self.kinds[i] = (isinstance(f, And),
-                                 1 << self.index[f.left] | 1 << self.index[f.right])
-            else:                               # ⊥
-                self.kinds[i] = (False, 0)
-
-        # Closure rules (premise mask, conclusion bit), necessary for saturated
-        # sets, anchored at their largest position for generation.  The mask is
-        # an OR, so the repeated premise of □(B∧B)'s rule is one bit.
+        # Closure rules (premises mask, conclusions mask), which every saturated
+        # set obeys: a set breaks a rule when it holds every premise and no
+        # conclusion.  Each is filed under its largest position, which is its
+        # member's own but for □⊥ ⊢ □B.  X holds □B for every B in sub(a), and
+        # the inner formula of each box in X is in sub(a), so no lookup fails.
         self.rules_at: list[list[tuple[int, int]]] = [[] for _ in members]
-
-        def rule(premises: tuple[int, ...], concl: int) -> None:
-            mask = 0
-            for q in premises:
-                mask |= 1 << q
-            self.rules_at[max((*premises, concl))].append((mask, 1 << concl))
-
-        box_of = {c: i for i, c in self.boxes}
-        for i, l, r in self.imps:
-            rule((i, l), r)                     # →E closure
-            rule((r,), i)                       # C ⊢ B→C
-            if isinstance(members[l], Bottom) or l == r:
-                rule((), i)                     # ⊢ ⊥→C, ⊢ B→B
-        for i, c in self.boxes:
-            rule((c,), i)                       # completeness: B ⊢ □B
-            inner = members[c]
-            if isinstance(inner, Bottom):
-                for j, _ in self.boxes:         # □⊥ ⊢ □B
-                    if j != i:
-                        rule((i,), j)
-            elif isinstance(inner, And):
-                bl = box_of.get(self.index[inner.left])
-                br = box_of.get(self.index[inner.right])
-                if bl is not None and br is not None:
-                    rule((i,), bl)              # □(B∧C) ⊣⊢ □B ∧ □C
-                    rule((i,), br)
-                    rule((bl, br), i)
-            elif isinstance(inner, Or):
-                bl = box_of.get(self.index[inner.left])
-                br = box_of.get(self.index[inner.right])
-                if bl is not None:
-                    rule((bl,), i)              # □B ⊢ □(B∨C)
-                if br is not None:
-                    rule((br,), i)
-            elif isinstance(inner, Imp):
-                bl = box_of.get(self.index[inner.left])
-                br = box_of.get(self.index[inner.right])
-                if bl is not None and br is not None:
-                    rule((i, bl), br)           # K: □(B→C), □B ⊢ □C
+        box_bot = index.get(Box(BOT))
+        for i, f in enumerate(members):
+            t, me, rules = type(f), 1 << i, self.rules_at[i]
+            if t is Atom:
+                self.atom_positions[f.name] = i
+            elif t is Bottom:
+                rules.append((me, 0))                       # ⊥ ⊢ nothing
+            elif t is Box:
+                inner, c = f.inner, index[f.inner]
+                self.boxes.append((i, c))
+                rules.append((1 << c, me))                  # completeness: B ⊢ □B
+                if box_bot is not None and i != box_bot:    # □⊥ ⊢ □B
+                    self.rules_at[max(i, box_bot)].append((1 << box_bot, me))
+                ti = type(inner)
+                if ti is And or ti is Or or ti is Imp:
+                    bl, br = 1 << index[Box(inner.left)], 1 << index[Box(inner.right)]
+                    if ti is And:                           # □(B∧C) ⊣⊢ □B ∧ □C
+                        rules += ((me, bl), (me, br), (bl | br, me))
+                    elif ti is Or:                          # □B ⊢ □(B∨C)
+                        rules += ((bl, me), (br, me))
+                    else:                                   # K: □(B→C), □B ⊢ □C
+                        rules.append((me | bl, br))
+            else:
+                l, r = index[f.left], index[f.right]
+                bl, br = 1 << l, 1 << r
+                if t is And:
+                    rules += ((me, bl), (me, br), (bl | br, me))    # B∧C ⊣⊢ B, C
+                elif t is Or:
+                    rules += ((bl, me), (br, me), (me, bl | br))    # B∨C ⊣⊢ B or C
+                else:
+                    self.imps.append((i, l, r))
+                    rules += ((me | bl, br), (br, me))      # →E closure, C ⊢ B→C
+                    if f.left is BOT or l == r:
+                        rules.append((0, me))               # ⊢ ⊥→C, ⊢ B→B
 
     def _generate(self) -> list[int]:
-        n, kinds, rules_at, charge = self.n, self.kinds, self.rules_at, self.bud.charge
+        n, rules_at, charge = self.n, self.rules_at, self.bud.charge
         out: list[int] = []
-        # depth first on an explicit stack: follow the first admissible choice
-        # for member p, push the second to take up when the first's subtree ends
+        # depth first on an explicit stack: of member p's two values, without p
+        # and with it, follow the first that breaks no rule filed under p, and
+        # push the second, if it breaks none either, to take up when the
+        # first's subtree ends
         stack = [(0, 0)]
         while stack:
             p, vec = stack.pop()
@@ -362,17 +347,10 @@ class _Canonical:
                     charge(n)                   # the n bits _columns transposes
                     out.append(vec)
                     break
-                kind = kinds[p]
-                if kind is None:
-                    choices = (vec, vec | 1 << p)
-                else:
-                    conj, operands = kind
-                    hit = vec & operands
-                    choices = (vec | 1 << p if (hit == operands if conj else hit) else vec,)
                 follow = None
-                for v in choices:
-                    for premises, concl in rules_at[p]:
-                        if v & premises == premises and not v & concl:
+                for v in (vec, vec | 1 << p):
+                    for premises, concls in rules_at[p]:
+                        if v & premises == premises and not v & concls:
                             break
                     else:
                         if follow is None:

@@ -46,9 +46,10 @@ class TruthSet(Record):
         return self.all_worlds or world in self.worlds
 
     def __str__(self) -> str:
+        """``ALL``, the worlds in order joined by spaces, or ``(empty)``."""
         if self.all_worlds:
             return "ALL"
-        return "{" + ",".join(map(str, sorted(self.worlds))) + "}"
+        return " ".join(map(str, sorted(self.worlds))) or "(empty)"
 
 
 class ExtendedModel:

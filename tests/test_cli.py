@@ -144,6 +144,9 @@ def test_model_check_valid(tmp_path, capsys):
     code, out, _ = run_captured(capsys, ["model", "check", str(path), "p"])
     assert code == 0
     assert out.strip() == "VALID ON MODEL"
+    code, out, _ = run_captured(capsys, ["model", "check", str(path), "p", "--json"])
+    assert code == 0
+    assert json.loads(out) == {"formula": "p", "valid": True, "refuting_worlds": []}
 
 
 def test_model_check_bad_file_exit_4(tmp_path, capsys):
@@ -167,6 +170,10 @@ def test_frame_report(tmp_path, capsys):
     report = json.loads(out)
     assert report["is_poset"] is True
     assert report["realistic"] is False
+    code, out, _ = run_captured(capsys, ["frame", "report", str(path)])
+    assert code == 0
+    assert sorted(out.splitlines()) == sorted(f"{key}: {'yes' if value else 'no'}"
+                                              for key, value in report.items())
 
 
 def test_frame_report_unknown_world_exit_4(tmp_path, capsys):
@@ -213,6 +220,11 @@ def test_solovay_truthset(tmp_path, capsys):
     assert out.strip() == "1 2"
     code, out, _ = run_captured(capsys, ["solovay", "truthset", str(path), "p -> p"])
     assert out.strip() == "ALL"
+    code, out, _ = run_captured(capsys, ["solovay", "truthset", str(path), "false"])
+    assert (code, out) == (0, "(empty)\n")
+    code, out, _ = run_captured(capsys, ["solovay", "truthset", str(path), "[]p", "--json"])
+    assert code == 0
+    assert json.loads(out) == {"formula": "[]p", "all": False, "worlds": [1, 2]}
 
 
 def test_solovay_rejects_bad_core_exit_4(tmp_path, capsys):
@@ -270,6 +282,9 @@ def test_corpus_run_budget_exit_3(tmp_path, capsys):
 
 def test_corpus_run_malformed_exit_2(tmp_path, capsys):
     corpus = tmp_path / "corpus.tsv"
+    code, out, err = run_captured(capsys, ["corpus", "run", str(corpus)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read")
     corpus.write_text("valid iglc p\n")
     assert run(["corpus", "run", str(corpus)]) == 2
 

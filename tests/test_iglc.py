@@ -135,6 +135,9 @@ def test_is_saturated_examples():
     s = {P, Box(P), Or(P, Q), Box(Or(P, Q))}
     assert is_saturated(s, x3)
 
+    assert not is_saturated({BOT}, AdequateSet.closure([BOT]))      # inconsistent
+    assert not is_saturated({P, Q}, AdequateSet.closure([And(P, Q)]))   # omits p & q
+
 
 def test_is_saturated_requires_subset():
     with pytest.raises(ValueError):
@@ -167,6 +170,8 @@ def test_saturate_precondition():
     x = AdequateSet.closure([P])
     with pytest.raises(ValueError):
         saturate({P}, P, x)
+    with pytest.raises(ValueError, match="subset"):
+        saturate({Q}, P, x)
 
 
 def test_saturate_postconditions_random():

@@ -91,6 +91,8 @@ def test_table_closure_two_atoms_sampled():
 def test_alphabet_cap():
     with pytest.raises(AlphabetTooLarge):
         enumerate_nnil_classes(["a", "b", "c", "d"])
+    with pytest.raises(ValueError, match="duplicate"):
+        enumerate_nnil_classes(["p", "p"])
     with pytest.raises(AlphabetTooLarge):
         nnil_star(parse("p & q & r & s"))
 
