@@ -17,13 +17,15 @@ unmetered pass after the first:
 3. the complete core: worlds are candidate subsets of the adequate set
    X = sub(A) ∪ {□B : B ∈ sub(A)}, bit vectors generated member by member
    under one table of closure rules, each a premises mask and a conclusions
-   mask (the Hintikka conditions for ∧, ∨, → and ⊥, plus derivable box
-   closures), ordered by inclusion and the canonical modal relation.  Each
-   member tries both values against the rules filed under it; ∧, ∨ and ⊥
-   admit one.  Generation is depth first on an explicit stack, so a large X
-   does not exhaust the Python stack; it charges one step per member decided
-   and |X| more per candidate emitted, the bits ``_columns`` transposes, so
-   the budget bounds the candidate list.
+   mask: the Hintikka conditions for ∧, ∨, → and ⊥, completeness, □⊥ ⊢ □B,
+   and every rule Γ ⊢ C with one conclusion lifted to □Γ ⊢ □C (necessitation,
+   K) when X holds those boxes, again through □□C; survivors obey theorems, so
+   lifts prune only what elimination would.  Ordered by inclusion and the
+   canonical modal relation.  Each member tries both values against the rules
+   filed under it; ∧, ∨ and ⊥ admit one.  Generation is depth first on an
+   explicit stack, so a large X does not exhaust the Python stack; it charges
+   one step per member decided and |X| more per candidate emitted, the bits
+   ``_columns`` transposes, so the budget bounds the candidate list.
    Column ``col[p]`` is the bitset of the candidates holding member p, so the
    ⊆-successors of w are ⋀_{p∈w} col[p] and its ⊏-successors
    ⋀_{□C∈w} col[C] ∧ ⋁_{□B∉w} col[□B].  Incoherent candidates, whose
@@ -288,48 +290,56 @@ class _Canonical:
         self.query_bit = index[a]
 
         self.imps: list[tuple[int, int, int]] = []
-        self.boxes: list[tuple[int, int]] = []
         self.atom_positions: dict[str, int] = {}
-        # Closure rules (premises mask, conclusions mask), which every saturated
-        # set obeys: a set breaks a rule when it holds every premise and no
-        # conclusion.  Each is filed under its largest position, which is its
-        # member's own but for □⊥ ⊢ □B.  X holds □B for every B in sub(a), and
-        # the inner formula of each box in X is in sub(a), so no lookup fails.
+        box_at = {index[f.inner]: i for i, f in enumerate(members) if type(f) is Box}
+        self.boxes = [(i, c) for c, i in box_at.items()]
+        # Closure rules (premises mask, conclusions mask): a set breaks a rule
+        # when it holds every premise and no conclusion.  Each is filed under
+        # its largest position, its member's own but for □⊥ ⊢ □B and its lifts.
+        # ``horn[B]``: B's rules with one conclusion, which □B lifts to □Γ ⊢ □C
+        # when X holds every box, and keeps with its own for □□B to lift again.
         self.rules_at: list[list[tuple[int, int]]] = [[] for _ in members]
+        horn: dict[int, list[tuple[int, int]]] = {}
         box_bot = index.get(Box(BOT))
         for i, f in enumerate(members):
-            t, me, rules = type(f), 1 << i, self.rules_at[i]
+            t, me, rules, own = type(f), 1 << i, self.rules_at[i], []
             if t is Atom:
                 self.atom_positions[f.name] = i
             elif t is Bottom:
                 rules.append((me, 0))                       # ⊥ ⊢ nothing
             elif t is Box:
-                inner, c = f.inner, index[f.inner]
-                self.boxes.append((i, c))
-                rules.append((1 << c, me))                  # completeness: B ⊢ □B
+                c = index[f.inner]
+                own.append((1 << c, me))                    # completeness: B ⊢ □B
                 if box_bot is not None and i != box_bot:    # □⊥ ⊢ □B
-                    self.rules_at[max(i, box_bot)].append((1 << box_bot, me))
-                ti = type(inner)
-                if ti is And or ti is Or or ti is Imp:
-                    bl, br = 1 << index[Box(inner.left)], 1 << index[Box(inner.right)]
-                    if ti is And:                           # □(B∧C) ⊣⊢ □B ∧ □C
-                        rules += ((me, bl), (me, br), (bl | br, me))
-                    elif ti is Or:                          # □B ⊢ □(B∨C)
-                        rules += ((bl, me), (br, me))
-                    else:                                   # K: □(B→C), □B ⊢ □C
-                        rules.append((me | bl, br))
+                    own.append((1 << box_bot, me))
+                for premises, concl in horn.get(c, ()):
+                    lifted, m = 0, premises
+                    while m:
+                        j = box_at.get((m & -m).bit_length() - 1)
+                        if j is None:
+                            break
+                        lifted, m = lifted | 1 << j, m & m - 1
+                    else:                   # skip completeness lifted again; share □B's mask
+                        j = box_at.get(concl.bit_length() - 1)
+                        if j is not None and (lifted, 1 << j) != own[0]:
+                            own.append((me if lifted == me else lifted, me if j == i else 1 << j))
+                for rule in own:
+                    self.rules_at[(rule[0] | rule[1]).bit_length() - 1].append(rule)
             else:
                 l, r = index[f.left], index[f.right]
                 bl, br = 1 << l, 1 << r
                 if t is And:
-                    rules += ((me, bl), (me, br), (bl | br, me))    # B∧C ⊣⊢ B, C
+                    own = [(me, bl), (me, br), (bl | br, me)]       # B∧C ⊣⊢ B, C
                 elif t is Or:
-                    rules += ((bl, me), (br, me), (me, bl | br))    # B∨C ⊣⊢ B or C
+                    own = [(bl, me), (br, me), (me, bl | br)]       # B∨C ⊣⊢ B or C
                 else:
                     self.imps.append((i, l, r))
-                    rules += ((me | bl, br), (br, me))      # →E closure, C ⊢ B→C
+                    own = [(me | bl, br), (br, me)]         # →E closure, C ⊢ B→C
                     if f.left is BOT or l == r:
-                        rules.append((0, me))               # ⊢ ⊥→C, ⊢ B→B
+                        own.append((0, me))                 # ⊢ ⊥→C, ⊢ B→B
+                rules += own
+            if i in box_at:                 # B∨C ⊢ B or C has one conclusion iff B = C
+                horn[i] = own[:2] if t is Or and l != r else own
 
     def _generate(self) -> list[int]:
         n, rules_at, charge = self.n, self.rules_at, self.bud.charge

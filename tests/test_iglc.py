@@ -19,6 +19,7 @@ P, Q = Atom("p"), Atom("q")
 PTP = parse("[]p -> (q | (q -> p))")
 MOJTAHEDI = parse("[](([]false) -> (~p -> (q | r))) -> "
                   "[](([]false) -> ((~p -> q) | (~p -> r)))")
+TWO_CONJUNCTS = parse("(([](q0 -> r0) & (r0 -> q0)) & ([](q1 -> r1) & (r1 -> q1))) -> ([]z | ~z)")
 
 
 def assert_verified_invalid(v, query):
@@ -363,8 +364,14 @@ def test_scan_frames_are_irreflexive_realistic_posets():
 # replaced: the same candidate lists, survivors, cone masks and step costs.
 
 class ReferenceCanonical(_Canonical):
-    """``_Canonical`` with closure rules as premise tuples and the pairwise
-    ``_generate``, ``_eliminate`` and ``_masks`` of the loops replaced."""
+    """``_Canonical`` with closure rules as (premises set, conclusion) tuples
+    and the pairwise ``_generate``, ``_eliminate`` and ``_masks`` of the loops
+    replaced.  The rules are the one-conclusion Hintikka conditions, the →
+    closures, completeness and □⊥ ⊢ □B, closed under lifting: any rule
+    Γ ⊢ C whose members all have boxes in X gives □Γ ⊢ □C, until no rule is
+    new.  ``lift = False`` leaves the closure out."""
+
+    lift = True
 
     def __init__(self, a, bud):
         super().__init__(a, bud)
@@ -373,42 +380,33 @@ class ReferenceCanonical(_Canonical):
         self.box_mask = sum(1 << i for i, _ in self.boxes)
         self.rules_at = [[] for _ in members]
 
-        def rule(premises, concl):
-            anchor = max((*premises, concl))
-            self.rules_at[anchor].append((premises, concl))
-
-        box_of = {c: i for i, c in self.boxes}
+        rules = set()
         for i, l, r in self.imps:
-            rule((i, l), r)
-            rule((r,), i)
+            rules |= {(frozenset((i, l)), r), (frozenset((r,)), i)}
             if isinstance(members[l], Bottom) or l == r:
-                rule((), i)
+                rules.add((frozenset(), i))
+        for i, f in enumerate(members):
+            if isinstance(f, (And, Or)):
+                l, r = self.index[f.left], self.index[f.right]
+            if isinstance(f, And):
+                rules |= {(frozenset((i,)), l), (frozenset((i,)), r), (frozenset((l, r)), i)}
+            elif isinstance(f, Or):
+                rules |= {(frozenset((l,)), i), (frozenset((r,)), i)}
+                if l == r:
+                    rules.add((frozenset((i,)), l))
         for i, c in self.boxes:
-            rule((c,), i)
-            inner = members[c]
-            if isinstance(inner, Bottom):
-                for j, _ in self.boxes:
-                    if j != i:
-                        rule((i,), j)
-            elif isinstance(inner, And):
-                bl = box_of.get(self.index[inner.left])
-                br = box_of.get(self.index[inner.right])
-                if bl is not None and br is not None:
-                    rule((i,), bl)
-                    rule((i,), br)
-                    rule((bl, br), i)
-            elif isinstance(inner, Or):
-                bl = box_of.get(self.index[inner.left])
-                br = box_of.get(self.index[inner.right])
-                if bl is not None:
-                    rule((bl,), i)
-                if br is not None:
-                    rule((br,), i)
-            elif isinstance(inner, Imp):
-                bl = box_of.get(self.index[inner.left])
-                br = box_of.get(self.index[inner.right])
-                if bl is not None and br is not None:
-                    rule((i, bl), br)
+            rules.add((frozenset((c,)), i))
+            if isinstance(members[c], Bottom):
+                rules |= {(frozenset((i,)), j) for j, _ in self.boxes if j != i}
+        box_of = {c: i for i, c in self.boxes}
+        new = rules if self.lift else set()
+        while new:
+            new = {(frozenset(box_of[q] for q in premises), box_of[concl])
+                   for premises, concl in new
+                   if concl in box_of and all(q in box_of for q in premises)} - rules
+            rules |= new
+        for premises, concl in rules:
+            self.rules_at[max((*premises, concl))].append((premises, concl))
 
     def _generate(self):
         members = self.members
@@ -498,6 +496,36 @@ class ReferenceCanonical(_Canonical):
         return leq_succ, r_succ, val
 
 
+class UnliftedReference(ReferenceCanonical):
+    """An unlifted rule table: ``ReferenceCanonical``'s rules without the
+    closure, plus three box rules, □(B∧C) ⊣⊢ □B, □C, then □B ⊢ □(B∨C), and
+    K, □(B→C), □B ⊢ □C.  Its candidates go through the core's column
+    elimination, which ``test_core_matches_pairwise_reference`` checks
+    against the pairwise one."""
+
+    lift = False
+    _eliminate = _Canonical._eliminate
+    _masks = _Canonical._masks
+
+    def __init__(self, a, bud):
+        super().__init__(a, bud)
+        box_of = {c: i for i, c in self.boxes}
+        for i, c in self.boxes:
+            inner = self.members[c]
+            if not isinstance(inner, (And, Or, Imp)):
+                continue
+            # the inner formula of a box in X is in sub(a), so X boxes its parts
+            bl, br = box_of[self.index[inner.left]], box_of[self.index[inner.right]]
+            if isinstance(inner, And):
+                rules = [((i,), bl), ((i,), br), ((bl, br), i)]
+            elif isinstance(inner, Or):
+                rules = [((bl,), i), ((br,), i)]
+            else:
+                rules = [((i, bl), br)]
+            for premises, concl in rules:
+                self.rules_at[max((*premises, concl))].append((premises, concl))
+
+
 def core_trace(cls, a, budget):
     """What the core computes for a up to its cone masks, with the steps used
     after each phase; a budget that runs out ends the trace with its count."""
@@ -523,14 +551,25 @@ CORE_HAND_CASES = ["[](p & p) -> []p", "[]p -> [](p & p)", "[](p | p) -> []p",
                    "[]([](p & p) -> (p | p)) -> [](p & p)", "~[]false"]
 
 
-def test_core_matches_pairwise_reference(modal_corpus):
+def core_sample(modal_corpus):
     rng = random.Random(4417)
     sample = [random_formula(rng, ("p", "q", "r"), rng.randint(14, 22), box_prob=0.25)
               for _ in range(300)]
     sample += random.Random(4418).sample(modal_corpus, 2000)
-    sample += [MOJTAHEDI] + [parse(t) for t in CORE_HAND_CASES]
-    for f in sample:
+    return sample + [MOJTAHEDI] + [parse(t) for t in CORE_HAND_CASES]
+
+
+def test_core_matches_pairwise_reference(modal_corpus):
+    for f in core_sample(modal_corpus):
         assert core_trace(_Canonical, f, 100_000) == core_trace(ReferenceCanonical, f, 100_000), render(f)
+
+
+def test_lifted_rules_prune_only_non_survivors(modal_corpus):
+    for f in core_sample(modal_corpus) + [TWO_CONJUNCTS]:
+        lifted = core_trace(_Canonical, f, 10**7)
+        unlifted = core_trace(UnliftedReference, f, 10**7)
+        assert len(lifted) >= 4 and len(unlifted) >= 4, render(f)   # both reach survivors
+        assert lifted[2::2] == unlifted[2::2], render(f)
 
 
 def test_eliminate_computes_each_candidates_successors_once(monkeypatch):
@@ -574,21 +613,21 @@ def test_core_countermodels_have_at_most_ten_worlds():
 # (□q → □r) → (□q ∨ □(q → r))), after a second pass finds no pure atom and
 # charges the 16 (11) (subformula, sign) pairs it visits.
 BUDGET_CASES = {
-    MOJTAHEDI: [(5, "BudgetExceeded", 6), (740301, "BudgetExceeded", 740302),
-                (740302, "Invalid", None)],
+    MOJTAHEDI: [(5, "BudgetExceeded", 6), (161181, "BudgetExceeded", 161182),
+                (161182, "Invalid", None)],
     PTP: [(5, "BudgetExceeded", 6), (6, "Invalid", None)],
     parse("[]([]p -> p) -> []p"): [
         (0, "BudgetExceeded", 1), (5, "BudgetExceeded", 6), (7, "BudgetExceeded", 8),
         (8, "BudgetExceeded", 9), (9, "BudgetExceeded", 14),
         (13, "BudgetExceeded", 14), (14, "Valid", None)],
     parse("([](p | q) -> ([]p | []q)) | ~~[]r"): [
-        (1931, "BudgetExceeded", 1946), (12891, "BudgetExceeded", 23011),
-        (23012, "BudgetExceeded", 25674), (33026, "BudgetExceeded", 33027),
-        (33027, "Valid", None)],
+        (943, "BudgetExceeded", 958), (6231, "BudgetExceeded", 10741),
+        (10742, "BudgetExceeded", 13404), (20756, "BudgetExceeded", 20757),
+        (20757, "Valid", None)],
     parse("(([]p -> []q) -> []r) -> ([](p -> q) | [](q -> r))"): [
-        (1050, "BudgetExceeded", 1064), (2524, "BudgetExceeded", 4324),
-        (4325, "BudgetExceeded", 5135), (5830, "BudgetExceeded", 5831),
-        (5831, "Invalid", None)],
+        (548, "BudgetExceeded", 562), (1252, "BudgetExceeded", 2032),
+        (2033, "BudgetExceeded", 2648), (3343, "BudgetExceeded", 3344),
+        (3344, "Invalid", None)],
 }
 
 
@@ -605,8 +644,8 @@ def test_cold_budget_outcomes_match_the_pairwise_core(monkeypatch):
     monkeypatch.setattr(_Canonical, "_successors",
                         lambda self, *args: calls.append(1) or successors(self, *args))
     clear_caches()
-    assert decide_iglc(parse("([](p | q) -> ([]p | []q)) | ~~[]r"), 12891) == \
-        BudgetExceeded(23011)
+    assert decide_iglc(parse("([](p | q) -> ([]p | []q)) | ~~[]r"), 6231) == \
+        BudgetExceeded(10741)
     assert not calls
 
 
