@@ -10,10 +10,10 @@ unmetered pass after the first:
 1. the small-model scan (below): every irreflexive realistic model on one
    world or a 2-chain over the query's atoms (at most 4), which settles most
    refutable inputs immediately;
-2. a sound validity certifier, a fast path only: one IPC question, whether
-   the modal skeleton of ⋀axioms → A is a tautology, for the instances of K,
-   Löb and completeness over A's boxed subformulas; the conjunction is
-   balanced, so its depth grows with the log of the number of axioms;
+2. a sound validity certifier, a fast path only: one G4ip question, whether
+   A follows in IPC from the instances of K, Löb and completeness over A's
+   boxed subformulas, asked of one ``SequentTable`` in which every □B is an
+   atom, so no modal skeleton is built;
 3. the complete core: worlds are candidate subsets of the adequate set
    X = sub(A) ∪ {□B : B ∈ sub(A)}, bit vectors generated member by member
    under one table of closure rules, each a premises mask and a conclusions
@@ -78,8 +78,8 @@ import itertools
 from functools import lru_cache
 
 from .formula import (And, Atom, Bottom, Box, Formula, Imp, Or, BOT, TOP, Record, _rebuild,
-                      atoms, modal_decompose, order_key, render, subsentences)
-from .ipc import DEFAULT_BUDGET, BudgetExceeded, Invalid, Valid, Verdict, ipc_provable
+                      atoms, order_key, render, subsentences)
+from .ipc import DEFAULT_BUDGET, BudgetExceeded, Invalid, SequentTable, Valid, Verdict
 from .kripke import (KripkeModel, countermodel, forces, mask_bits, model_from_masks,
                      successor_masks, truth_mask, upward_closed_sets)
 
@@ -245,32 +245,23 @@ def _fold_node(t: type, *ops: Formula) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Phase 2: sound validity certifier via the modal skeleton.
-
-def _boxed_subformulas(a: Formula) -> list[Formula]:
-    inner = [g.inner for g in subsentences(a) if isinstance(g, Box)]
-    return sorted(set(inner), key=order_key)
-
-
-def _balanced_and(fs: list[Formula]) -> Formula:
-    """The conjunction of fs, paired off level by level, so its depth is log."""
-    while len(fs) > 1:
-        fs = [And(*fs[i:i + 2]) if i + 1 < len(fs) else fs[i] for i in range(0, len(fs), 2)]
-    return fs[0]
-
+# Phase 2: sound validity certifier, G4ip reading □B as an atom.
 
 def _quick_valid(a: Formula, bud: _Budget) -> Valid | None:
     bud.charge()
     axioms: list[Formula] = []
-    for b in _boxed_subformulas(a):
+    for b in sorted({g.inner for g in subsentences(a) if type(g) is Box}, key=order_key):
         axioms.append(Imp(b, Box(b)))                         # completeness
         if isinstance(b, Imp) and isinstance(b.left, Box) and b.left.inner == b.right:
             axioms.append(Imp(Box(b), Box(b.right)))          # Löb
         if isinstance(b, Imp):                                # K
             axioms.append(Imp(Box(b), Imp(Box(b.left), Box(b.right))))
     bud.charge(len(axioms) + 1)
-    goal = Imp(_balanced_and(axioms), a) if axioms else a
-    if ipc_provable((), modal_decompose(goal).skeleton):
+    table, work = SequentTable(), 0
+    for ax in axioms:                                         # □B is an atom to G4ip
+        work |= table.close(table.add(ax))
+    goal = table.add(a)
+    if not table.refuting(work, goal) and table.provable(work, goal):
         lines = tuple(f"axiom: {render(ax)}" for ax in axioms)
         return Valid(lines + ("goal is an IPC consequence of the axioms above "
                               "at the level of the modal skeleton",))
@@ -485,6 +476,13 @@ def decide_iglc(a: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
         return _decide(a, _Budget(budget))
     except BudgetExhausted as e:
         return BudgetExceeded(e.steps_used)
+
+
+def _balanced_and(fs: list[Formula]) -> Formula:
+    """The conjunction of fs, paired off level by level, so its depth is log."""
+    while len(fs) > 1:
+        fs = [And(*fs[i:i + 2]) if i + 1 < len(fs) else fs[i] for i in range(0, len(fs), 2)]
+    return fs[0]
 
 
 def _query(gamma, a: Formula) -> Formula:

@@ -11,10 +11,10 @@ The search's choices run in index order.  A leaf, a sequent whose saturated
 context holds only atoms and p→B with p absent, admits no left rule, and ∧R, ∨R
 keep its context: its goal's ∧/∨ skeleton decides it, an atom or ⊥ by
 membership (for ⊥ so does Glivenko: the context's atoms alone true satisfy it).
-Up to ``_CLASSICAL_ATOM_CAP`` atoms, ``kripke.truth_mask`` on the truth table
-as a Kripke model (a world per assignment, its own only ⪯-successor) gives a
-sound refutation filter at the root and answers a goal ⊥ exactly: by Glivenko's
-theorem Γ ⊢ ⊥ holds in IPC iff Γ is classically unsatisfiable.
+A box □B, indexed only by the iGLC certifier, is an atom to every rule.  Up to
+``_CLASSICAL_ATOM_CAP`` atoms and boxes, a column each, vectors set as formulas
+are indexed (``kripke.truth_mask`` is not used) screen out refutable roots and
+decide a goal ⊥: by Glivenko, Γ ⊢ ⊥ in IPC iff Γ is classically unsatisfiable.
 
 Countermodels are read off the failed search (``_read_off``), after the
 refutation calculus Pinto and Dyckhoff pair with G4ip (Loop-free construction
@@ -27,9 +27,9 @@ each failed sequent is a world or reuses the world of a failed premise.
 
 from __future__ import annotations
 
-from .formula import (And, Atom, Bottom, Formula, Imp, Or, Record, TOP, is_box_free,
+from .formula import (And, Atom, Bottom, Box, Formula, Imp, Or, Record, TOP, is_box_free,
                       order_key, render)
-from .kripke import countermodel, forces, mask_bits, truth_mask
+from .kripke import countermodel, forces, mask_bits
 
 __all__ = ["Valid", "Invalid", "BudgetExceeded", "Verdict", "IpcValid", "IpcInvalid",
            "IpcVerdict", "DEFAULT_BUDGET", "SequentTable", "decide_ipc", "ipc_provable",
@@ -64,8 +64,8 @@ IpcVerdict = Verdict
 # ---------------------------------------------------------------------------
 # The sequent table and G4ip backward proof search.
 
-_ATOM, _BOT, _AND, _OR, _IMP = range(5)
-_KINDS = {Atom: _ATOM, Bottom: _BOT, And: _AND, Or: _OR, Imp: _IMP}
+_ATOM, _BOX, _BOT, _AND, _OR, _IMP = range(6)
+_KINDS = {Atom: _ATOM, Box: _BOX, Bottom: _BOT, And: _AND, Or: _OR, Imp: _IMP}
 
 
 class SequentTable:
@@ -83,18 +83,18 @@ class SequentTable:
         self.formulas: list[Formula] = []
         self.index: dict[Formula, int] = {}
         self.kind: list[int] = []
-        self.left: list[int] = []               # child indices, -1 for atoms and ⊥
+        self.left: list[int] = []               # child indices, -1 for atoms, boxes and ⊥
         self.right: list[int] = []
         self.closure: list[int | None] = []
         self.aux: list[int] = []
         self.bottom = 0                         # the bit of ⊥ once indexed
         self.ors = 0                            # the bits of ∨-formulas in contexts
-        self.atom_imps = 0                      # p→B
+        self.atom_imps = 0                      # p→B and □C→B
         self.imp_imps = 0                       # (C→D)→B
         self.names: list[str] = []              # the atoms in index order
-        self.val: dict[str, int] = {}           # world k makes names[t] true iff bit t of k
-        self.full = 1                           # the worlds, each its own ⪯-successor
-        self.cache: dict[Formula, int] = {}     # truth_mask's memo
+        self.columns = 0                        # the atoms and boxes, a column each
+        self.vectors: list[int] = []            # bit k: formula i's value under assignment k
+        self.full = 1                           # the assignments: k makes column t true iff bit t
         self.memo: dict[tuple[int, int], bool] = {}
 
     # -- indexing -------------------------------------------------------------
@@ -115,16 +115,22 @@ class SequentTable:
         self.right.append(right)
         self.closure.append(None)
         self.aux.append(-1)
-        if kind == _ATOM:
-            self.names.append(f.name)
+        v = 0
+        if kind <= _BOX:                        # a column: an atom, or □B read as one
+            if kind == _ATOM:
+                self.names.append(f.name)
+            self.columns += 1
             if self.classical():                # double the assignments
                 half = self.full.bit_length()
-                self.val = {p: m | m << half for p, m in self.val.items()}
-                self.val[f.name] = self.full << half
-                self.full |= self.full << half
-                self.cache.clear()
+                self.vectors = [u | u << half for u in self.vectors]
+                v = self.full << half
+                self.full |= v
         elif kind == _BOT:
             self.bottom = 1 << i
+        else:
+            l, r = self.vectors[left], self.vectors[right]
+            v = l & r if kind == _AND else l | r if kind == _OR else ~l & self.full | r
+        self.vectors.append(v)
         return i
 
     def close(self, i: int) -> int:
@@ -145,7 +151,7 @@ class SequentTable:
                 c = 0
             elif a is TOP or left == right:     # ⊤→B reduces to B; A→A is dropped
                 c = 0 if left == right else self.close(right)
-            elif lk == _ATOM:
+            elif lk <= _BOX:                    # □C→B is p→B for an atom p
                 self.atom_imps |= bit
             elif lk == _AND:                    # (C∧D)→B ⇒ C→(D→B)
                 c = self.close(self.add(Imp(a.left, Imp(a.right, b))))
@@ -180,11 +186,7 @@ class SequentTable:
     # -- classical truth tables ----------------------------------------------
 
     def classical(self) -> bool:
-        return len(self.names) <= _CLASSICAL_ATOM_CAP
-
-    def vector(self, i: int) -> int:
-        """Formula i's truth value under each assignment to the table's atoms."""
-        return truth_mask(self.formulas[i], {0: self.full}, (), self.val, self.full, self.cache)
+        return self.columns <= _CLASSICAL_ATOM_CAP
 
     def premises(self, work: int) -> int:
         """The assignments that make every formula of the context true."""
@@ -192,7 +194,7 @@ class SequentTable:
         while work and v:
             low = work & -work
             work ^= low
-            v &= self.vector(low.bit_length() - 1)
+            v &= self.vectors[low.bit_length() - 1]
         return v
 
     # -- search ---------------------------------------------------------------
@@ -267,20 +269,20 @@ class SequentTable:
             return self.leaf(work, self.left[goal]) and self.leaf(work, self.right[goal])
         if kind == _OR:                         # the context holds no ∧ and no ∨
             return self.leaf(work, self.left[goal]) or self.leaf(work, self.right[goal])
-        # R→ changes the context, so a →-goal is searched anew; an atom or ⊥ holds by membership
+        # R→ changes the context, so a →-goal is searched anew; an atom, □B or ⊥ holds by membership
         return kind == _IMP and self.provable(work, goal) or bool(work >> goal & 1)
 
     def refuting(self, work: int, goal: int) -> int:
         """The assignments that satisfy the context and falsify the goal, 0
-        above the atom cap: a sound screen, as IPC ⊆ classical logic."""
-        return self.classical() and self.premises(work) & ~self.vector(goal)
+        above the column cap: a sound screen, as IPC ⊆ classical logic."""
+        return self.classical() and self.premises(work) & ~self.vectors[goal]
 
     def assignment(self, v: int) -> list[str]:
         """The atoms true under the assignment of v that is least when the
         atoms are read in name order, false before true."""
         true = []
         for name in sorted(self.names):
-            p = self.val[name]
+            p = self.vectors[self.index[Atom(name)]]
             if v & ~p:
                 v &= ~p
             else:

@@ -7,11 +7,13 @@ import types
 import pytest
 
 from iglc import iglc_prover
-from iglc.formula import And, Atom, Bottom, Box, Imp, Or, BOT, Iff, atoms, parse, render
+from iglc.formula import (And, Atom, Bottom, Box, Imp, Or, BOT, Iff, atoms, modal_decompose,
+                          parse, render, subsentences)
 from iglc.iglc_prover import (AdequateSet, BudgetExceeded, BudgetExhausted,
                               Invalid, Valid, decide_iglc, derives_iglc,
                               is_saturated, saturate, clear_caches, _Budget,
-                              _Canonical, _FRAMES, _decide, _scan)
+                              _Canonical, _FRAMES, _decide, _quick_valid, _scan)
+from iglc.ipc import SequentTable, ipc_provable
 from iglc.kripke import Frame, KripkeModel, check_frame, forces, model_to_json
 from conftest import ModelTable, doubling_dag, random_formula, random_realistic_model
 
@@ -357,6 +359,53 @@ def test_scan_frames_are_irreflexive_realistic_posets():
             rep = check_frame(Frame.make(worlds, leq, strict if r is None else r))
             assert rep.is_poset and rep.has_model_property
             assert rep.irreflexive and rep.realistic
+
+
+# ---------------------------------------------------------------------------
+# The certifier: one G4ip question in which every □B is an atom with a truth-
+# table column of its own, against the modal skeleton it replaced.
+
+def skeleton_certifies(a) -> bool:
+    """Whether the skeleton of ⋀axioms → a, each maximal □B a fresh atom, is an
+    IPC theorem, for the K, Löb and completeness instances over a's boxes."""
+    axioms = []
+    for b in {g.inner for g in subsentences(a) if isinstance(g, Box)}:
+        axioms.append(Imp(b, Box(b)))
+        if isinstance(b, Imp):
+            axioms.append(Imp(Box(b), Imp(Box(b.left), Box(b.right))))
+            if b.left == Box(b.right):
+                axioms.append(Imp(Box(b), Box(b.right)))
+    goal = Imp(functools.reduce(And, axioms), a) if axioms else a
+    return ipc_provable((), modal_decompose(goal).skeleton)
+
+
+def test_certifier_gives_each_box_a_column():
+    # ~~b is no IPC theorem; were □p true under every assignment, Glivenko's
+    # answer for the goal ⊥ after R→ would certify ~~□p
+    assert _quick_valid(parse("~~[]p"), _Budget(10**6)) is None
+    table = SequentTable()
+    work, goal = table.close(table.add(parse("[]p -> false"))), table.add(BOT)
+    assert table.refuting(work, goal) and not table.provable(work, goal)
+    v = decide_iglc(parse("~~[]p"))
+    assert isinstance(v, Valid) and v.witness[-1].startswith("certified by saturation")
+
+
+def test_certifier_matches_the_skeleton_reference(modal_corpus, monkeypatch):
+    queries = {}
+    monkeypatch.setattr(iglc_prover, "_quick_valid",
+                        lambda a, bud: queries.setdefault(a, None) or _quick_valid(a, bud))
+    for f in modal_corpus:
+        decide_iglc(f)
+    assert len(queries) > 1000
+    rng = random.Random(2718)
+    queries.update(dict.fromkeys(random_formula(rng, ("p", "q", "r"), rng.randint(4, 16), 0.3)
+                                 for _ in range(300)))
+    certified = 0
+    for a in queries:
+        v = _quick_valid(a, _Budget(10**9))
+        assert (v is not None) == skeleton_certifies(a), render(a)
+        certified += v is not None
+    assert 300 < certified < len(queries) - 300
 
 
 # ---------------------------------------------------------------------------

@@ -167,19 +167,19 @@ def test_classical_screen_rejects_only_unprovable_sequents():
 
 def test_screen_matches_a_truth_table_built_assignment_by_assignment():
     # one shared table meets its atoms in random order, one more every 25
-    # formulas, after masks over fewer atoms are cached: each must re-double them
+    # formulas, after vectors over fewer atoms are stored: each must re-double them
     rng = random.Random(1992)
     pool = [f"a{i}" for i in range(6)]
     order = rng.sample(pool, 6)
     table = SequentTable()
     for n in range(150):
         names = rng.sample(order[:1 + n // 25], rng.randint(1, 1 + n // 25))
-        table.vector(table.add_input(random_formula(rng, names, rng.randint(1, 12), 0.0)))
+        table.add_input(random_formula(rng, names, rng.randint(1, 12), 0.0))
     assert table.classical() and len(table.names) == 6
     worlds = [{p: bool(k >> t & 1) for t, p in enumerate(table.names)} for k in range(64)]
     for i, f in enumerate(table.formulas):
-        assert table.vector(i) == sum(1 << k for k, w in enumerate(worlds)
-                                      if classical_value(f, w)), render(f)
+        assert table.vectors[i] == sum(1 << k for k, w in enumerate(worlds)
+                                       if classical_value(f, w)), render(f)
     for k, w in enumerate(worlds):
         assert table.assignment(1 << k) == sorted(p for p in pool if w[p])
     # past the cap the screen is off, and the table decides as a fresh one does

@@ -126,6 +126,23 @@ def test_gate_inputs_are_refuted_in_milliseconds():
         assert isinstance(v, Invalid) and not forces(v.countermodel, v.root, parse(text))
 
 
+IPC_LINE = "goal is an IPC consequence of the axioms above at the level of the modal skeleton"
+WITNESSES = {   # whole witnesses: K, Löb and completeness instances, queries with pure atoms
+    "[](p -> q) -> ([]p -> []q)": (
+        "axiom: p -> []p", "axiom: q -> []q", "axiom: (p -> q) -> [](p -> q)",
+        "axiom: [](p -> q) -> []p -> []q", IPC_LINE),
+    "[]([]p -> p) -> []p": (
+        "axiom: p -> []p", "axiom: ([]p -> p) -> []([]p -> p)",
+        "axiom: []([]p -> p) -> []p", "axiom: []([]p -> p) -> [][]p -> []p", IPC_LINE),
+    "p -> []p": ("axiom: p -> []p", IPC_LINE),
+    "q -> ((r -> r) | s)": ("pure atoms: q := ⊤, s := ⊥", IPC_LINE),
+    "[]p -> (q -> []p)": ("pure atoms: q := ⊤", IPC_LINE),
+    "([](p | q) -> ([]p | []q)) | ~~[]r": (
+        "pure atoms: r := ⊥", "certified by saturation of the adequate set: the query "
+        "belongs to every coherent candidate world"),
+}
+
+
 def test_valid_witness_names_the_substitution():
     v = decide_iglc(parse("q -> ((r -> r) | s)"))
     assert isinstance(v, Valid) and v.witness[0] == "pure atoms: q := ⊤, s := ⊥"
@@ -133,6 +150,8 @@ def test_valid_witness_names_the_substitution():
     assert isinstance(v, Valid) and v.witness[0] == "pure atoms: r := ⊥"
     v = decide_iglc(parse("[]([]p -> p) -> []p"))
     assert isinstance(v, Valid) and not v.witness[0].startswith("pure atoms")
+    for text, witness in WITNESSES.items():
+        assert decide_iglc(parse(text)) == Valid(witness), text
 
 
 def test_pass_is_linear_on_shared_dags():
