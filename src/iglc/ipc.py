@@ -21,8 +21,10 @@ refutation calculus Pinto and Dyckhoff pair with G4ip (Loop-free construction
 of counter-models for intuitionistic propositional logic, 1995) and the
 countermodels Ferrari, Fiorentini and Fiorino read off failed derivations
 (JAR 2013).  A query the classical filter refutes gets one world; otherwise
-each failed sequent is a world or reuses the world of a failed premise.
-``kripke.countermodel`` then filters the model and shrinks it greedily.
+each failed sequent is a world or reuses the world of a failed premise.  The
+read-off makes the search's choices on its table, fresh per ``decide_ipc`` call
+and so indexed in an order the query alone fixes: it asks only what the search
+decided.  ``kripke.countermodel`` then filters the model and shrinks it greedily.
 """
 
 from __future__ import annotations
@@ -313,10 +315,9 @@ def _read_off(table: SequentTable, work: int, goal: int) -> tuple[list[int], dic
 
     A sequent with an invertible failed premise reuses that premise's world.
     Any other is a new world, true on the atoms of its context and ⪯-below
-    the worlds of its failed premises.  Worlds are shared per normal sequent
-    and choices run in (size, rendering) order, so that while the table stays
-    within the classical atom cap a countermodel depends only on the query,
-    not on what its table indexed before.
+    the worlds of its failed premises.  Worlds are shared per normal sequent.
+    The choices are the search's own, on its table, so every premise asked
+    about was decided by the search, unmemoised only for a leaf's ∧/∨ subgoals.
     """
     kind, left, right, close, provable = (table.kind, table.left, table.right,
                                           table.close, table.provable)
@@ -331,9 +332,6 @@ def _read_off(table: SequentTable, work: int, goal: int) -> tuple[list[int], dic
             val[name] = val.get(name, 0) | 1 << w
         return w
 
-    def by_order(i: int):
-        return order_key(table.formulas[i])
-
     def world(work: int, goal: int) -> int:
         work, goal = table.normal(work, goal)
         w = worlds.get((work, goal))
@@ -344,13 +342,13 @@ def _read_off(table: SequentTable, work: int, goal: int) -> tuple[list[int], dic
         elif kind[goal] == _AND:                # a failed conjunct refutes the ∧
             w = world(work, right[goal] if provable(work, left[goal]) else left[goal])
         elif ors := work & table.ors:           # L∨ is invertible: a failed branch
-            i = min(mask_bits(ors), key=by_order)
+            i = (ors & -ors).bit_length() - 1  # the search's split, the lowest index
             rest = work ^ 1 << i
             branch = rest | close(left[i])
             w = world(rest | close(right[i]) if provable(branch, goal) else branch, goal)
         else:
             premises = [(work, left[goal]), (work, right[goal])] if kind[goal] == _OR else []
-            for i in sorted(mask_bits(work & table.imp_imps), key=by_order):
+            for i in mask_bits(work & table.imp_imps):
                 rest = work ^ 1 << i
                 premise = (rest | close(table.aux[i]), left[i])
                 if provable(*premise):
@@ -369,16 +367,14 @@ def _read_off(table: SequentTable, work: int, goal: int) -> tuple[list[int], dic
     return leq, val
 
 
-def decide_ipc(assumptions, goal: Formula,
-               table: SequentTable | None = None) -> Verdict:
+def decide_ipc(assumptions, goal: Formula) -> Verdict:
     """Decide ⋀assumptions → goal in IPC; Invalid carries a refuting model.
 
-    The search and the countermodel read off it share one table: a fresh one
-    unless a caller shares one across a scope of related queries.
+    The search and the countermodel read off it share a fresh table, so the
+    read-off follows the search's choices and asks only what it decided.
     """
     ctx = frozenset(assumptions)
-    if table is None:
-        table = SequentTable()
+    table = SequentTable()
     work = table.context(ctx)
     g = table.add_input(goal)
     if v := table.refuting(work, g):
@@ -396,7 +392,5 @@ def decide_ipc(assumptions, goal: Formula,
 
 def ipc_equiv(a: Formula, b: Formula) -> bool:
     """IPC interderivability of two box-free formulas."""
-    if a == b:
-        return True
     table = SequentTable()
     return ipc_provable((), Imp(a, b), table) and ipc_provable((), Imp(b, a), table)

@@ -143,7 +143,7 @@ class ReferenceTable:
         """Prover-confirmed equivalence; on failure the family gains a separator."""
         for x, y in ((a, b), (b, a)):
             if not ipc_provable((), Imp(x, y), self.g4ip):
-                verdict = decide_ipc((), Imp(x, y), self.g4ip)
+                verdict = decide_ipc((), Imp(x, y))
                 assert isinstance(verdict, IpcInvalid)
                 self.family.add_kripke(verdict.countermodel)
                 self._refingerprint()

@@ -83,6 +83,9 @@ def test_boxed_input_is_named_in_the_error():
                  lambda: ipc_provable((boxed,), P), lambda: ipc_provable((), boxed)):
         with pytest.raises(ValueError, match=r"^boxed formula not allowed here: p -> \[\]q$"):
             call()
+    for a, b in ((Box(P), Box(P)), (Box(P), Box(Q))):   # equal inputs are no exception
+        with pytest.raises(ValueError, match=r"^boxed formula not allowed here:"):
+            ipc_equiv(a, b)
 
 
 def test_assumptions():
@@ -255,6 +258,10 @@ def test_read_off_agrees_with_the_saturation_builder(boxfree_corpus):
             assert refutes_at(v.countermodel, v.root, ctx, goal)
             assert refutes_at(reference_countermodel(ctx, goal), 1, ctx, goal)
     assert invalid > 3000
+    # the query alone fixes the index order: p | q sorts before ~p | r and is split first
+    ctx, goal = {parse("p | q"), parse("~p | r")}, parse("t | ~t")
+    assert (model_to_json(decide_ipc(ctx, goal).countermodel)
+            == '{"worlds": [1, 2], "leq": [[1, 2]], "r": [], "val": {"p": [1, 2], "r": [1, 2], "t": [2]}}')
 
 
 def test_classically_refuted_queries_get_one_world():
@@ -273,23 +280,6 @@ def test_classically_refuted_queries_get_one_world():
         == '{"worlds": [1], "leq": [], "r": [], "val": {"b": [1]}}'
 
 
-def test_shared_table_countermodels_equal_fresh_tables():
-    rng = random.Random(2013)
-    cases = [random_sequent(rng, ("p", "q", "r"), 9) for _ in range(700)]
-    invalid = [(ctx, goal) for ctx, goal in cases if not ipc_provable(ctx, goal)]
-    table = SequentTable()
-    shared = [model_to_json(decide_ipc(ctx, goal, table).countermodel) for ctx, goal in invalid]
-    assert shared == [model_to_json(decide_ipc(ctx, goal).countermodel) for ctx, goal in invalid]
-    assert len(invalid) > 400
-    # a table that indexed ~p | r before p | q still splits on p | q first
-    table = SequentTable()
-    decide_ipc((), parse("~p | r"), table)
-    ctx, goal = {parse("p | q"), parse("~p | r")}, parse("t | ~t")
-    assert (model_to_json(decide_ipc(ctx, goal, table).countermodel)
-            == model_to_json(decide_ipc(ctx, goal).countermodel)
-            == '{"worlds": [1, 2], "leq": [[1, 2]], "r": [], "val": {"p": [1, 2], "r": [1, 2], "t": [2]}}')
-
-
 def test_countermodel_above_the_classical_atom_cap():
     names = [f"p{i}" for i in range(ipc._CLASSICAL_ATOM_CAP + 1)]
     # excluded middle for p0, or the conjunction of all the others
@@ -305,6 +295,41 @@ def test_countermodel_above_the_classical_atom_cap():
 def balanced(op, fs):
     return fs[0] if len(fs) == 1 else op(balanced(op, fs[:len(fs) // 2]),
                                          balanced(op, fs[len(fs) // 2:]))
+
+
+def disjunctive(n):
+    """⋀_{i<n}(pᵢ ∨ qᵢ) → z, whose index order differs from the rendering
+    order from n = 11 on: p10 | q10 renders before p2 | q2."""
+    return Imp(balanced(And, [Or(Atom(f"p{i}"), Atom(f"q{i}")) for i in range(n)]), Atom("z"))
+
+
+def test_read_off_starts_no_search(monkeypatch):
+    # the read-off makes the search's choices, so each sequent it asks about
+    # is in the memo already, or is a leaf whose ∧/∨ subgoals the search
+    # decided unmemoised: every entry it adds is a leaf
+    added = []
+    read_off = ipc._read_off
+
+    def recording(table, work, goal):
+        before = set(table.memo)
+        model = read_off(table, work, goal)
+        branching = table.ors | table.imp_imps
+        added.append([key for key in table.memo.keys() - before if key[0] & branching])
+        return model
+
+    monkeypatch.setattr(ipc, "_read_off", recording)
+    assert isinstance(decide_ipc((), disjunctive(12)), IpcInvalid)
+    f = disjunctive(2000)
+    start = time.perf_counter()
+    v = decide_ipc((), f)
+    assert time.perf_counter() - start < 1
+    assert isinstance(v, IpcInvalid) and not forces(v.countermodel, v.root, f)
+    # with the screen and Glivenko off, every refuted query is read off
+    monkeypatch.setattr(ipc, "_CLASSICAL_ATOM_CAP", -1)
+    rng = random.Random(1995)
+    for _ in range(300):
+        decide_ipc(*random_sequent(rng, ("p", "q", "r", "s"), 10))
+    assert len(added) > 150 and not any(added)
 
 
 def test_wide_mixed_input_is_filtered_before_the_shrink():
@@ -500,7 +525,7 @@ def pigeonhole(n):
 def test_pigeonhole_memo_holds_one_entry_per_leaf(n, leaves):
     # a memo entry per ∧/∨ subgoal of a leaf would give 2,402 and 63,281 entries
     table = SequentTable()
-    assert isinstance(decide_ipc((), pigeonhole(n), table), IpcValid)
+    assert ipc_provable((), pigeonhole(n), table)
     assert len(table.memo) <= leaves
 
 
@@ -517,18 +542,22 @@ DETERMINISM_SCRIPT = """
 import random, sys
 junk = [object() for _ in range(int(sys.argv[1]))]  # shifts every later address
 from conftest import random_formula
-from iglc.ipc import SequentTable, decide_ipc, IpcInvalid
+from iglc import ipc
+from iglc.ipc import decide_ipc, IpcInvalid
 from iglc.kripke import model_to_json
+tables = []
+class Recording(ipc.SequentTable):  # each table decide_ipc builds, for its memo size
+    def __init__(self):
+        super().__init__()
+        tables.append(self)
+ipc.SequentTable = Recording
 rng = random.Random(9451)
-memo = 0
 for i in range(200):
     f = random_formula(rng, ("p", "q", "r", "s", "t"), rng.randint(20, 40), box_prob=0.0)
     ctx = {random_formula(rng, ("p", "q", "r"), 9, box_prob=0.0) for _ in range(i % 4)}
-    table = SequentTable()
-    v = decide_ipc(ctx, f, table)
-    memo += len(table.memo)
+    v = decide_ipc(ctx, f)
     print(f"I{v.root}{model_to_json(v.countermodel)}" if isinstance(v, IpcInvalid) else "V")
-print("memo", memo)
+print("memo", sum(len(t.memo) for t in tables))
 """
 
 
