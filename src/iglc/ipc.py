@@ -10,18 +10,18 @@ mask, what the context-free invertible rules (∧L, ⊥→, ⊤→, A→A, (C∧
 The search's choices run in index order.  A leaf, a sequent whose saturated
 context holds only atoms and p→B with p absent, admits no left rule, and ∧R, ∨R
 keep its context: its goal's ∧/∨ skeleton decides it, an atom or ⊥ by
-membership (for ⊥ so does Glivenko: the context's atoms alone true satisfy it).
-A box □B, indexed only by the iGLC certifier, is an atom to every rule.  Up to
-``_CLASSICAL_ATOM_CAP`` atoms and boxes, a column each, vectors set as formulas
-are indexed (``kripke.truth_mask`` is not used) screen out refutable roots and
-decide a goal ⊥: by Glivenko, Γ ⊢ ⊥ in IPC iff Γ is classically unsatisfiable.
+membership.  A box □B, indexed only by the iGLC certifier, is an atom to every
+rule.  Up to ``_CLASSICAL_ATOM_CAP`` atoms and boxes, a column each, a formula
+gets its truth table as it is indexed, and one rule decides what the tables
+can: a context no assignment satisfies proves ⊥ (Glivenko) and so any goal;
+an assignment satisfying the context and falsifying the goal refutes it (IPC ⊆ CPC).
 
 Countermodels are read off the failed search (``_read_off``), after the
 refutation calculus Pinto and Dyckhoff pair with G4ip (Loop-free construction
 of counter-models for intuitionistic propositional logic, 1995) and the
 countermodels Ferrari, Fiorentini and Fiorino read off failed derivations
-(JAR 2013).  A query the classical filter refutes gets one world; otherwise
-each failed sequent is a world or reuses the world of a failed premise.  The
+(JAR 2013).  A sequent the truth tables refute is one world; any other failed
+sequent is a world or reuses the world of a failed premise.  The
 read-off makes the search's choices on its table, fresh per ``decide_ipc`` call
 and so indexed in an order the query alone fixes: it asks only what the search
 decided.  ``kripke.countermodel`` then filters the model and shrinks it greedily.
@@ -71,8 +71,8 @@ _KINDS = {Atom: _ATOM, Box: _BOX, Bottom: _BOT, And: _AND, Or: _OR, Imp: _IMP}
 
 
 class SequentTable:
-    """The formulas of one search scope by index, their rule masks, and the
-    memo of its saturated sequents, one entry per leaf, none for its ∧/∨ subgoals.
+    """A search scope's formulas by index, their rule masks and truth tables, and
+    its memo of saturated sequents, none a leaf's ∧/∨ subgoal or decided by the tables.
 
     ``closure[i]`` is the context that formula i alone saturates to under the
     context-free invertible rules, computed when the formula first enters a
@@ -225,17 +225,17 @@ class SequentTable:
                 return work, goal
 
     def provable(self, work: int, goal: int) -> bool:
-        """Decide the sequent (work ⊢ goal) by G4ip."""
+        """Decide the sequent (work ⊢ goal): the classical rule, then G4ip."""
         work, goal = self.normal(work, goal)
         if goal < 0:
             return True
-        kind, left, right, close = self.kind, self.left, self.right, self.close
-        if kind[goal] == _BOT and self.classical():
-            return not self.premises(work)      # Glivenko: Γ ⊢_IPC ⊥ iff Γ ⊢_CPC ⊥
         key = (work, goal)
         hit = self.memo.get(key)
         if hit is not None:
             return hit
+        if self.classical() and (not (v := self.premises(work)) or v & ~self.vectors[goal]):
+            return not v                        # Glivenko, or IPC ⊆ CPC; not memoised
+        kind, left, right, close = self.kind, self.left, self.right, self.close
         self.memo[key] = False  # cycle guard; G4ip terminates, this is belt and braces
         # The goal is an atom, ⊥, ∧ or ∨ here; the context holds atoms, ∨,
         # p→B with p absent and (C→D)→B: a leaf, memoised whole, without those.
@@ -276,7 +276,7 @@ class SequentTable:
 
     def refuting(self, work: int, goal: int) -> int:
         """The assignments that satisfy the context and falsify the goal, 0
-        above the column cap: a sound screen, as IPC ⊆ classical logic."""
+        above the column cap: each refutes the sequent, as IPC ⊆ CPC."""
         return self.classical() and self.premises(work) & ~self.vectors[goal]
 
     def assignment(self, v: int) -> list[str]:
@@ -301,9 +301,7 @@ def ipc_provable(context, goal: Formula, table: SequentTable | None = None) -> b
     """
     if table is None:
         table = SequentTable()
-    work = table.context(context)
-    g = table.add_input(goal)
-    return not table.refuting(work, g) and table.provable(work, g)
+    return table.provable(table.context(context), table.add_input(goal))
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +311,12 @@ def _read_off(table: SequentTable, work: int, goal: int) -> tuple[list[int], dic
     """The ⪯-successor masks and atom masks of a model whose world 0 refutes
     the unprovable sequent (work ⊢ goal), read off its failed search.
 
-    A sequent with an invertible failed premise reuses that premise's world.
-    Any other is a new world, true on the atoms of its context and ⪯-below
-    the worlds of its failed premises.  Worlds are shared per normal sequent.
-    The choices are the search's own, on its table, so every premise asked
-    about was decided by the search, unmemoised only for a leaf's ∧/∨ subgoals.
+    A sequent the truth tables refute is one world, true on ``assignment``.
+    One with an invertible failed premise reuses that premise's world.  Any
+    other is a new world, true on the atoms of its context and ⪯-below the
+    worlds of its failed premises.  Worlds are shared per normal sequent.  The
+    search made the same choices on this table, so it decided every premise
+    asked about; only a leaf's ∧/∨ subgoals and the tables' answers are unmemoised.
     """
     kind, left, right, close, provable = (table.kind, table.left, table.right,
                                           table.close, table.provable)
@@ -337,8 +336,8 @@ def _read_off(table: SequentTable, work: int, goal: int) -> tuple[list[int], dic
         w = worlds.get((work, goal))
         if w is not None:
             return w
-        if kind[goal] == _BOT and table.classical():    # Glivenko: a classical model of Γ
-            w = new(table.assignment(table.premises(work)))
+        if v := table.refuting(work, goal):     # one world: a classical refutation
+            w = new(table.assignment(v))
         elif kind[goal] == _AND:                # a failed conjunct refutes the ∧
             w = world(work, right[goal] if provable(work, left[goal]) else left[goal])
         elif ors := work & table.ors:           # L∨ is invertible: a failed branch
@@ -371,18 +370,15 @@ def decide_ipc(assumptions, goal: Formula) -> Verdict:
     """Decide ⋀assumptions → goal in IPC; Invalid carries a refuting model.
 
     The search and the countermodel read off it share a fresh table, so the
-    read-off follows the search's choices and asks only what it decided.
+    read-off, the one path to a countermodel, asks only what the search decided.
     """
     ctx = frozenset(assumptions)
     table = SequentTable()
     work = table.context(ctx)
     g = table.add_input(goal)
-    if v := table.refuting(work, g):
-        leq, val = [1], dict.fromkeys(table.assignment(v), 1)
-    elif table.provable(work, g):
+    if table.provable(work, g):
         return Valid()
-    else:
-        leq, val = _read_off(table, work, g)
+    leq, val = _read_off(table, work, g)
     model = countermodel(leq, [0] * len(leq), val, ctx, (goal,), lambda steps: None)
     if forces(model, 1, goal) or not all(forces(model, 1, f) for f in ctx):
         raise RuntimeError("internal error: countermodel failed its own check "

@@ -141,6 +141,13 @@ def _canonical_table(arity: int) -> _CanonicalTable:
     return tbl
 
 
+def _table_for(names) -> _CanonicalTable:
+    """The table of the alphabet's arity; AlphabetTooLarge past the cap."""
+    if len(names) > DEFAULT_MAX_ATOMS:
+        raise AlphabetTooLarge(f"alphabet {list(names)} exceeds the cap of {DEFAULT_MAX_ATOMS}")
+    return _canonical_table(len(names))
+
+
 # ---------------------------------------------------------------------------
 # Public surface.
 
@@ -158,10 +165,7 @@ def enumerate_nnil_classes(atom_names) -> NnilClassTable:
     names = tuple(atom_names)
     if len(set(names)) != len(names):
         raise ValueError("duplicate atom names")
-    if len(names) > DEFAULT_MAX_ATOMS:
-        raise AlphabetTooLarge(
-            f"alphabet {list(names)} exceeds the cap of {DEFAULT_MAX_ATOMS}")
-    tbl = _canonical_table(len(names))
+    tbl = _table_for(names)
     back = {c: Atom(n) for c, n in zip(tbl.names, names)}
     return NnilClassTable(names, tuple(substitute(r, back) for r in tbl.reps))
 
@@ -175,10 +179,7 @@ def nnil_star(a: Formula) -> Formula:
     if not is_box_free(a):
         raise ValueError(f"boxed formula not allowed here: {render(a)}")
     names = sorted(atoms(a))
-    if len(names) > DEFAULT_MAX_ATOMS:
-        raise AlphabetTooLarge(
-            f"alphabet {list(names)} exceeds the cap of {DEFAULT_MAX_ATOMS}")
-    tbl = _canonical_table(len(names))
+    tbl = _table_for(names)
     fwd = {n: Atom(c) for n, c in zip(names, tbl.names)}
     back = {c: Atom(n) for n, c in zip(names, tbl.names)}
     return substitute(tbl.star(substitute(a, fwd)), back)

@@ -39,7 +39,8 @@ class TruthSet(Record):
     @staticmethod
     def finite(worlds) -> "TruthSet":
         ws = frozenset(worlds)
-        assert 0 not in ws, "forcing at world 0 spreads everywhere"
+        if 0 in ws:
+            raise ValueError("forcing at world 0 spreads everywhere")
         return TruthSet(False, ws)
 
     def __contains__(self, world: int) -> bool:
@@ -141,10 +142,11 @@ def truth_set(m: ExtendedModel, a: Formula) -> TruthSet:
     H = _horizon(m, a)
     row = _truth_table(m, a)[a]
     if row & 1:
-        assert row == (1 << (H + 1)) - 1, \
-            "world 0 forced the formula but a positive world refutes it"
+        if row != (1 << (H + 1)) - 1:
+            raise AssertionError("world 0 forced the formula but a positive world refutes it")
         return TruthSet.every()
-    assert not row >> H & 1, "formula stabilized true on the tail but fails at world 0"
+    if row >> H & 1:
+        raise AssertionError("formula stabilized true on the tail but fails at world 0")
     return TruthSet.finite(i for i in range(1, H + 1) if row >> i & 1)
 
 

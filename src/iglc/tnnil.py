@@ -50,5 +50,6 @@ def _plus(a: Formula) -> Formula:
     mapping = {q: Box(_plus(b))
                for q, b in zip(dec.placeholders, dec.boxed_parts)}
     out = substitute(starred, mapping)
-    assert boxdepth(out) <= boxdepth(a)
+    if boxdepth(out) > boxdepth(a):
+        raise AssertionError(f"the plus-transform raised the box depth of {render(a)}")
     return out

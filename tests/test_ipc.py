@@ -144,7 +144,7 @@ def test_memo_idempotent():
 
 
 # ---------------------------------------------------------------------------
-# The classical screen and the countermodels read off the failed search.
+# The classical rule and the countermodels read off the failed search.
 
 def random_sequent(rng, names, max_size):
     ctx = frozenset(random_formula(rng, names, rng.randint(1, max_size), box_prob=0.0)
@@ -185,7 +185,7 @@ def test_screen_matches_a_truth_table_built_assignment_by_assignment():
                                        if classical_value(f, w)), render(f)
     for k, w in enumerate(worlds):
         assert table.assignment(1 << k) == sorted(p for p in pool if w[p])
-    # past the cap the screen is off, and the table decides as a fresh one does
+    # past the cap the classical rule is off, and the table decides as a fresh one does
     wide = parse(" & ".join(f"b{i}" for i in range(ipc._CLASSICAL_ATOM_CAP)))
     table.add_input(wide)
     assert not table.classical() and table.full.bit_length() == 1 << ipc._CLASSICAL_ATOM_CAP
@@ -264,7 +264,11 @@ def test_read_off_agrees_with_the_saturation_builder(boxfree_corpus):
             == '{"worlds": [1, 2], "leq": [[1, 2]], "r": [], "val": {"p": [1, 2], "r": [1, 2], "t": [2]}}')
 
 
-def test_classically_refuted_queries_get_one_world():
+def test_classically_refuted_queries_get_one_world(monkeypatch):
+    # every countermodel comes from the read-off, a one-world one included
+    read_offs = []
+    read_off = ipc._read_off
+    monkeypatch.setattr(ipc, "_read_off", lambda *args: read_offs.append(args) or read_off(*args))
     rng = random.Random(1995)
     refuted = 0
     for _ in range(300):
@@ -274,7 +278,7 @@ def test_classically_refuted_queries_get_one_world():
             refuted += 1
             v = decide_ipc(ctx, goal)
             assert len(v.countermodel.order) == 1 and refutes_at(v.countermodel, 1, ctx, goal)
-    assert refuted > 100
+    assert refuted > 100 and len(read_offs) >= refuted
     # the assignment least in name order, false before true
     assert model_to_json(decide_ipc((parse("b | a"),), parse("b & c")).countermodel) \
         == '{"worlds": [1], "leq": [], "r": [], "val": {"b": [1]}}'
@@ -324,7 +328,7 @@ def test_read_off_starts_no_search(monkeypatch):
     v = decide_ipc((), f)
     assert time.perf_counter() - start < 1
     assert isinstance(v, IpcInvalid) and not forces(v.countermodel, v.root, f)
-    # with the screen and Glivenko off, every refuted query is read off
+    # with the classical rule off, the read-off walks every refuted query's search
     monkeypatch.setattr(ipc, "_CLASSICAL_ATOM_CAP", -1)
     rng = random.Random(1995)
     for _ in range(300):
@@ -334,7 +338,7 @@ def test_read_off_starts_no_search(monkeypatch):
 
 def test_wide_mixed_input_is_filtered_before_the_shrink():
     # ⋀((qᵢ→rᵢ)→bᵢ) → ⋁[z ∨ ~z, qᵢ ∧ (~rᵢ ∧ bᵢ)…], every atom mixed and 25 of
-    # them, so the classical screen is off; the read-off has thousands of
+    # them, so the classical rule is off; the read-off has thousands of
     # worlds, and a greedy shrink over all of them is cubic in their number
     n = 8
     q, r, b = ([Atom(f"{c}{i}") for i in range(n)] for c in "qrb")
@@ -367,6 +371,24 @@ def test_glivenko_bottom_goals_match_plain_search(monkeypatch):
     assert [ipc_provable(ctx, goal) for ctx, goal in cases] == with_tables
     bottom = [v for (_, goal), v in zip(cases, with_tables) if goal is BOT]
     assert 20 < sum(bottom) < len(bottom) - 20
+
+
+def test_memo_holds_no_classically_decided_sequent():
+    # the classical rule answers before the search makes an entry, so every
+    # entry has a satisfiable context and no assignment that refutes it
+    rng = random.Random(29)
+    entries = 0
+    for names in (("p", "q", "r"), ("p", "q", "r", "s", "t")):
+        for _ in range(200):
+            ctx, goal = random_sequent(rng, names, 16)
+            table = SequentTable()
+            table.provable(table.context(ctx), table.add_input(goal))
+            assert table.classical()
+            for work, g in table.memo:
+                v = table.premises(work)
+                assert v and not v & ~table.vectors[g], (ctx, goal, render(table.formulas[g]))
+            entries += len(table.memo)
+    assert entries > 100
 
 
 # ---------------------------------------------------------------------------

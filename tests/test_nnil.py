@@ -89,12 +89,14 @@ def test_table_closure_two_atoms_sampled():
 
 
 def test_alphabet_cap():
-    with pytest.raises(AlphabetTooLarge):
+    with pytest.raises(AlphabetTooLarge) as err:
         enumerate_nnil_classes(["a", "b", "c", "d"])
+    assert str(err.value) == "alphabet ['a', 'b', 'c', 'd'] exceeds the cap of 2"
     with pytest.raises(ValueError, match="duplicate"):
         enumerate_nnil_classes(["p", "p"])
-    with pytest.raises(AlphabetTooLarge):
+    with pytest.raises(AlphabetTooLarge) as err:
         nnil_star(parse("p & q & r & s"))
+    assert str(err.value) == "alphabet ['p', 'q', 'r', 's'] exceeds the cap of 2"
 
 
 def test_three_names_exceed_the_default_cap():

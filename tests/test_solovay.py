@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +73,19 @@ def test_truth_set_examples():
     assert truth_set(m, P) == TruthSet.finite({1})
     assert truth_set(m, parse("p -> p")).all_worlds
     assert truth_set(m, parse("[]p")) == TruthSet.finite({1, 2})
+
+
+def test_finite_truth_set_rejects_world_zero_under_optimisation():
+    # a raise, not an assert that ``python -O`` strips: a finite truth set
+    # holding world 0 would contradict TruthSet.every()
+    with pytest.raises(ValueError, match="world 0"):
+        TruthSet.finite({0, 1})
+    code = ("from iglc.solovay import TruthSet\n"
+            "try:\n    TruthSet.finite({0})\nexcept ValueError as e:\n    print(e)")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout == "forcing at world 0 spreads everywhere\n"
 
 
 def test_tail_profiles_example():
