@@ -80,7 +80,7 @@ from functools import lru_cache
 from .formula import (And, Atom, Bottom, Box, Formula, Imp, Or, BOT, TOP, Record, _rebuild,
                       atoms, order_key, render, subsentences)
 from .ipc import DEFAULT_BUDGET, BudgetExceeded, Invalid, SequentTable, Valid, Verdict
-from .kripke import (KripkeModel, countermodel, forces, mask_bits, model_from_masks,
+from .kripke import (KripkeModel, _report, countermodel, forces, mask_bits, model_from_masks,
                      successor_masks, truth_mask, upward_closed_sets)
 
 __all__ = [
@@ -103,6 +103,8 @@ class _Budget:
     __slots__ = ("limit", "used")
 
     def __init__(self, limit: int):
+        if limit < 0:
+            raise ValueError(f"budget must not be negative: {limit}")
         self.limit = limit
         self.used = 0
 
@@ -114,6 +116,7 @@ class _Budget:
 
 def clear_caches() -> None:
     _compiled.cache_clear()
+    _report.cache_clear()
 
 
 def _machine_check(model: KripkeModel, root: int, query: Formula) -> None:
@@ -471,7 +474,8 @@ def _decide(a: Formula, bud: _Budget) -> Verdict:
 
 
 def decide_iglc(a: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Decide ⊢_iGLC a; Invalid carries a finite irreflexive realistic countermodel."""
+    """Decide ⊢_iGLC a; Invalid carries a finite irreflexive realistic countermodel.
+    A negative budget raises ValueError."""
     try:
         return _decide(a, _Budget(budget))
     except BudgetExhausted as e:

@@ -29,6 +29,8 @@ decided.  ``kripke.countermodel`` then filters the model and shrinks it greedily
 
 from __future__ import annotations
 
+from bisect import insort
+
 from .formula import (And, Atom, Bottom, Box, Formula, Imp, Or, Record, TOP, is_box_free,
                       order_key, render)
 from .kripke import countermodel, forces, mask_bits
@@ -93,7 +95,7 @@ class SequentTable:
         self.ors = 0                            # the bits of ∨-formulas in contexts
         self.atom_imps = 0                      # p→B and □C→B
         self.imp_imps = 0                       # (C→D)→B
-        self.names: list[str] = []              # the atoms in index order
+        self.names: list[tuple[str, int]] = []  # (name, index) of each atom, in name order
         self.columns = 0                        # the atoms and boxes, a column each
         self.vectors: list[int] = []            # bit k: formula i's value under assignment k
         self.full = 1                           # the assignments: k makes column t true iff bit t
@@ -120,7 +122,7 @@ class SequentTable:
         v = 0
         if kind <= _BOX:                        # a column: an atom, or □B read as one
             if kind == _ATOM:
-                self.names.append(f.name)
+                insort(self.names, (f.name, i))
             self.columns += 1
             if self.classical():                # double the assignments
                 half = self.full.bit_length()
@@ -283,8 +285,8 @@ class SequentTable:
         """The atoms true under the assignment of v that is least when the
         atoms are read in name order, false before true."""
         true = []
-        for name in sorted(self.names):
-            p = self.vectors[self.index[Atom(name)]]
+        for name, i in self.names:
+            p = self.vectors[i]
             if v & ~p:
                 v &= ~p
             else:
@@ -371,12 +373,12 @@ def decide_ipc(assumptions, goal: Formula) -> Verdict:
 
     The search and the countermodel read off it share a fresh table, so the
     read-off, the one path to a countermodel, asks only what the search decided.
+    The root is normalised once, before both.
     """
     ctx = frozenset(assumptions)
     table = SequentTable()
-    work = table.context(ctx)
-    g = table.add_input(goal)
-    if table.provable(work, g):
+    work, g = table.normal(table.context(ctx), table.add_input(goal))
+    if g < 0 or table.provable(work, g):
         return Valid()
     leq, val = _read_off(table, work, g)
     model = countermodel(leq, [0] * len(leq), val, ctx, (goal,), lambda steps: None)

@@ -6,12 +6,14 @@ integers; a relation is a list of per-world successor bitmasks.  Pair sets
 appear only at the edges: a ``Frame`` is compiled to masks once, and a model's
 ``frame`` and ``valuation`` are views of its masks, for export.
 
-A ``KripkeModel`` keeps only the masks it is validated on (``_report``) and
-its ``FrameReport``.  ``truth_mask``, the one evaluator, reads per-world
-masks or masks in offset form (one per index distance, for models laid side
-by side), also on a submodel given by a mask of kept worlds: ``forces``, the
-deciders' machine checks, the tail extension, the NNIL fingerprint family and
-the iGLC scan each make one pass per question.  ``countermodel``, the one
+A ``KripkeModel`` keeps only the masks it is validated on and its
+``FrameReport``.  ``_report`` validates each distinct frame once and keeps
+the reports of the ``_FRAME_REPORTS`` frames used last, so the many models a
+decider builds on few frames share them.  ``truth_mask``, the one evaluator,
+reads per-world masks or masks in offset form (one per index distance, for
+models laid side by side), also on a submodel given by a mask of kept worlds:
+``forces``, the deciders' machine checks, the tail extension, the NNIL
+fingerprint family and the iGLC scan each make one pass per question.  ``countermodel``, the one
 countermodel finisher of the iGLC and IPC deciders, filters a model, shrinks
 it greedily, and validates the kept worlds' masks as one model
 (``model_from_masks``).
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from functools import lru_cache
 from .formula import And, Atom, Bottom, Box, Formula, Imp, Or, Record, atoms
 
 __all__ = [
@@ -32,6 +35,7 @@ __all__ = [
 ]
 
 VALID_ON_FRAME_WORLD_LIMIT = 8
+_FRAME_REPORTS = 64             # the distinct frames whose reports ``_report`` keeps
 
 
 class ModelError(ValueError):
@@ -100,7 +104,8 @@ def _compile(frame: Frame) -> tuple[list[int], dict[int, int], list[int], list[i
     return order, index, successor_masks(index, frame.leq), successor_masks(index, frame.r)
 
 
-def _report(leq_succ: list[int], r_succ: list[int]) -> FrameReport:
+@lru_cache(maxsize=_FRAME_REPORTS)
+def _report(leq_succ: tuple[int, ...], r_succ: tuple[int, ...]) -> FrameReport:
     """The seven frame properties by direct definition, on successor masks:
     a law over all pairs (a, b) is one test per world a against the OR of its
     successors' masks; a preorder is antisymmetric iff its ⪯-masks are
@@ -130,7 +135,7 @@ def _report(leq_succ: list[int], r_succ: list[int]) -> FrameReport:
 def check_frame(frame: Frame) -> FrameReport:
     """The seven frame properties of finite data; ModelError on an empty world
     set or a relation pair that mentions an unknown world."""
-    return _report(*_compile(frame)[2:])
+    return _report(*map(tuple, _compile(frame)[2:]))
 
 
 class KripkeModel:
@@ -157,7 +162,7 @@ class KripkeModel:
 
     def _validate(self, order: list[int], leq_succ: list[int], r_succ: list[int]) -> None:
         """Adopt the frame's masks, or raise ModelError; no atoms yet."""
-        self.report = rep = _report(leq_succ, r_succ)
+        self.report = rep = _report(tuple(leq_succ), tuple(r_succ))
         if not rep.is_poset:
             raise ModelError("leq is not a partial order")
         if not rep.has_model_property:
@@ -317,7 +322,8 @@ def countermodel(leq_succ, r_succ, val: dict[str, int], holds, fails, charge) ->
 
 
 def model_from_masks(leq_succ, r_succ, val: dict[str, int], keep: int) -> KripkeModel:
-    """The validated submodel on ``keep``; kept indices become worlds 1, 2, … in order."""
+    """The validated submodel on ``keep``; kept indices become worlds 1, 2, … in order.
+    Its frame is validated once per distinct frame, its valuation on every call."""
     if not keep:
         raise ModelError("empty world set")
     leq_succ, r_succ, val = _restrict(leq_succ, r_succ, val, keep)

@@ -14,7 +14,8 @@ try:
 except ImportError:
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from iglc.formula import And, Atom, Bottom, Box, Formula, Imp, Or, BOT, TOP, Neg, boxdepth
+from iglc.formula import And, Atom, Bottom, Box, Formula, Imp, Or, BOT, TOP, Neg, boxdepth, size
+from iglc.ipc import SequentTable
 from iglc.kripke import KripkeModel, upward_closed_sets
 
 PQ = ("p", "q")
@@ -74,6 +75,32 @@ def deep_population_formulas() -> list[Formula]:
     rng = random.Random(1804)
     return [random_formula(rng, ("p", "q", "r"), rng.randint(14, 22), box_prob=0.25)
             for _ in range(1000)]
+
+
+def ipc_population_formulas() -> list[Formula]:
+    """The ipc_search benchmark population (perfbench/workloads.py) without its
+    two pigeonhole formulas: 998 random 5-atom formulas of size 30-60, every
+    third one redrawn until it is a classical tautology."""
+    rng = random.Random(9451)
+
+    def shaped() -> Formula:
+        while True:
+            f = random_formula(rng, ("p", "q", "r", "s", "t"), rng.randint(30, 60),
+                               box_prob=0.0)
+            if 30 <= size(f) <= 60:
+                return f
+
+    def tautology(f: Formula) -> bool:
+        table = SequentTable()
+        return not table.refuting(0, table.add_input(f))
+
+    out = []
+    for i in range(998):
+        f = shaped()
+        while i % 3 == 2 and not tautology(f):
+            f = shaped()
+        out.append(f)
+    return out
 
 
 def random_sugared_formula(rng: random.Random, max_size: int) -> Formula:

@@ -6,7 +6,7 @@ import types
 
 import pytest
 
-from iglc import iglc_prover
+from iglc import ha, iglc_prover
 from iglc.formula import (And, Atom, Bottom, Box, Imp, Or, BOT, Iff, atoms, modal_decompose,
                           parse, render, subsentences)
 from iglc.iglc_prover import (AdequateSet, BudgetExceeded, BudgetExhausted,
@@ -73,6 +73,20 @@ def test_budget_exceeded_is_distinct():
     v = decide_iglc(MOJTAHEDI, budget=5)
     assert isinstance(v, BudgetExceeded)
     assert v.steps_used > 5
+
+
+def test_a_negative_budget_is_an_error():
+    x = AdequateSet.standard(P)
+    deciders = [lambda b: decide_iglc(Imp(P, P), b), lambda b: derives_iglc([P], P, b),
+                lambda b: is_saturated(set(), x, b), lambda b: saturate(set(), P, x, b)]
+    deciders += [lambda b, d=d: d(Imp(P, P), b) for d in
+                 (ha.in_ha_sigma1_logic, ha.in_ha_fast_sigma1_logic,
+                  ha.in_selfcompletion_fast_logic)]
+    for decide in deciders:
+        with pytest.raises(ValueError, match="must not be negative"):
+            decide(-1)
+    for decide in deciders[:2] + deciders[4:]:
+        assert decide(0) == BudgetExceeded(1)
 
 
 def test_nec_and_mp_closure_sampled():

@@ -17,7 +17,7 @@ from iglc.ipc import (IpcInvalid, IpcValid, SequentTable, decide_ipc, ipc_equiv,
                       ipc_provable)
 from iglc.kripke import (check_frame, countermodel, forces, model_from_masks,
                          model_to_json)
-from conftest import random_formula
+from conftest import ipc_population_formulas, random_formula
 
 P, Q = Atom("p"), Atom("q")
 
@@ -178,8 +178,9 @@ def test_screen_matches_a_truth_table_built_assignment_by_assignment():
     for n in range(150):
         names = rng.sample(order[:1 + n // 25], rng.randint(1, 1 + n // 25))
         table.add_input(random_formula(rng, names, rng.randint(1, 12), 0.0))
-    assert table.classical() and len(table.names) == 6
-    worlds = [{p: bool(k >> t & 1) for t, p in enumerate(table.names)} for k in range(64)]
+    columns = [f.name for f in table.formulas if type(f) is Atom]   # in index order
+    assert table.classical() and len(columns) == 6
+    worlds = [{p: bool(k >> t & 1) for t, p in enumerate(columns)} for k in range(64)]
     for i, f in enumerate(table.formulas):
         assert table.vectors[i] == sum(1 << k for k, w in enumerate(worlds)
                                        if classical_value(f, w)), render(f)
@@ -282,6 +283,27 @@ def test_classically_refuted_queries_get_one_world(monkeypatch):
     # the assignment least in name order, false before true
     assert model_to_json(decide_ipc((parse("b | a"),), parse("b & c")).countermodel) \
         == '{"worlds": [1], "leq": [], "r": [], "val": {"b": [1]}}'
+
+
+def test_a_refuted_root_is_normalised_once(monkeypatch):
+    # decide_ipc hands the normal root to the search and to the read-off
+    normal, changed = SequentTable.normal, []
+
+    def spy(self, work, goal):
+        out = normal(self, work, goal)
+        changed[-1] += out != (work, goal)
+        return out
+
+    refuted = []
+    for f in ipc_population_formulas():
+        table = SequentTable()
+        if table.refuting(0, table.add_input(f)):
+            refuted.append(f)
+    monkeypatch.setattr(SequentTable, "normal", spy)
+    for f in refuted:
+        changed.append(0)
+        assert len(decide_ipc((), f).countermodel.order) == 1
+    assert len(refuted) > 400 and max(changed) == 1
 
 
 def test_countermodel_above_the_classical_atom_cap():

@@ -3,14 +3,16 @@ import random
 
 import pytest
 
+from iglc import kripke
 from iglc.formula import Atom, Box, TOP, atoms, parse
-from iglc.iglc_prover import decide_iglc
+from iglc.iglc_prover import Invalid, clear_caches, decide_iglc
+from iglc.ipc import decide_ipc
 from iglc.kripke import (Frame, FrameReport, KripkeModel, ModelError, check_frame,
                          forces, mask_bits, model_from_json, model_from_masks,
                          model_to_dot, model_to_json, successor_masks, truth_mask,
                          upward_closed_sets, valid_on_frame, valid_on_model)
-from conftest import (enumerate_iml_frames, random_formula,
-                      random_realistic_model)
+from conftest import (deep_population_formulas, enumerate_iml_frames, ipc_population_formulas,
+                      random_formula, random_realistic_model)
 
 P = Atom("p")
 LOB = parse("[]([]p -> p) -> []p")
@@ -487,3 +489,85 @@ def test_model_errors_keep_their_messages():
         with pytest.raises(ModelError) as e:
             KripkeModel.make(*args)
         assert str(e.value) == message
+
+
+# ---------------------------------------------------------------------------
+# The frame-report table: one validation per distinct frame.
+
+def _countermodels(population, corpus):
+    """The countermodels of the Invalid answers on a benchmark population,
+    with ``corpus`` standing for iglc_corpus's."""
+    if population == "ipc":
+        return [v.countermodel for f in ipc_population_formulas()
+                if isinstance(v := decide_ipc((), f), Invalid)]
+    formulas = deep_population_formulas() if population == "deep" else corpus
+    return [v.countermodel for f in formulas if isinstance(v := decide_iglc(f), Invalid)]
+
+
+@pytest.mark.parametrize("population", ["ipc", "corpus", "deep"])
+def test_decided_models_carry_their_frames_reports(population, modal_corpus):
+    models = _countermodels(population, random.Random(30).sample(modal_corpus, 2000))
+    assert len(models) > 500
+    for m in models:
+        kripke._report.cache_clear()        # check_frame computes the report afresh
+        assert m.report == check_frame(m.frame)
+
+
+@pytest.mark.parametrize("population, frames", [("ipc", 8), ("corpus", 6), ("deep", 13)])
+def test_a_decide_loop_validates_each_frame_once(population, frames, modal_corpus,
+                                                 monkeypatch):
+    builds = []
+    validate = KripkeModel._validate
+    monkeypatch.setattr(KripkeModel, "_validate",
+                        lambda self, *masks: builds.append(1) or validate(self, *masks))
+    clear_caches()
+    models = _countermodels(population, modal_corpus)
+    distinct = {(tuple(m.leq_succ), tuple(m.r_succ)) for m in models}
+    assert kripke._report.cache_info().misses == len(distinct) == frames
+    assert len(builds) > 15 * frames
+
+
+def test_models_on_one_frame_stay_independent():
+    kripke._report.cache_clear()
+    frame = ([1, 2], [(1, 1), (2, 2), (1, 2)], [(1, 2)])
+    a = KripkeModel.make(*frame, {"p": [2]})
+    b = KripkeModel.make(*frame, {"p": [1, 2], "q": [2]})
+    assert kripke._report.cache_info().misses == 1 and a.report is b.report
+    assert a.leq_succ == b.leq_succ and a.leq_succ is not b.leq_succ
+    assert a.r_succ is not b.r_succ and a.val is not b.val
+    assert a != b and (a.val, b.val) == ({"p": 2}, {"p": 3, "q": 2})
+    again = KripkeModel.make(*frame, {"p": [2], "q": []})
+    assert again == a and hash(again) == hash(a) and model_to_json(again) == model_to_json(a)
+    leq, r = [0b11, 0b10], [0b10, 0]
+    c, d = (model_from_masks(leq, r, val, 0b11) for val in ({"p": 2}, {"p": 3}))
+    c.leq_succ[0] = 0b01
+    assert d.leq_succ == leq == [0b11, 0b10] and c != d
+    with pytest.raises(ModelError, match="not monotone"):
+        model_from_masks(leq, r, {"p": 1}, 0b11)  # the valuation is checked on every model
+
+
+def test_an_invalid_frame_raises_on_every_construction():
+    cases = [([0b11, 0b11], [0, 0], "leq is not a partial order"),
+             ([0b11, 0b10], [0, 0b10], "model property fails")]
+    for leq, r, message in cases:
+        pairs = [(a + 1, b + 1) for a, s in enumerate(leq) for b in mask_bits(s)]
+        frame = Frame.make([1, 2], pairs, [(a + 1, b + 1) for a, s in enumerate(r)
+                                           for b in mask_bits(s)])
+        for _ in range(3):
+            with pytest.raises(ModelError, match=message):
+                model_from_masks(leq, r, {}, 0b11)
+            with pytest.raises(ModelError, match=message):
+                KripkeModel(frame, {"p": [2]})
+
+
+def test_report_table_keeps_its_bound():
+    kripke._report.cache_clear()
+    bound = kripke._report.cache_info().maxsize
+    rng = random.Random(64)
+    models = [random_realistic_model(rng, 6, ("p",)) for _ in range(4 * bound)]
+    assert len({(tuple(m.leq_succ), tuple(m.r_succ)) for m in models}) > 2 * bound
+    for m in models + models:
+        key = tuple(m.leq_succ), tuple(m.r_succ)
+        assert m.report == kripke._report(*key) == kripke._report.__wrapped__(*key)
+        assert kripke._report.cache_info().currsize <= bound
+    assert kripke._report.cache_info().currsize == bound
