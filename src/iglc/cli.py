@@ -213,20 +213,21 @@ def _corpus_verdict(parts: list[str], budget: int) -> str:
 
 def _cmd_corpus_run(args) -> int:
     try:
-        with open(args.path) as fh:
-            lines = fh.readlines()
+        with open(args.path, "rb") as fh:
+            lines = fh.read().splitlines()
     except OSError as e:
         print(f"error: cannot read {args.path}: {e}", file=sys.stderr)
         return EXIT_USAGE
     results = []
     for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
+        stripped = line.decode(errors="replace").strip()
         if not stripped or stripped.startswith("#"):
             continue
         parts = [p.strip() for p in stripped.split("\t")]
         expected, logic, text = parts if len(parts) == 3 else (None, None, stripped)
         row = {"line": lineno, "logic": logic, "formula": text, "expected": expected}
         try:
+            line.decode()           # a line that is not UTF-8 raises UnicodeDecodeError here
             row["actual"] = word = _corpus_verdict(parts, args.budget)
             row["outcome"] = ("budget-exceeded" if word == "budget-exceeded"
                               else "ok" if word == expected else "MISMATCH")

@@ -68,8 +68,10 @@ class _Node:
     (everything downstream keys dictionaries by formulas), and makes a
     formula a DAG: every walk below visits each distinct subformula once.
     A node class only lists its fields in ``__slots__``; the one constructor
-    looks the tuple of field values up in the class's own table and, on a
-    miss, builds a node that stores its tree ``size`` and ``boxdepth``.
+    looks the tuple of field values up in the class's own table.  A miss checks
+    the arity, sets the fields by it (two operands for ∧, ∨ and →, one for □,
+    a name for an atom, none for ⊥) and stores the tree ``size`` and
+    ``boxdepth``, computed from the operands' own.
     """
 
     __slots__ = ("size", "boxdepth")
@@ -79,19 +81,30 @@ class _Node:
 
     def __new__(cls, *fields):
         f = cls._nodes.get(fields)
-        if f is None:
-            if len(fields) != len(cls.__slots__):
-                raise TypeError(f"{cls.__name__} has fields {cls.__slots__}, got {len(fields)}")
-            f = object.__new__(cls)
-            n, depth = 1, 0
-            for name, value in zip(cls.__slots__, fields):
-                object.__setattr__(f, name, value)
-                if cls is not Atom:
-                    n += value.size
-                    depth = max(depth, value.boxdepth)
-            object.__setattr__(f, "size", n)
-            object.__setattr__(f, "boxdepth", depth + (cls is Box))
-            cls._nodes[fields] = f
+        if f is not None:
+            return f
+        if len(fields) != len(cls.__slots__):
+            raise TypeError(f"{cls.__name__} has fields {cls.__slots__}, got {len(fields)}")
+        f = object.__new__(cls)
+        put = object.__setattr__
+        if len(fields) == 2:                    # And, Or, Imp
+            left, right = fields
+            put(f, "left", left)
+            put(f, "right", right)
+            put(f, "size", 1 + left.size + right.size)
+            depth, other = left.boxdepth, right.boxdepth
+            put(f, "boxdepth", depth if depth >= other else other)
+        elif cls is Box:
+            (inner,) = fields
+            put(f, "inner", inner)
+            put(f, "size", 1 + inner.size)
+            put(f, "boxdepth", 1 + inner.boxdepth)
+        else:                                   # Atom, Bottom
+            if fields:
+                put(f, "name", fields[0])
+            put(f, "size", 1)
+            put(f, "boxdepth", 0)
+        cls._nodes[fields] = f
         return f
 
     def __setattr__(self, name, value):
@@ -160,6 +173,11 @@ def Iff(a: Formula, b: Formula) -> Formula:
 #   and_expr := unary ( "&" unary )*
 #   unary := "~" unary | "[]" unary | atom
 #   atom := IDENT | "false" | "true" | "(" formula ")"
+#
+# ``parse`` reads it without recursion, in one loop over a stack of left
+# operands and a stack of pending operators (shunting-yard): a prefix applies
+# as soon as its operand is read, a further operand of "&" or "|" folds into
+# its chain's left operand at once, and "->" waits for its right operand.
 
 class ParseError(ValueError):
     """Malformed formula text; carries the offending position."""
@@ -169,117 +187,91 @@ class ParseError(ValueError):
         self.position = position
 
 
-_TOKEN_RE = re.compile(r"\s*(->|\[\]|[()~&|]|[a-z][a-zA-Z0-9_]*)")
-_IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
+_TOKEN_RE = re.compile(r"->|\[\]|[()~&|]|[a-z][a-zA-Z0-9_]*")
+# Each operator's binding and node: tighter binds higher, the prefixes
+# tightest (3), and "(" (-1) holds back every operator above it until ")".
+_BINARY = {"->": (0, Imp), "|": (1, Or), "&": (2, And)}
+_OPENING = {"(": (-1, None), "~": (3, Neg), "[]": (3, Box)}
 
 
-# Most "(", "~", "[]", "->", "&" and "|" open at once.  The parser reads the
-# operand of each of the first four by recursion and builds a chain of "&" or
-# "|" as a tree as deep as the chain is long, so deeper text is rejected with
-# a ParseError before it can exhaust the stack here or downstream.
+# Most "(", "~", "[]", "->", "&" and "|" open at once: each of the first four
+# opens one level until its operand is read, and each operand of a chain of
+# "&" or "|" past the first one level more.  The parser needs no stack frame
+# per level, but the limit stays for the walkers downstream (``render``,
+# ``subsentences`` and the deciders), which recurse through the tree.
 _MAX_NESTING = 100
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise ParseError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.depth = 0
-
-    def peek(self) -> str | None:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
-
-    def pos(self) -> int:
-        return self.tokens[self.i][1] if self.i < len(self.tokens) else len(self.text)
-
-    def expect(self, tok: str) -> None:
-        if self.peek() != tok:
-            raise ParseError(f"expected {tok!r}", self.pos())
-        self.i += 1
-
-    def nest(self) -> None:
-        """Take "(", "~", "[]", "->", "&" or "|", one level deeper."""
-        self.depth += 1
-        if self.depth > _MAX_NESTING:
-            raise ParseError(f"nesting deeper than {_MAX_NESTING}", self.pos())
-        self.i += 1
-
-    def formula(self) -> Formula:
-        left = self.or_expr()
-        if self.peek() != "->":
-            return left
-        self.nest()
-        f = Imp(left, self.formula())
-        self.depth -= 1
-        return f
-
-    def or_expr(self) -> Formula:
-        return self.chain("|", Or, self.and_expr)
-
-    def and_expr(self) -> Formula:
-        return self.chain("&", And, self.unary)
-
-    def chain(self, op: str, node, operand) -> Formula:
-        """A left-nested chain; each operand past the first is one level deeper."""
-        depth = self.depth
-        f = operand()
-        while self.peek() == op:
-            self.nest()
-            f = node(f, operand())
-        self.depth = depth
-        return f
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok not in ("~", "[]"):
-            return self.atom()
-        self.nest()
-        f = self.unary()
-        self.depth -= 1
-        return Neg(f) if tok == "~" else Box(f)
-
-    def atom(self) -> Formula:
-        tok = self.peek()
-        if tok == "(":
-            self.nest()
-            f = self.formula()
-            self.expect(")")
-            self.depth -= 1
-            return f
-        if tok == "false":
-            self.i += 1
-            return BOT
-        if tok == "true":
-            self.i += 1
-            return TOP
-        if tok is not None and _IDENT_RE.match(tok):
-            self.i += 1
-            return Atom(tok)
-        raise ParseError("expected an atom, 'false', 'true' or '('", self.pos())
+def _error(text: str, message: str, i: int | None = None) -> ParseError:
+    """The error at the i-th token (the end of the text past the last one); with
+    no i, at the first character that no token covers."""
+    end, starts = 0, []
+    for m in _TOKEN_RE.finditer(text):
+        if i is None and text[end:m.start()].strip():
+            break
+        end = m.end()
+        starts.append(m.start())
+    if i is None:
+        rest = text[end:].lstrip()
+        return ParseError(f"{message} {rest[0]!r}", len(text) - len(rest))
+    return ParseError(message, starts[i] if i < len(starts) else len(text))
 
 
 def parse(text: str) -> Formula:
     """Parse formula text into an AST with sugar expanded."""
-    p = _Parser(text)
-    f = p.formula()
-    if p.peek() is not None:
-        raise ParseError(f"trailing input {p.peek()!r}", p.pos())
+    tokens = _TOKEN_RE.findall(text)
+    if len("".join(tokens)) != len("".join(text.split())):
+        raise _error(text, "unexpected character")
+    leaves = {"false": BOT, "true": TOP}
+    lefts, pending, depth = [], [], 0       # pending: (binding, node, depth it restores)
+    f = None                                # the operand just read; None while one is due
+    for i, tok in enumerate(tokens):
+        if f is None:                               # an operand is due
+            f = leaves.get(tok)
+            if f is None:
+                if tok in _OPENING:
+                    pending.append((*_OPENING[tok], depth))
+                elif tok in _BINARY or tok == ")":
+                    raise _error(text, "expected an atom, 'false', 'true' or '('", i)
+                else:
+                    f = leaves[tok] = Atom(tok)
+        elif tok in _BINARY:
+            binding, node = _BINARY[tok]
+            while pending and pending[-1][0] > binding:         # apply what binds tighter
+                _, tighter, depth = pending.pop()
+                f = tighter(lefts.pop(), f)
+            if binding and pending and pending[-1][0] == binding:
+                f = node(lefts.pop(), f)            # "&" or "|": the chain goes on
+            else:
+                pending.append((binding, node, depth))
+            lefts.append(f)
+            f = None
+        elif tok == ")":
+            while pending and pending[-1][0] >= 0:
+                _, node, _ = pending.pop()
+                f = node(lefts.pop(), f)
+            if not pending:
+                raise _error(text, "trailing input ')'", i)
+            _, _, depth = pending.pop()
+        elif any(binding < 0 for binding, _, _ in pending):
+            raise _error(text, "expected ')'", i)
+        else:
+            raise _error(text, f"trailing input {tok!r}", i)
+        if f is None:                               # an opening or infix token: one level deeper
+            if depth == _MAX_NESTING:
+                raise _error(text, f"nesting deeper than {_MAX_NESTING}", i)
+            depth += 1
+            continue
+        while pending and pending[-1][0] == 3:              # "~" and "[]"
+            _, prefix, depth = pending.pop()
+            f = prefix(f)
+    if f is None:
+        raise _error(text, "expected an atom, 'false', 'true' or '('", len(tokens))
+    while pending:
+        binding, node, _ = pending.pop()
+        if binding < 0:
+            raise _error(text, "expected ')'", len(tokens))
+        f = node(lefts.pop(), f)
     return f
 
 

@@ -382,3 +382,15 @@ def test_corpus_run_records_each_bad_line_and_continues(tmp_path, capsys):
     code, out, _ = run_captured(capsys, ["corpus", "run", str(corpus)])
     assert code == 2
     assert out.splitlines()[-1] == "7 entries, 2 ok, 0 mismatched, 0 budget-exceeded, 5 errors"
+
+
+def test_corpus_run_records_an_undecodable_line_and_continues(tmp_path, capsys):
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_bytes(b"valid\tiglc\tp -> []p\r\n\xff\ninvalid\tiglc\t[]p -> p\rvalid\tipc\tp\n")
+    code, out, err = run_captured(capsys, ["corpus", "run", str(corpus), "--json"])
+    assert code == 2
+    payload = json.loads(out)
+    assert [(row["line"], row["outcome"]) for row in payload["results"]] == [
+        (1, "ok"), (2, "error"), (3, "ok"), (4, "MISMATCH")]
+    assert err == ("error: line 2: 'utf-8' codec can't decode byte 0xff in position 0: "
+                   "invalid start byte\n")

@@ -1,4 +1,6 @@
 import random
+import re
+import sys
 import time
 
 import pytest
@@ -8,6 +10,7 @@ from iglc.formula import (And, Atom, Bottom, Box, Imp, Or, BOT, TOP, Neg,
                           parse, render, size, subsentences, substitute)
 from conftest import (connective_pairings, deep_population_formulas, doubling_dag,
                       random_formula, random_sugared_formula)
+import parser_reference
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 
@@ -55,6 +58,147 @@ def test_nesting_limit():
         with pytest.raises(ParseError, match="nesting") as e:
             parse(text)
         assert e.value.position == position
+
+
+def parse_outcome(parse_text, text):
+    """The node parse_text returns, or its ParseError's message and position."""
+    try:
+        return parse_text(text)
+    except ParseError as e:
+        return str(e), e.position
+
+
+def assert_parses_as_the_reference(texts) -> list:
+    """Each text gives the reference parser's identical node or its error;
+    returns the outcomes."""
+    outcomes = []
+    for text in texts:
+        got, want = parse_outcome(parse, text), parse_outcome(parser_reference.parse, text)
+        same = got == want if isinstance(want, tuple) else got is want
+        assert same, (text, got, want)
+        outcomes.append(want)
+    return outcomes
+
+
+def errors(outcomes) -> list[str]:
+    """The messages of the errors among the outcomes, without their positions."""
+    return [outcome[0].rsplit(" (at position ", 1)[0] for outcome in outcomes
+            if isinstance(outcome, tuple)]
+
+
+VOCABULARY = ("p", "q", "r1", "aB_9", "true", "false", "truex", "(", "(", ")", ")", "~", "[]",
+              "->", "&", "|", "@", "P", "Q", "é", "-", ">", "[", "]", " ", "   ", "\t", " \n ",
+              "\u00a0")
+
+
+def random_token_text(rng: random.Random) -> str:
+    """Up to 12 tokens, some malformed, glued together or spaced apart: glued
+    ones may merge, so that "-" ">" reads "->" and "p" "q" reads "pq"."""
+    return rng.choice(("", " ")).join(rng.choices(VOCABULARY, k=rng.randint(0, 12)))
+
+
+def edited_rendering(rng: random.Random) -> str:
+    """A rendered random formula with one token deleted, doubled, swapped with
+    the next or preceded by a vocabulary token."""
+    tokens = re.findall(r"->|\[\]|[()~&|]|\w+", render(random_sugared_formula(rng, 12)))
+    i = rng.randrange(len(tokens))
+    edit = rng.randrange(4)
+    if edit == 0:
+        del tokens[i]
+    elif edit == 1:
+        tokens.insert(i, tokens[i])
+    elif edit == 2:
+        tokens[i:i + 2] = tokens[i:i + 2][::-1]
+    else:
+        tokens.insert(i, rng.choice(VOCABULARY))
+    return " ".join(tokens)
+
+
+def one_construct_texts(levels: int) -> list[str]:
+    """"(", "~", "[]", "->", "&" and "|" each nested ``levels`` deep, alone."""
+    return ["(" * levels + "p" + ")" * levels, "~" * levels + "p", "[]" * levels + "p",
+            "p -> " * levels + "p", "p" + " & p" * levels, "p" + " | p" * levels]
+
+
+def nested_text(rng: random.Random, levels: int) -> str:
+    """Text nested exactly ``levels`` deep as the parser counts: a random mix
+    of "(", "~", "[]", right operands of "->" and further operands of "&" and
+    "|" chains, each one level."""
+    opens, closes, slot = [], [], "formula"     # slot: what may open the next level
+    for _ in range(levels):
+        wrapper = rng.choice(("(", "~", "[]") + {"formula": ("p -> ", "p | ", "p & "),
+                                                  "|": ("p | ", "p & "), "&": ("p & ",),
+                                                  "unary": ()}[slot])
+        opens.append(wrapper)
+        if wrapper == "(":
+            closes.append(")")
+        slot = ("formula" if wrapper in ("(", "p -> ") else "unary" if wrapper in ("~", "[]")
+                else wrapper[2])
+    return "".join(opens) + "q" + "".join(reversed(closes))
+
+
+def test_parse_equals_the_reference_on_formulas(modal_corpus):
+    rng = random.Random(31)
+    formulas = (modal_corpus + deep_population_formulas()
+                + [random_formula(rng, ("p", "q", "r"), rng.randint(1, 24)) for _ in range(5000)]
+                + [random_sugared_formula(rng, rng.randint(1, 24)) for _ in range(5000)])
+    for f in formulas:
+        text = render(f)
+        assert parse(text) is parser_reference.parse(text) is f, text
+        squeezed = text.replace(" ", "")
+        assert parse(squeezed) is f, squeezed
+
+
+def test_parse_equals_the_reference_on_random_token_strings():
+    rng = random.Random(32)
+    outcomes = assert_parses_as_the_reference(
+        [random_token_text(rng) for _ in range(100_000)]
+        + [edited_rendering(rng) for _ in range(20_000)])
+    kinds = {message.split(" '")[0] for message in errors(outcomes)}
+    assert len(outcomes) - len(errors(outcomes)) > 5000
+    assert kinds == {"unexpected character", "expected an atom,", "expected", "trailing input"}
+
+
+def test_parse_equals_the_reference_at_the_nesting_limit():
+    from iglc.formula import _MAX_NESTING as n
+    rng = random.Random(33)
+    for levels in (n - 1, n, n + 1):
+        k = levels // 3
+        texts = one_construct_texts(levels) + [
+            "~" * (levels - 3 * k) + "(~[]" * k + "p" + ")" * k,
+            "p -> (" * k + "[]" * (levels - 2 * k) + "p" + ")" * k,
+            "p -> " * (levels - 2 * k) + "(p & " * k + "p" + ")" * k,
+            "p | " * k + "p & " * (levels - k) + "p"]
+        mixed = [nested_text(rng, levels) for _ in range(300)]
+        rejected = errors(assert_parses_as_the_reference(texts + mixed))
+        assert rejected == ([] if levels <= n else
+                            [f"nesting deeper than {n}"] * len(texts + mixed)), rejected
+
+
+def stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_parse_does_not_recurse():
+    """Under a recursion limit a few dozen frames above this test's own depth,
+    text nested 100 deep (the limit) still parses and 101 deep is still the
+    nesting error; a parser that recursed per level would overflow."""
+    from iglc.formula import _MAX_NESTING as n
+    neg, box, imp, conj, disj = P, P, P, P, P
+    for _ in range(n):
+        neg, box, imp, conj, disj = Neg(neg), Box(box), Imp(P, imp), And(conj, P), Or(disj, P)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 30)
+    try:
+        parsed = [parse_outcome(parse, text) for text in one_construct_texts(n)]
+        rejected = [parse_outcome(parse, text) for text in one_construct_texts(n + 1)]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert all(got is want for got, want in zip(parsed, (P, neg, box, imp, conj, disj)))
+    assert errors(rejected) == [f"nesting deeper than {n}"] * 6
 
 
 def test_render_examples():
