@@ -148,10 +148,11 @@ def _cmd_transform(args) -> int:
 
 
 def _read(path: str) -> str:
+    """A model file's text: UTF-8, a leading byte-order mark dropped."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ModelError(f"cannot read {path}: {e}") from None
 
 
@@ -214,7 +215,7 @@ def _corpus_verdict(parts: list[str], budget: int) -> str:
 def _cmd_corpus_run(args) -> int:
     try:
         with open(args.path, "rb") as fh:
-            lines = fh.read().splitlines()
+            lines = fh.read().removeprefix(b"\xef\xbb\xbf").splitlines()
     except OSError as e:
         print(f"error: cannot read {args.path}: {e}", file=sys.stderr)
         return EXIT_USAGE

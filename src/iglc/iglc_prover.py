@@ -63,9 +63,14 @@ in scan order, as one disjoint-union model whose ⪯ and ⊏ are in
 ``kripke.truth_mask``'s offset form, so one pass evaluates the query on all
 of them with a few big-int operations per node.  The first refuting model
 holds the lowest set bit of the miss mask, and that bit's place in its copy
-is the root, its least refuting world.  Each model tried costs one step.  A
-model's validated ``KripkeModel`` is built the first time it refutes and
-shared after that.
+is the root, its least refuting world.  Each model tried costs one step.  The
+union keeps two memos that depend only on the alphabet: each subformula's
+truth mask, so a subformula shared by queries is evaluated once, and each
+refuting world's verdict, built the first time that world roots a query's
+refutation (one validated ``KripkeModel`` per model, shared by its roots).  A
+memo hit is charged what the model count charges, so the answer and its cost
+at a budget depend only on the query and the budget.  ``_compiled``'s LRU
+bounds how many unions, and so memos, are alive.
 
 Every Invalid answer is machine-checked (the frame flags of the model's
 report, computed when it was built, and refutation at the root, evaluated
@@ -148,17 +153,20 @@ class _ScanUnion:
     """Every scan model, in scan order, laid side by side as one disjoint-union
     model whose ⪯ and ⊏ are in offset form (``kripke.truth_mask``), so that
     one pass decides a query on all of them.  Each name gets an upset in
-    ``upward_closed_sets`` order, the first name varying slowest.  A block is
-    one frame and ⊏: its first world bit, its first model number, its world
-    count and one copy's successor masks.  ``models[j]`` is model j's
-    validated ``KripkeModel``, built the first time it refutes a query and
-    shared from then on."""
+    ``upward_closed_sets`` order, the first name in sorted order varying
+    slowest.  A block is one frame and ⊏: its first world bit, its first model
+    number, its world count and one copy's successor masks.  Two memos depend
+    only on the alphabet: ``cache`` holds each subformula's truth mask on the
+    union, and ``verdicts`` maps a refuting world's bit to its model number j
+    and its ``Invalid``, built the first time that world is a query's least
+    refuting one; the roots of model j share one validated ``KripkeModel``."""
 
-    __slots__ = ("leq", "r", "val", "full", "count", "blocks", "models")
+    __slots__ = ("leq", "r", "val", "full", "count", "blocks", "cache", "verdicts")
 
-    def __init__(self, names: tuple[str, ...]):
+    def __init__(self, names: frozenset[str]):
+        names = sorted(names)
         self.leq, self.r, self.val = {}, {}, dict.fromkeys(names, 0)
-        self.blocks, self.models = [], {}
+        self.blocks, self.cache, self.verdicts = [], {}, {}
         bit = count = 0
         for n, strict, r_options in _FRAMES:
             worlds = range(1, n + 1)
@@ -187,23 +195,32 @@ _compiled = lru_cache(maxsize=64)(_ScanUnion)
 def _scan(a: Formula, bud: _Budget) -> Invalid | None:
     """The first scan model refuting a, rooted at its least refuting world;
     each model tried costs one step."""
-    names = tuple(sorted(atoms(a)))
+    names = atoms(a)
     if len(names) > _SCAN_ATOM_CAP:
         return None
     scan = _compiled(names)
-    miss = scan.full & ~truth_mask(a, scan.leq, scan.r, scan.val, scan.full, {})
+    miss = scan.full & ~truth_mask(a, scan.leq, scan.r, scan.val, scan.full, scan.cache)
     if not miss:
         bud.charge(min(scan.count, bud.limit + 1 - bud.used))   # raises at limit + 1
         return None
     bit = (miss & -miss).bit_length() - 1
+    known = scan.verdicts.get(bit)
+    if known is not None:           # charged as when it was built
+        bud.charge(min(known[0] + 1, bud.limit + 1 - bud.used))
+        return known[1]
     start, j, n, leq_succ, r_succ = next(b for b in reversed(scan.blocks) if b[0] <= bit)
     copy, world = divmod(bit - start, n)
     j += copy
     bud.charge(min(j + 1, bud.limit + 1 - bud.used))
-    if j not in scan.models:
-        val = {p: m >> bit - world & (1 << n) - 1 for p, m in scan.val.items()}
-        scan.models[j] = model_from_masks(leq_succ, r_succ, val, (1 << n) - 1)
-    return Invalid(scan.models[j], world + 1)
+    first = bit - world
+    model = next((scan.verdicts[b][1].countermodel for b in range(first, first + n)
+                  if b in scan.verdicts), None)
+    if model is None:
+        val = {p: m >> first & (1 << n) - 1 for p, m in scan.val.items()}
+        model = model_from_masks(leq_succ, r_succ, val, (1 << n) - 1)
+    verdict = Invalid(model, world + 1)
+    scan.verdicts[bit] = j, verdict
+    return verdict
 
 
 # ---------------------------------------------------------------------------

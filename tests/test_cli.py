@@ -394,3 +394,30 @@ def test_corpus_run_records_an_undecodable_line_and_continues(tmp_path, capsys):
         (1, "ok"), (2, "error"), (3, "ok"), (4, "MISMATCH")]
     assert err == ("error: line 2: 'utf-8' codec can't decode byte 0xff in position 0: "
                    "invalid start byte\n")
+
+
+def test_corpus_run_drops_a_leading_byte_order_mark(tmp_path, capsys):
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_bytes(b"\xef\xbb\xbfvalid\tiglc\tp -> []p\ninvalid\tiglc\t[]p -> p\n")
+    code, out, err = run_captured(capsys, ["corpus", "run", str(corpus)])
+    assert code == 0 and not err
+    assert out.splitlines()[-1] == "2 entries, 2 ok, 0 mismatched, 0 budget-exceeded, 0 errors"
+
+
+def test_model_files_with_a_byte_order_mark_are_read(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_bytes(b'\xef\xbb\xbf{"worlds": [1], "leq": [], "r": [], "val": {"p": [1]}}')
+    code, out, _ = run_captured(capsys, ["model", "check", str(path), "p"])
+    assert (code, out.strip()) == (0, "VALID ON MODEL")
+    code, out, _ = run_captured(capsys, ["frame", "report", str(path), "--json"])
+    assert code == 0 and json.loads(out)["is_poset"] is True
+
+
+def test_model_file_not_utf8_exit_4(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_bytes(b'{"worlds": [1], "leq": [], "r": [], "val": {"\xff": [1]}}')
+    for argv in (["model", "check", str(path), "p"], ["frame", "report", str(path)],
+                 ["solovay", "truthset", str(path), "p"]):
+        code, out, err = run_captured(capsys, argv)
+        assert code == 4 and not out, argv
+        assert err.startswith("error: model: ") and "Traceback" not in err, argv

@@ -751,3 +751,70 @@ def test_dag_input_is_decided_per_distinct_subformula():
     render.cache_clear()                        # its witness text is 73 MB
     assert valid
     assert elapsed < 2
+
+
+# The scan's two memos on each alphabet's union, subformula masks and the
+# verdict of each refuting world, leave every answer and its cost as a cold
+# process gives them.
+
+FOUR_ATOMS = parse("(p -> [](q -> r)) | []s")
+
+
+def memo_sample(modal_corpus):
+    rng = random.Random(3232)
+    sample = [(f, 10**9) for f in rng.sample(modal_corpus, 400)]
+    sample += [(random_formula(rng, ("p", "q", "r"), rng.randint(8, 18), box_prob=0.25), 10**9)
+               for _ in range(40)]
+    return sample + [(FOUR_ATOMS, 160), (FOUR_ATOMS, 161)]
+
+
+def memo_outcome(f, budget):
+    bud = _Budget(budget)
+    try:
+        v = _decide(f, bud)
+    except BudgetExhausted as e:
+        return "BudgetExceeded", e.steps_used
+    if isinstance(v, Invalid):
+        return "Invalid", bud.used, v.root, model_to_json(v.countermodel)
+    return "Valid", bud.used, v.witness
+
+
+def test_scan_memos_leave_answers_and_charges_as_cold(modal_corpus):
+    sample = memo_sample(modal_corpus)
+    cold = []
+    for f, budget in sample:
+        clear_caches()
+        cold.append(memo_outcome(f, budget))
+    assert cold[-2:] == [("BudgetExceeded", 161), ("Invalid", 161, 1, cold[-1][3])]
+    clear_caches()
+    for f, budget in sample:
+        memo_outcome(f, budget)
+    order = list(range(len(sample)))
+    random.Random(4).shuffle(order)
+    moved = [render(sample[i][0]) for i in order if memo_outcome(*sample[i]) != cold[i]]
+    assert not moved, moved
+
+
+def test_machine_check_runs_on_every_invalid_memo_hits_included(monkeypatch):
+    checked = []
+    check = iglc_prover._machine_check
+    monkeypatch.setattr(iglc_prover, "_machine_check",
+                        lambda *args: checked.append(args) or check(*args))
+    clear_caches()
+    queries = [parse(t) for t in ("[]p -> p", "~~([]p -> p)", "[]p -> p", "p | ~p", "p -> []p")]
+    verdicts = [decide_iglc(f) for f in queries]
+    invalid = [v for v in verdicts if isinstance(v, Invalid)]
+    assert len(invalid) == 4 and invalid[0] is invalid[2]       # a verdict memo hit
+    assert checked == [
+        (v.countermodel, v.root, f) for f, v in zip(queries, verdicts) if isinstance(v, Invalid)]
+
+
+def test_clear_caches_drops_every_scan_union_and_its_memos():
+    decide_iglc(parse("[]p -> p"))
+    decide_iglc(parse("[]q -> (p | q)"))
+    unions = iglc_prover._compiled
+    assert unions.cache_info().currsize >= 2
+    scan = unions(frozenset({"p", "q"}))
+    assert scan.cache and all(atoms(g) <= {"p", "q"} for g in scan.cache)
+    clear_caches()
+    assert unions.cache_info().currsize == 0
