@@ -29,15 +29,18 @@ unmetered pass after the first:
    Column ``col[p]`` is the bitset of the candidates holding member p, so the
    ⊆-successors of w are ⋀_{p∈w} col[p] and its ⊏-successors
    ⋀_{□C∈w} col[C] ∧ ⋁_{□B∉w} col[□B].  Incoherent candidates, whose
-   membership disagrees with forcing, are eliminated in rounds to a fixpoint:
-   a round meets each live candidate's successors with the refuters of each
-   B→C (col[B] ∧ ¬col[C]) and □C (¬col[C]) in X, storing O(n·|X|) bits for n
-   candidates, and costs n·|X| + 1 steps.  Successor masks are computed once,
-   when round 1 is paid, and later rounds recheck only the candidates that
-   lost a successor in the round before.  Every X-saturated set survives, and
-   membership = forcing on the survivors, so the query is a theorem iff it
-   belongs to every survivor; otherwise the least one omitting it roots a
-   countermodel on its ⊆-cone, filtered and shrunk by ``kripke.countermodel``.
+   membership disagrees with forcing, are eliminated in one pass (Pratt's
+   elimination method).  The ⊆-successors of w are w and its supersets, and
+   each ⊏-successor v is a strict superset: a member B ∈ sub(A) of w puts □B
+   in w by completeness, so B in v, and a member □C puts C, so □C, in v.  So
+   the pass, in decreasing size, decides each candidate against itself and
+   successors already decided: it meets the live ones with the refuters of
+   each B→C (col[B] ∧ ¬col[C]) and □C (¬col[C]) in X, storing O(n·|X|) bits
+   for n candidates, and costs n·|X| + 1 steps, charged before any successor
+   set.  Every X-saturated set survives, and membership = forcing on the
+   survivors, so the query is a theorem iff it belongs to every survivor;
+   otherwise the least one omitting it roots a countermodel on its ⊆-cone,
+   filtered and shrunk by ``kripke.countermodel``.
 
 Between the scan and the certifier, the pure-atom pass (``_pure_atoms``)
 replaces an atom occurring only positively (under an even number of
@@ -408,34 +411,21 @@ class _Canonical:
         # (member i, 0 for ⊆- or 1 for ⊏-successors, the candidates refuting i
         # there): for an imp those with its left side and not its right, for a
         # box those without its inner formula.  A candidate is kept when it
-        # holds exactly the imps and boxes that none of its successors refutes.
+        # holds exactly the imps and boxes that none of its live successors refutes.
         tests = ([(i, 0, col[l] & ~col[r]) for i, l, r in self.imps]
                  + [(i, 1, ~col[c]) for i, c in self.boxes])
-        # each candidate's successors, computed once; a round rechecks only the
-        # candidates with a successor in ``gone`` (in round 1 all, as w ⊆ w)
-        live = range(len(cands))
-        alive = gone = (1 << len(cands)) - 1
-        self.bud.charge(len(live) * self.n + 1)
-        succs = [self._successors(w, col, alive) for w in cands]
-        while True:
-            keep = []
-            for j in live:
-                leq, r = succs[j]
-                if not (leq | r) & gone:
-                    keep.append(j)
-                    continue
-                w, succ = cands[j], (leq & alive, r & alive)
-                for i, side, refuting in tests:
-                    if w >> i & 1 == bool(succ[side] & refuting):
-                        break
-                else:
-                    keep.append(j)
-            if len(keep) == len(live):
-                return [cands[j] for j in keep]
-            live = keep
-            gone = alive & ~sum(1 << j for j in keep)
-            alive ^= gone
-            self.bud.charge(len(live) * self.n + 1)
+        # a candidate's successors are itself and strict supersets, so in
+        # decreasing size each meets only itself and candidates already decided
+        self.bud.charge(len(cands) * self.n + 1)
+        alive = (1 << len(cands)) - 1
+        for j in sorted(range(len(cands)), key=lambda j: -cands[j].bit_count()):
+            w = cands[j]
+            succ = self._successors(w, col, alive)
+            for i, side, refuting in tests:
+                if w >> i & 1 == bool(succ[side] & refuting):
+                    alive ^= 1 << j
+                    break
+        return [w for j, w in enumerate(cands) if alive >> j & 1]
 
     def decide(self) -> Verdict:
         cands = self._generate()

@@ -439,6 +439,7 @@ class ReferenceCanonical(_Canonical):
     def __init__(self, a, bud):
         super().__init__(a, bud)
         members = self.members
+        self.rounds = 0
         self.imp_mask = sum(1 << i for i, _, _ in self.imps)
         self.box_mask = sum(1 << i for i, _ in self.boxes)
         self.rules_at = [[] for _ in members]
@@ -506,10 +507,13 @@ class ReferenceCanonical(_Canonical):
         return out
 
     def _eliminate(self, cands):
+        """Pairwise rounds to the greatest fixpoint, counted in ``rounds``,
+        charged once as the core's single pass is."""
         imps, boxes = self.imps, self.boxes
         imp_mask, box_mask = self.imp_mask, self.box_mask
+        self.bud.charge(len(cands) * self.n + 1)
         while True:
-            self.bud.charge(len(cands) * self.n + 1)
+            self.rounds += 1
             fail_imp, miss_box, reqs = [], [], []
             for v in cands:
                 fi = 0
@@ -589,11 +593,10 @@ class UnliftedReference(ReferenceCanonical):
                 self.rules_at[max((*premises, concl))].append((premises, concl))
 
 
-def core_trace(cls, a, budget):
-    """What the core computes for a up to its cone masks, with the steps used
-    after each phase; a budget that runs out ends the trace with its count."""
-    bud = _Budget(budget)
-    core = cls(a, bud)
+def core_trace(core):
+    """What the core computes up to its cone masks, with the steps used after
+    each phase; a budget that runs out ends the trace with its count."""
+    bud = core.bud
     trace = []
     try:
         cands = core._generate()
@@ -623,14 +626,18 @@ def core_sample(modal_corpus):
 
 
 def test_core_matches_pairwise_reference(modal_corpus):
+    most_rounds = 0
     for f in core_sample(modal_corpus):
-        assert core_trace(_Canonical, f, 100_000) == core_trace(ReferenceCanonical, f, 100_000), render(f)
+        reference = ReferenceCanonical(f, _Budget(100_000))
+        assert core_trace(_Canonical(f, _Budget(100_000))) == core_trace(reference), render(f)
+        most_rounds = max(most_rounds, reference.rounds)
+    assert most_rounds >= 3             # the one pass is checked where rounds cascade
 
 
 def test_lifted_rules_prune_only_non_survivors(modal_corpus):
     for f in core_sample(modal_corpus) + [TWO_CONJUNCTS]:
-        lifted = core_trace(_Canonical, f, 10**7)
-        unlifted = core_trace(UnliftedReference, f, 10**7)
+        lifted = core_trace(_Canonical(f, _Budget(10**7)))
+        unlifted = core_trace(UnliftedReference(f, _Budget(10**7)))
         assert len(lifted) >= 4 and len(unlifted) >= 4, render(f)   # both reach survivors
         assert lifted[2::2] == unlifted[2::2], render(f)
 
@@ -641,18 +648,16 @@ def test_eliminate_computes_each_candidates_successors_once(monkeypatch):
     monkeypatch.setattr(_Canonical, "_successors",
                         lambda self, *args: calls.append(1) or successors(self, *args))
     rng = random.Random(4419)
-    most_rounds = 0
     for _ in range(150):
         f = random_formula(rng, ("p", "q", "r"), rng.randint(14, 22), box_prob=0.25)
         core = _Canonical(f, _Budget(10**9))
         cands = core._generate()
-        rounds = []                     # one charge per elimination round
-        core.bud = types.SimpleNamespace(charge=rounds.append)
+        charges = []
+        core.bud = types.SimpleNamespace(charge=charges.append)
         calls.clear()
         core._eliminate(cands)
+        assert charges == [len(cands) * core.n + 1], render(f)
         assert len(calls) == len(cands), render(f)
-        most_rounds = max(most_rounds, len(rounds))
-    assert most_rounds >= 3
 
 
 def test_core_countermodels_have_at_most_ten_worlds():
@@ -666,18 +671,18 @@ def test_core_countermodels_have_at_most_ten_worlds():
 
 # (budget, verdict kind, steps used) of cold decisions.  The budgets land in
 # the scan, the certifier (its first charge and its axiom charge), inside
-# _generate, inside the first and later elimination rounds, one step short of
-# a full run (in the shrink for an Invalid) and at a full run; a
-# BudgetExceeded count past its budget is the charge it could not pay: an
-# elimination round's, or in _generate an emitted candidate's |X| steps.
+# _generate, inside the elimination pass's one charge, one step short of a
+# full run (in the shrink for an Invalid) and at a full run; a BudgetExceeded
+# count past its budget is the charge it could not pay: the elimination
+# pass's, or in _generate an emitted candidate's |X| steps.
 # Full runs: PTP ends in the scan, Löb in the certifier, the others in the
 # core.  The last two formulas have a pure atom (r positive, p negative), so
 # their certifier and core run on the formula with r := ⊥ (p := ⊤, folded to
 # (□q → □r) → (□q ∨ □(q → r))), after a second pass finds no pure atom and
 # charges the 16 (11) (subformula, sign) pairs it visits.
 BUDGET_CASES = {
-    MOJTAHEDI: [(5, "BudgetExceeded", 6), (161181, "BudgetExceeded", 161182),
-                (161182, "Invalid", None)],
+    MOJTAHEDI: [(5, "BudgetExceeded", 6), (103438, "BudgetExceeded", 103439),
+                (103439, "Invalid", None)],
     PTP: [(5, "BudgetExceeded", 6), (6, "Invalid", None)],
     parse("[]([]p -> p) -> []p"): [
         (0, "BudgetExceeded", 1), (5, "BudgetExceeded", 6), (7, "BudgetExceeded", 8),
@@ -685,12 +690,10 @@ BUDGET_CASES = {
         (13, "BudgetExceeded", 14), (14, "Valid", None)],
     parse("([](p | q) -> ([]p | []q)) | ~~[]r"): [
         (943, "BudgetExceeded", 958), (6231, "BudgetExceeded", 10741),
-        (10742, "BudgetExceeded", 13404), (20756, "BudgetExceeded", 20757),
-        (20757, "Valid", None)],
+        (10740, "BudgetExceeded", 10741), (10741, "Valid", None)],
     parse("(([]p -> []q) -> []r) -> ([](p -> q) | [](q -> r))"): [
         (548, "BudgetExceeded", 562), (1252, "BudgetExceeded", 2032),
-        (2033, "BudgetExceeded", 2648), (3343, "BudgetExceeded", 3344),
-        (3344, "Invalid", None)],
+        (2141, "BudgetExceeded", 2142), (2142, "Invalid", None)],
 }
 
 
@@ -701,7 +704,7 @@ def test_cold_budget_outcomes_match_the_pairwise_core(monkeypatch):
             v = decide_iglc(f, budget)
             assert (type(v).__name__, getattr(v, "steps_used", None)) == (kind, steps), \
                 (render(f), budget)
-    # a round the budget cannot pay for computes no successor sets
+    # an elimination pass the budget cannot pay for computes no successor sets
     calls = []
     successors = _Canonical._successors
     monkeypatch.setattr(_Canonical, "_successors",
