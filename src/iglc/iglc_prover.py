@@ -21,26 +21,29 @@ unmetered pass after the first:
    and every rule Γ ⊢ C with one conclusion lifted to □Γ ⊢ □C (necessitation,
    K) when X holds those boxes, again through □□C; survivors obey theorems, so
    lifts prune only what elimination would.  Ordered by inclusion and the
-   canonical modal relation.  Each member tries both values against the rules
-   filed under it; ∧, ∨ and ⊥ admit one.  Generation is depth first on an
-   explicit stack, so a large X does not exhaust the Python stack; it charges
-   one step per member decided and |X| more per candidate emitted, the bits
-   ``_columns`` transposes, so the budget bounds the candidate list.
-   Column ``col[p]`` is the bitset of the candidates holding member p, so the
-   ⊆-successors of w are ⋀_{p∈w} col[p] and its ⊏-successors
+   canonical modal relation.  A rule of member p is filed under the one value
+   of p it can break, absent if p is a conclusion, else present; ∧, ∨ and ⊥
+   admit one value.  Generation is depth first on an explicit stack, so a
+   large X does not exhaust the Python stack; it charges one step per member
+   decided and |X| more per candidate emitted, the bits ``_columns``
+   transposes, so the budget bounds the candidate list.  In ascending vector
+   order, column ``col[p]`` is the bitset of the candidates holding member p,
+   so the ⊆-successors of w are ⋀_{p∈w} col[p] and its ⊏-successors
    ⋀_{□C∈w} col[C] ∧ ⋁_{□B∉w} col[□B].  Incoherent candidates, whose
    membership disagrees with forcing, are eliminated in one pass (Pratt's
    elimination method).  The ⊆-successors of w are w and its supersets, and
    each ⊏-successor v is a strict superset: a member B ∈ sub(A) of w puts □B
    in w by completeness, so B in v, and a member □C puts C, so □C, in v.  So
    the pass, in decreasing size, decides each candidate against itself and
-   successors already decided: it meets the live ones with the refuters of
-   each B→C (col[B] ∧ ¬col[C]) and □C (¬col[C]) in X, storing O(n·|X|) bits
-   for n candidates, and costs n·|X| + 1 steps, charged before any successor
+   successors already decided, so its two n-bit masks are final and kept: it
+   meets the live ones with the refuters of each B→C (col[B] ∧ ¬col[C]) and
+   □C (¬col[C]) in X, and costs n·|X| + 1 steps, charged before any successor
    set.  Every X-saturated set survives, and membership = forcing on the
    survivors, so the query is a theorem iff it belongs to every survivor;
-   otherwise the least one omitting it roots a countermodel on its ⊆-cone,
-   filtered and shrunk by ``kripke.countermodel``.
+   otherwise the least one omitting it roots a countermodel, whose relations,
+   valuation and truth masks are the kept masks and columns from its number
+   on, shifted down, as its successors come after it; ``kripke.countermodel``
+   filters and shrinks it, touching only the worlds it keeps.
 
 Between the scan and the certifier, the pure-atom pass (``_pure_atoms``)
 replaces an atom occurring only positively (under an even number of
@@ -297,7 +300,7 @@ def _quick_valid(a: Formula, bud: _Budget) -> Valid | None:
 class _Canonical:
     def __init__(self, a: Formula, bud: _Budget):
         self.bud = bud
-        subs = subsentences(a)
+        self.subs = subs = subsentences(a)
         self.members = members = sorted(subs | {Box(s) for s in subs}, key=order_key)
         self.index = index = {f: i for i, f in enumerate(members)}
         self.n = len(members)
@@ -354,36 +357,49 @@ class _Canonical:
                 rules += own
             if i in box_at:                 # B∨C ⊢ B or C has one conclusion iff B = C
                 horn[i] = own[:2] if t is Or and l != r else own
+        # file each rule under the one value of p it can break, p's bit dropped
+        for p, rules in enumerate(self.rules_at):
+            me, split = 1 << p, ([], [])
+            for pr, co in rules:
+                split[not co & me].append((pr, co ^ me) if co & me else (pr ^ me, co))
+            self.rules_at[p] = split
 
     def _generate(self) -> list[int]:
-        n, rules_at, charge = self.n, self.rules_at, self.bud.charge
+        n, rules_at, bud = self.n, self.rules_at, self.bud
+        used, limit = bud.used, bud.limit
         out: list[int] = []
         # depth first on an explicit stack: of member p's two values, without p
-        # and with it, follow the first that breaks no rule filed under p, and
+        # and with it, follow the first that breaks no rule filed under it, and
         # push the second, if it breaks none either, to take up when the
-        # first's subtree ends
+        # first's subtree ends; steps are counted here and paid at the end
         stack = [(0, 0)]
-        while stack:
+        while stack and used <= limit:
             p, vec = stack.pop()
             while True:
-                charge()
-                if p == n:
-                    charge(n)                   # the n bits _columns transposes
-                    out.append(vec)
+                used += 1
+                if p == n or used > limit:
+                    if used <= limit:
+                        used += n               # the n bits _columns transposes
+                        out.append(vec)
                     break
-                follow = None
-                for v in (vec, vec | 1 << p):
-                    for premises, concls in rules_at[p]:
-                        if v & premises == premises and not v & concls:
-                            break
-                    else:
-                        if follow is None:
-                            follow = v
-                        else:
-                            stack.append((p + 1, v))
-                if follow is None:
+                absent, present = rules_at[p]
+                with_p = vec | 1 << p
+                for premises, concls in present:
+                    if vec & premises == premises and not vec & concls:
+                        with_p = 0
+                        break
+                for premises, concls in absent:
+                    if vec & premises == premises and not vec & concls:
+                        break
+                else:
+                    if with_p:
+                        stack.append((p + 1, with_p))
+                    p += 1
+                    continue
+                if not with_p:
                     break
-                p, vec = p + 1, follow
+                p, vec = p + 1, with_p
+        bud.charge(used - bud.used)             # raises past the limit
         return out
 
     def _columns(self, worlds: list[int]) -> list[int]:
@@ -407,47 +423,42 @@ class _Canonical:
         return leq, r & new
 
     def _eliminate(self, cands: list[int]) -> list[int]:
-        col = self._columns(cands)
+        vecs = sorted(cands)
+        self.col = col = self._columns(vecs)
         # (member i, 0 for ⊆- or 1 for ⊏-successors, the candidates refuting i
         # there): for an imp those with its left side and not its right, for a
         # box those without its inner formula.  A candidate is kept when it
         # holds exactly the imps and boxes that none of its live successors refutes.
         tests = ([(i, 0, col[l] & ~col[r]) for i, l, r in self.imps]
                  + [(i, 1, ~col[c]) for i, c in self.boxes])
-        # a candidate's successors are itself and strict supersets, so in
-        # decreasing size each meets only itself and candidates already decided
+        # a candidate's successors are itself and strict supersets: in decreasing
+        # size each meets only itself and decided ones, so its masks are final
         self.bud.charge(len(cands) * self.n + 1)
-        alive = (1 << len(cands)) - 1
-        for j in sorted(range(len(cands)), key=lambda j: -cands[j].bit_count()):
-            w = cands[j]
-            succ = self._successors(w, col, alive)
+        self.alive, gone, self.succ = (1 << len(vecs)) - 1, set(), [None] * len(vecs)
+        for k in sorted(range(len(vecs)), key=lambda k: -vecs[k].bit_count()):
+            w = vecs[k]
+            self.succ[k] = succ = self._successors(w, col, self.alive)
             for i, side, refuting in tests:
                 if w >> i & 1 == bool(succ[side] & refuting):
-                    alive ^= 1 << j
+                    self.alive ^= 1 << k
+                    gone.add(w)
                     break
-        return [w for j, w in enumerate(cands) if alive >> j & 1]
+        return [w for w in cands if w not in gone]
 
     def decide(self) -> Verdict:
-        cands = self._generate()
-        survivors = self._eliminate(cands)
-        qb = self.query_bit
-        bad = [w for w in survivors if not w >> qb & 1]
+        self._eliminate(self._generate())
+        col, query = self.col, self.members[self.query_bit]
+        bad = self.alive & ~col[self.query_bit]
         if not bad:
             return Valid(("certified by saturation of the adequate set: the query "
                           "belongs to every coherent candidate world",))
-        root_vec = min(bad)
-        # the root is the least vector of its cone, so it has index 0
-        cone = sorted(v for v in survivors if root_vec & ~v == 0)
-        return Invalid(countermodel(*self._masks(cone), (), (self.members[qb],),
-                                    self.bud.charge), 1)
-
-    def _masks(self, worlds: list[int]):
-        """⊆- and ⊏-successor masks and atom masks over a list of candidates."""
-        col = self._columns(worlds)
-        full = (1 << len(worlds)) - 1
-        leq_succ, r_succ = zip(*(self._successors(w, col, full) for w in worlds))
-        val = {name: col[p] for name, p in self.atom_positions.items()}
-        return list(leq_succ), list(r_succ), val
+        root = (bad & -bad).bit_length() - 1
+        leq, r = zip(*self.succ[root:])
+        if root:                        # shifted copies only where the numbers move
+            leq, r = ([m >> root for m in ms] for ms in (leq, r))
+        val = {name: col[p] >> root for name, p in self.atom_positions.items()}
+        truth = {f: col[self.index[f]] >> root for f in self.subs}
+        return Invalid(countermodel(leq, r, val, (), (query,), self.bud.charge, truth), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -275,18 +275,20 @@ def _restrict(leq_succ, r_succ, val: dict[str, int], keep: int):
             {p: gather(m) for p, m in val.items()})
 
 
-def _filtration(leq_succ, r_succ, val: dict[str, int], fs) -> int:
+def _filtration(leq_succ, r_succ, val: dict[str, int], fs, truth=None) -> int:
     """The worlds a selective filtration keeps (Segerberg 1971; Chagrov and
     Zakharyaschev, *Modal Logic*, 1997): world 0 and, for each kept world and
     each B→C (□C) of sub(fs) it does not force, its lowest-index ⪯-successor
     forcing B and not C (⊏-successor not forcing C).  By induction on sub(fs),
-    forcing of sub(fs) at the kept worlds is as in the whole model."""
-    cache: dict[Formula, int] = {}
-    for f in fs:
-        truth_mask(f, leq_succ, r_succ, val, (1 << len(leq_succ)) - 1, cache)
-    tests = [(leq_succ, cache[f.left] & ~cache[f.right], m) if type(f) is Imp
-             else (r_succ, ~cache[f.inner], m)
-             for f, m in cache.items() if type(f) is Imp or type(f) is Box]
+    forcing of sub(fs) at the kept worlds is as in the whole model; ``truth``,
+    if given, holds sub(fs)'s truth masks, right where world 0 reaches."""
+    if truth is None:
+        truth = {}
+        for f in fs:
+            truth_mask(f, leq_succ, r_succ, val, (1 << len(leq_succ)) - 1, truth)
+    tests = [(leq_succ, truth[f.left] & ~truth[f.right], m) if type(f) is Imp
+             else (r_succ, ~truth[f.inner], m)
+             for f, m in truth.items() if type(f) is Imp or type(f) is Box]
     kept, todo = 1, [0]
     while todo:
         w = todo.pop()
@@ -299,15 +301,17 @@ def _filtration(leq_succ, r_succ, val: dict[str, int], fs) -> int:
     return kept
 
 
-def countermodel(leq_succ, r_succ, val: dict[str, int], holds, fails, charge) -> KripkeModel:
+def countermodel(leq_succ, r_succ, val: dict[str, int], holds, fails, charge,
+                 truth=None) -> KripkeModel:
     """The model cut down around world 0, which forces each of ``holds`` and
     none of ``fails``: filtered over sub(holds ∪ fails), then shrunk by greedy
     passes that visit the kept worlds from the highest index down, skipping
     world 0, charge each trial's world count and drop a world while world 0
     still forces ``holds`` and refutes ``fails``.  Passes repeat until one
-    drops nothing; world 0 becomes world 1 of the validated result."""
+    drops nothing; world 0 becomes world 1 of the validated result.  ``truth``
+    may give the masks of sub(holds ∪ fails), right where world 0 reaches."""
     if len(leq_succ) > 1:               # one world is its own filtration
-        kept = _filtration(leq_succ, r_succ, val, (*holds, *fails))
+        kept = _filtration(leq_succ, r_succ, val, (*holds, *fails), truth)
         leq_succ, r_succ, val = _restrict(leq_succ, r_succ, val, kept)
     keep, changed = (1 << len(leq_succ)) - 1, True
     while changed:

@@ -1,12 +1,13 @@
 import functools
 import itertools
+import json
 import random
 import time
 import types
 
 import pytest
 
-from iglc import ha, iglc_prover
+from iglc import ha, iglc_prover, kripke
 from iglc.formula import (And, Atom, Bottom, Box, Imp, Or, BOT, Iff, atoms, modal_decompose,
                           parse, render, subsentences)
 from iglc.iglc_prover import (AdequateSet, BudgetExceeded, BudgetExhausted,
@@ -14,7 +15,8 @@ from iglc.iglc_prover import (AdequateSet, BudgetExceeded, BudgetExhausted,
                               is_saturated, saturate, clear_caches, _Budget,
                               _Canonical, _FRAMES, _decide, _quick_valid, _scan)
 from iglc.ipc import SequentTable, ipc_provable
-from iglc.kripke import Frame, KripkeModel, check_frame, forces, model_to_json
+from iglc.kripke import (Frame, KripkeModel, check_frame, countermodel, forces, mask_bits,
+                         model_to_json, truth_mask)
 from conftest import ModelTable, doubling_dag, random_formula, random_realistic_model
 
 P, Q = Atom("p"), Atom("q")
@@ -426,13 +428,56 @@ def test_certifier_matches_the_skeleton_reference(modal_corpus, monkeypatch):
 # The canonical core against the pairwise loops that its column bitsets
 # replaced: the same candidate lists, survivors, cone masks and step costs.
 
+def pairwise_masks(core, worlds):
+    """⊆- and ⊏-successor masks and atom masks over a list of candidates, one
+    pair of candidates at a time: the relations of the canonical model."""
+    box_mask = sum(1 << i for i, _ in core.boxes)
+    leq_succ, r_succ = [], []
+    for w in worlds:
+        req = 0
+        for i, c in core.boxes:
+            if w >> i & 1:
+                req |= 1 << c
+        leq_m = r_m = 0
+        for j, v in enumerate(worlds):
+            if w & ~v == 0:
+                leq_m |= 1 << j
+            if req & ~v == 0 and box_mask & v & ~w:
+                r_m |= 1 << j
+        leq_succ.append(leq_m)
+        r_succ.append(r_m)
+    val = {name: sum(1 << j for j, v in enumerate(worlds) if v >> p & 1)
+           for name, p in core.atom_positions.items()}
+    return leq_succ, r_succ, val
+
+
+def stored_masks(core, cands, cone):
+    """The successor masks ``_Canonical._eliminate`` kept for the worlds of
+    ``cone``, and the atom columns, renumbered from the candidates' ascending
+    order to the places in ``cone``."""
+    import numpy as np
+    at = {v: k for k, v in enumerate(sorted(cands))}
+    in_cone = sum(1 << at[v] for v in cone)
+    outside, places, size = ~in_cone, np.array([at[v] for v in cone]), (len(cands) + 7) // 8
+
+    def gather(m):
+        assert not m & outside          # no successor outside the cone
+        bits = np.unpackbits(np.frombuffer(m.to_bytes(size, "little"), np.uint8),
+                             bitorder="little")
+        return int.from_bytes(np.packbits(bits[places], bitorder="little").tobytes(), "little")
+
+    leq_succ, r_succ = ([gather(core.succ[at[v]][side]) for v in cone] for side in (0, 1))
+    val = {name: gather(core.col[p] & in_cone) for name, p in core.atom_positions.items()}
+    return leq_succ, r_succ, val
+
+
 class ReferenceCanonical(_Canonical):
     """``_Canonical`` with closure rules as (premises set, conclusion) tuples
-    and the pairwise ``_generate``, ``_eliminate`` and ``_masks`` of the loops
-    replaced.  The rules are the one-conclusion Hintikka conditions, the →
-    closures, completeness and □⊥ ⊢ □B, closed under lifting: any rule
-    Γ ⊢ C whose members all have boxes in X gives □Γ ⊢ □C, until no rule is
-    new.  ``lift = False`` leaves the closure out."""
+    and the pairwise ``_generate`` and ``_eliminate`` of the loops replaced.
+    The rules are the one-conclusion Hintikka conditions, the → closures,
+    completeness and □⊥ ⊢ □B, closed under lifting: any rule Γ ⊢ C whose
+    members all have boxes in X gives □Γ ⊢ □C, until no rule is new.
+    ``lift = False`` leaves the closure out."""
 
     lift = True
 
@@ -543,24 +588,6 @@ class ReferenceCanonical(_Canonical):
                 return keep
             cands = keep
 
-    def _masks(self, worlds):
-        leq_succ, r_succ = [], []
-        for w in worlds:
-            req = 0
-            for i, c in self.boxes:
-                if w >> i & 1:
-                    req |= 1 << c
-            leq_m = r_m = 0
-            for j, v in enumerate(worlds):
-                if w & ~v == 0:
-                    leq_m |= 1 << j
-                if req & ~v == 0 and self.box_mask & v & ~w:
-                    r_m |= 1 << j
-            leq_succ.append(leq_m)
-            r_succ.append(r_m)
-        val = {name: sum(1 << j for j, v in enumerate(worlds) if v >> p & 1)
-               for name, p in self.atom_positions.items()}
-        return leq_succ, r_succ, val
 
 
 class UnliftedReference(ReferenceCanonical):
@@ -572,7 +599,6 @@ class UnliftedReference(ReferenceCanonical):
 
     lift = False
     _eliminate = _Canonical._eliminate
-    _masks = _Canonical._masks
 
     def __init__(self, a, bud):
         super().__init__(a, bud)
@@ -595,7 +621,9 @@ class UnliftedReference(ReferenceCanonical):
 
 def core_trace(core):
     """What the core computes up to its cone masks, with the steps used after
-    each phase; a budget that runs out ends the trace with its count."""
+    each phase; a budget that runs out ends the trace with its count.  The
+    cone masks are the ones ``_Canonical._eliminate`` kept, renumbered, or
+    else the pairwise ones."""
     bud = core.bud
     trace = []
     try:
@@ -606,7 +634,11 @@ def core_trace(core):
         bad = [w for w in survivors if not w >> core.query_bit & 1]
         if bad:
             root = min(bad)
-            trace.append(core._masks(sorted(v for v in survivors if root & ~v == 0)))
+            cone = sorted(v for v in survivors if root & ~v == 0)
+            if type(core)._eliminate is _Canonical._eliminate:
+                trace.append(stored_masks(core, cands, cone))
+            else:
+                trace.append(pairwise_masks(core, cone))
     except BudgetExhausted as e:
         trace.append(("budget", e.steps_used))
     return trace
@@ -640,6 +672,93 @@ def test_lifted_rules_prune_only_non_survivors(modal_corpus):
         unlifted = core_trace(UnliftedReference(f, _Budget(10**7)))
         assert len(lifted) >= 4 and len(unlifted) >= 4, render(f)   # both reach survivors
         assert lifted[2::2] == unlifted[2::2], render(f)
+
+
+def cone_path_filtration(leq_succ, r_succ, val, query):
+    """The worlds a selective filtration keeps, truth evaluated on the whole
+    model: world 0 and, for each kept world and each B→C (□C) of sub(query)
+    it does not force, its least ⪯-successor forcing B and not C (⊏-successor
+    not forcing C)."""
+    full = (1 << len(leq_succ)) - 1
+    truth = {f: truth_mask(f, leq_succ, r_succ, val, full, {}) for f in subsentences(query)}
+    tests = [(leq_succ, truth[f.left] & ~truth[f.right], m)
+             for f, m in truth.items() if isinstance(f, Imp)]
+    tests += [(r_succ, ~truth[f.inner], m) for f, m in truth.items() if isinstance(f, Box)]
+    kept, todo = {0}, [0]
+    while todo:
+        w = todo.pop()
+        for succ, refuting, forced in tests:
+            if not forced >> w & 1:
+                v = min(mask_bits(succ[w] & refuting))
+                if v not in kept:
+                    kept.add(v)
+                    todo.append(v)
+    return sum(1 << v for v in kept)
+
+
+class ConePath(_Canonical):
+    """The core's countermodel path without the read-off: the sorted cone of
+    the least survivor omitting the query, its pairwise masks, the filtration
+    above and ``countermodel`` on the worlds it keeps (whose own filtration
+    then keeps them all)."""
+
+    def decide(self):
+        survivors = self._eliminate(self._generate())
+        query = self.members[self.query_bit]
+        bad = [w for w in survivors if not w >> self.query_bit & 1]
+        if not bad:
+            return Valid()
+        cone = sorted(v for v in survivors if min(bad) & ~v == 0)
+        leq_succ, r_succ, val = pairwise_masks(self, cone)
+        kept = cone_path_filtration(leq_succ, r_succ, val, query)
+        return Invalid(countermodel(*kripke._restrict(leq_succ, r_succ, val, kept), (),
+                                    (query,), self.bud.charge), 1)
+
+
+def core_outcome(core):
+    try:
+        v = core.decide()
+    except BudgetExhausted as e:
+        return "BudgetExceeded", e.steps_used
+    if isinstance(v, Invalid):
+        return "Invalid", core.bud.used, v.root, model_to_json(v.countermodel)
+    return "Valid", core.bud.used
+
+
+def test_core_countermodel_matches_the_cone_path(modal_corpus):
+    # the root, the kept worlds and the shrink's charges as when the countermodel
+    # was cut from the cone's own masks, with truth evaluated over the cone
+    outcomes = []
+    for f in core_sample(modal_corpus):
+        outcomes.append(core_outcome(_Canonical(f, _Budget(10**6))))
+        assert outcomes[-1] == core_outcome(ConePath(f, _Budget(10**6))), render(f)
+    assert outcomes[-len(CORE_HAND_CASES) - 1][0] == "Invalid"      # Mojtahedi's formula
+    sizes = [len(json.loads(o[3])["worlds"]) for o in outcomes if o[0] == "Invalid"]
+    assert sum(size >= 3 for size in sizes) >= 200  # the filtration and shrink have work
+
+
+def test_decide_computes_successors_once_and_filters_without_evaluating(monkeypatch):
+    calls, evaluated, filtrations = [], [], []
+    successors, truth, filtration = _Canonical._successors, kripke.truth_mask, kripke._filtration
+
+    def traced_filtration(*args):
+        before = len(evaluated)
+        kept = filtration(*args)
+        filtrations.append(len(evaluated) - before)
+        return kept
+
+    monkeypatch.setattr(_Canonical, "_successors",
+                        lambda self, *args: calls.append(1) or successors(self, *args))
+    monkeypatch.setattr(kripke, "truth_mask", lambda *args: evaluated.append(1) or truth(*args))
+    monkeypatch.setattr(kripke, "_filtration", traced_filtration)
+    rng = random.Random(4419)
+    for _ in range(150):
+        f = random_formula(rng, ("p", "q", "r"), rng.randint(14, 22), box_prob=0.25)
+        cands = _Canonical(f, _Budget(10**9))._generate()
+        calls.clear()
+        _Canonical(f, _Budget(10**9)).decide()
+        assert len(calls) == len(cands), render(f)
+    assert len(filtrations) >= 100 and not any(filtrations)
 
 
 def test_eliminate_computes_each_candidates_successors_once(monkeypatch):
