@@ -37,13 +37,15 @@ unmetered pass after the first:
    the pass, in decreasing size, decides each candidate against itself and
    successors already decided, so its two n-bit masks are final and kept: it
    meets the live ones with the refuters of each B→C (col[B] ∧ ¬col[C]) and
-   □C (¬col[C]) in X, and costs n·|X| + 1 steps, charged before any successor
-   set.  Every X-saturated set survives, and membership = forcing on the
-   survivors, so the query is a theorem iff it belongs to every survivor;
-   otherwise the least one omitting it roots a countermodel, whose relations,
-   valuation and truth masks are the kept masks and columns from its number
-   on, shifted down, as its successors come after it; ``kripke.countermodel``
-   filters and shrinks it, touching only the worlds it keeps.
+   □C (¬col[C]) in X that w lacks, and costs n·|X| + 1 steps, charged before
+   any successor set.  Held ones pass, as ⊆-successors obey B→C, B ⊢ C and
+   ⊏-successors hold C.  Every X-saturated set survives, and membership =
+   forcing on the survivors, so the query is a theorem iff it belongs to
+   every survivor; otherwise the least one omitting it roots a countermodel,
+   whose relations, valuation and truth masks are the kept masks and columns
+   from its number on, shifted down, as its successors come after it;
+   ``kripke.countermodel`` filters and shrinks it, touching only the worlds
+   it keeps.
 
 Between the scan and the certifier, the pure-atom pass (``_pure_atoms``)
 replaces an atom occurring only positively (under an even number of
@@ -411,9 +413,10 @@ class _Canonical:
     def _successors(self, w: int, col: list[int], within: int) -> tuple[int, int]:
         """The ⊆- and ⊏-successors of vector w among the worlds of ``within``:
         every v ⊇ w, and every v ⊇ {C : □C ∈ w} holding a box that w lacks."""
-        leq = within
-        for p in mask_bits(w):
-            leq &= col[p]
+        leq, m = within, w
+        while m:
+            leq &= col[(m & -m).bit_length() - 1]
+            m &= m - 1
         r, new = within, 0
         for i, c in self.boxes:
             if w >> i & 1:
@@ -427,8 +430,9 @@ class _Canonical:
         self.col = col = self._columns(vecs)
         # (member i, 0 for ⊆- or 1 for ⊏-successors, the candidates refuting i
         # there): for an imp those with its left side and not its right, for a
-        # box those without its inner formula.  A candidate is kept when it
-        # holds exactly the imps and boxes that none of its live successors refutes.
+        # box those without its inner formula.  A candidate is kept when each
+        # imp and box it lacks has a live successor refuting it; none refutes
+        # one it holds.
         tests = ([(i, 0, col[l] & ~col[r]) for i, l, r in self.imps]
                  + [(i, 1, ~col[c]) for i, c in self.boxes])
         # a candidate's successors are itself and strict supersets: in decreasing
@@ -439,7 +443,7 @@ class _Canonical:
             w = vecs[k]
             self.succ[k] = succ = self._successors(w, col, self.alive)
             for i, side, refuting in tests:
-                if w >> i & 1 == bool(succ[side] & refuting):
+                if not (w >> i & 1 or succ[side] & refuting):
                     self.alive ^= 1 << k
                     gone.add(w)
                     break

@@ -268,10 +268,14 @@ def _restrict(leq_succ, r_succ, val: dict[str, int], keep: int):
     """The masks of the submodel on ``keep``, its worlds renumbered 0, 1, … in order."""
     if keep == (1 << len(leq_succ)) - 1:
         return leq_succ, r_succ, val
-    pos = {j: k for k, j in enumerate(mask_bits(keep))}
+    bit = {j: 1 << k for k, j in enumerate(mask_bits(keep))}
     def gather(m: int) -> int:
-        return sum(1 << pos[j] for j in mask_bits(m & keep))
-    return ([gather(leq_succ[j]) for j in pos], [gather(r_succ[j]) for j in pos],
+        out, m = 0, m & keep
+        while m:
+            out |= bit[(m & -m).bit_length() - 1]
+            m &= m - 1
+        return out
+    return ([gather(leq_succ[j]) for j in bit], [gather(r_succ[j]) for j in bit],
             {p: gather(m) for p, m in val.items()})
 
 
@@ -307,21 +311,25 @@ def countermodel(leq_succ, r_succ, val: dict[str, int], holds, fails, charge,
     none of ``fails``: filtered over sub(holds ∪ fails), then shrunk by greedy
     passes that visit the kept worlds from the highest index down, skipping
     world 0, charge each trial's world count and drop a world while world 0
-    still forces ``holds`` and refutes ``fails``.  Passes repeat until one
-    drops nothing; world 0 becomes world 1 of the validated result.  ``truth``
-    may give the masks of sub(holds ∪ fails), right where world 0 reaches."""
+    still forces ``holds`` and refutes ``fails``; a world whose last trial
+    failed on the same kept worlds is charged, not tried.  Passes repeat
+    until one drops nothing; world 0 becomes world 1 of the validated result.
+    ``truth`` may give the masks of sub(holds ∪ fails), right where world 0
+    reaches."""
     if len(leq_succ) > 1:               # one world is its own filtration
         kept = _filtration(leq_succ, r_succ, val, (*holds, *fails), truth)
         leq_succ, r_succ, val = _restrict(leq_succ, r_succ, val, kept)
-    keep, changed = (1 << len(leq_succ)) - 1, True
+    keep, changed, failed = (1 << len(leq_succ)) - 1, True, {}
     while changed:
         changed = False
         for i in sorted(mask_bits(keep & ~1), reverse=True):
             trial, cache = keep & ~(1 << i), {}
             charge(trial.bit_count())
             truth = lambda f: truth_mask(f, leq_succ, r_succ, val, trial, cache) & 1
-            if not any(map(truth, fails)) and all(map(truth, holds)):
+            if failed.get(i) != keep and not any(map(truth, fails)) and all(map(truth, holds)):
                 keep, changed = trial, True
+            else:                       # i is not tried again on these worlds
+                failed[i] = keep
     return model_from_masks(leq_succ, r_succ, val, keep)
 
 

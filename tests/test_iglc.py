@@ -666,6 +666,22 @@ def test_core_matches_pairwise_reference(modal_corpus):
     assert most_rounds >= 3             # the one pass is checked where rounds cascade
 
 
+def test_held_imps_and_boxes_have_no_refuting_successor(modal_corpus):
+    # why elimination tests only the imps and boxes a candidate lacks: with the
+    # pairwise relations over every candidate, one holding B→C has no
+    # ⊆-successor holding B and not C, one holding □C no ⊏-successor without C
+    for f in core_sample(modal_corpus):
+        core = _Canonical(f, _Budget(10**7))
+        cands = core._generate()
+        leq_succ, r_succ, _ = pairwise_masks(core, cands)
+        col = [sum(1 << j for j, v in enumerate(cands) if v >> p & 1) for p in range(core.n)]
+        for w, leq, r in zip(cands, leq_succ, r_succ):
+            for i, b, c in core.imps:
+                assert not (w >> i & 1 and leq & col[b] & ~col[c]), render(f)
+            for i, c in core.boxes:
+                assert not (w >> i & 1 and r & ~col[c]), render(f)
+
+
 def test_lifted_rules_prune_only_non_survivors(modal_corpus):
     for f in core_sample(modal_corpus) + [TWO_CONJUNCTS]:
         lifted = core_trace(_Canonical(f, _Budget(10**7)))

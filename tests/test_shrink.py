@@ -4,13 +4,14 @@ restricted world sets and evaluated with ``forces``."""
 
 import random
 
-from iglc.iglc_prover import Invalid, decide_iglc
+from iglc import iglc_prover, ipc, kripke
+from iglc.iglc_prover import Invalid, _Budget, _Canonical, decide_iglc
 from iglc.ipc import IpcInvalid, decide_ipc
 from iglc.formula import parse, render
-from iglc.kripke import (KripkeModel, _filtration, countermodel, forces, model_to_json,
-                         truth_mask)
+from iglc.kripke import (KripkeModel, _filtration, _restrict, countermodel, forces, mask_bits,
+                         model_from_masks, model_to_json, successor_masks, truth_mask)
 from conftest import random_formula, random_realistic_model
-from test_iglc import MOJTAHEDI, PTP
+from test_iglc import MOJTAHEDI, PTP, core_sample
 
 PQR = ("p", "q", "r")
 
@@ -124,3 +125,94 @@ def test_shrink_visit_order_and_charges():
     assert model_to_json(model) == \
         '{"worlds": [1, 2], "leq": [[1, 2]], "r": [], "val": {"p": [2], "r": [2]}}'
     assert charges == [2, 2, 1]
+
+
+def reference_countermodel(leq_succ, r_succ, val, holds, fails, charge, truth=None):
+    """``countermodel`` with the greedy loop that evaluates every trial, also
+    one that failed before on the same world set."""
+    if len(leq_succ) > 1:
+        kept = _filtration(leq_succ, r_succ, val, (*holds, *fails), truth)
+        leq_succ, r_succ, val = _restrict(leq_succ, r_succ, val, kept)
+    keep, changed = (1 << len(leq_succ)) - 1, True
+    while changed:
+        changed = False
+        for i in sorted(mask_bits(keep & ~1), reverse=True):
+            trial, cache = keep & ~(1 << i), {}
+            charge(trial.bit_count())
+            truth = lambda f: truth_mask(f, leq_succ, r_succ, val, trial, cache) & 1
+            if not any(map(truth, fails)) and all(map(truth, holds)):
+                keep, changed = trial, True
+    return model_from_masks(leq_succ, r_succ, val, keep)
+
+
+def recorded_countermodel_calls(monkeypatch, module, decide, inputs):
+    """The arguments of each ``countermodel`` call ``decide`` makes on ``inputs``."""
+    calls = []
+    monkeypatch.setattr(module, "countermodel",
+                        lambda *args: calls.append(args) or countermodel(*args))
+    for x in inputs:
+        decide(x)
+    monkeypatch.undo()
+    return calls
+
+
+def test_shrink_matches_the_reference_and_skips_refuted_trials(monkeypatch, modal_corpus,
+                                                               boxfree_corpus):
+    # the same models and charges as the reference's; a trial that failed on
+    # the current world set is charged but not evaluated again
+    core = recorded_countermodel_calls(
+        monkeypatch, iglc_prover, lambda f: _Canonical(f, _Budget(10**7)).decide(),
+        core_sample(modal_corpus))
+    read_offs = recorded_countermodel_calls(monkeypatch, ipc, lambda f: decide_ipc((), f),
+                                            boxfree_corpus)
+    assert len(core) >= 1000 and len(read_offs) >= 1000
+    calls = core + read_offs
+    expected = []
+    for leq_succ, r_succ, val, holds, fails, _, *truth in calls:
+        charges = []
+        model = reference_countermodel(leq_succ, r_succ, val, holds, fails, charges.append, *truth)
+        expected.append((model_to_json(model), charges))
+    depth, evaluated = [0], [0]
+
+    def counted(*args):             # counts the calls countermodel makes itself
+        evaluated[0] += not depth[0]
+        depth[0] += 1
+        try:
+            return truth_mask(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(kripke, "truth_mask", counted)
+    charged = 0
+    for (leq_succ, r_succ, val, holds, fails, _, *truth), want in zip(calls, expected):
+        charges = []
+        model = countermodel(leq_succ, r_succ, val, holds, fails, charges.append, *truth)
+        assert (model_to_json(model), charges) == want, [render(f) for f in fails]
+        charged += len(charges)
+    assert evaluated[0] < charged
+
+
+def pair_restrict(leq_succ, r_succ, val, keep):
+    """``_restrict`` by pair sets: the pairs of kept worlds, renumbered in order."""
+    kept = [j for j in range(len(leq_succ)) if keep >> j & 1]
+    index = {j: k for k, j in enumerate(kept)}
+
+    def masks(succ):
+        return successor_masks(index, [(a, b) for a in kept for b in kept if succ[a] >> b & 1])
+
+    return (masks(leq_succ), masks(r_succ),
+            {p: sum(1 << index[j] for j in kept if m >> j & 1) for p, m in val.items()})
+
+
+def test_restrict_matches_the_pair_set_construction():
+    rng = random.Random(5129)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        leq_succ, r_succ = ([rng.getrandbits(n) for _ in range(n)] for _ in range(2))
+        val = {p: rng.getrandbits(n) for p in PQR}
+        full = (1 << n) - 1
+        assert _restrict(leq_succ, r_succ, val, full) == (leq_succ, r_succ, val)
+        assert _restrict(leq_succ, r_succ, val, full)[0] is leq_succ      # returned as is
+        for keep in [1 << rng.randrange(n)] + [rng.getrandbits(n) | 1 for _ in range(4)]:
+            assert _restrict(leq_succ, r_succ, val, keep) == \
+                pair_restrict(leq_succ, r_succ, val, keep), (n, keep)
